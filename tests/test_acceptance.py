@@ -7,7 +7,6 @@ are involved; thresholds (20 m, 500 ms) are exact.
 """
 
 import contextlib
-import json
 import math
 import random
 import time
@@ -15,7 +14,7 @@ import time
 import pytest
 
 from helpers import (build_net, close, enumerate_min_weight, ingest,
-                     random_network, random_registry)
+                     random_network, random_registry, write_end_to_end)
 from potholesim.cli import main
 from potholesim.comms import ConnectionState, Phase, World, p2p_broadcast, step_connection
 from potholesim.config import SimConfig
@@ -183,60 +182,10 @@ def test_criterion_6_geocrypto_envelope():
                 decrypt(ReportEnvelope.from_bytes(bytes(wire)), key, location)
 
 
-END_TO_END_NETWORK = {
-    "nodes": [{"id": "A", "x": 0.0, "y": 0.0}, {"id": "B", "x": 100.0, "y": 0.0},
-              {"id": "C", "x": 0.0, "y": 60.0}, {"id": "D", "x": 100.0, "y": 60.0}],
-    "arcs": [{"id": "ab", "tail": "A", "head": "B", "length_m": 100.0},
-             {"id": "bd", "tail": "B", "head": "D", "length_m": 60.0},
-             {"id": "ac", "tail": "A", "head": "C", "length_m": 60.0},
-             {"id": "cd", "tail": "C", "head": "D", "length_m": 100.0}],
-}
-
-END_TO_END_SCENARIO = {
-    "duration_ms": 20_000,
-    "seed": 2024,
-    "vehicles": [
-        {"id": "v1", "start_arc": "ab", "start_offset_m": 0.0,
-         "speed_mps": 10.0, "waypoints": ["B", "D"]},
-        {"id": "v2", "start_arc": "ab", "start_offset_m": 0.0,
-         "speed_mps": 10.0, "waypoints": ["B", "D"]},
-        {"id": "v3", "start_arc": "ac", "start_offset_m": 0.0,
-         "speed_mps": 10.0, "waypoints": ["C", "D"]},
-    ],
-    "pits": [
-        {"arc": "ab", "center_m": 20.0, "half_length_m": 1.0, "depth_mm": 50.0, "reflectivity": 0.4},
-        {"arc": "ab", "center_m": 50.0, "half_length_m": 1.0, "depth_mm": 60.0, "reflectivity": 0.4},
-        {"arc": "ab", "center_m": 80.0, "half_length_m": 1.0, "depth_mm": 70.0, "reflectivity": 0.4},
-        {"arc": "bd", "center_m": 30.0, "half_length_m": 1.0, "depth_mm": 30.0, "reflectivity": 0.5},
-        {"arc": "cd", "center_m": 50.0, "half_length_m": 1.0, "depth_mm": 20.0, "reflectivity": 0.6},
-    ],
-    "access_points": [
-        {"id": "ap1", "x": 100.0, "y": 0.0, "range_m": 30.0, "open": True},
-        {"id": "ap2", "x": 100.0, "y": 60.0, "range_m": 30.0, "open": True},
-    ],
-    "events": [
-        {"t_ms": 1000, "kind": "DETECT", "vehicle": "v3"},
-        {"t_ms": 2000, "kind": "DETECT", "vehicle": "v1"},
-        {"t_ms": 2000, "kind": "DETECT", "vehicle": "v2"},
-        {"t_ms": 4000, "kind": "DETECT", "vehicle": "v2"},
-        {"t_ms": 8000, "kind": "DETECT", "vehicle": "v3"},
-        {"t_ms": 12000, "kind": "DETECT", "vehicle": "v1"},
-    ],
-}
-
-
-def _write_end_to_end(tmp_path):
-    net_file = tmp_path / "net.json"
-    net_file.write_text(json.dumps(END_TO_END_NETWORK))
-    scen_file = tmp_path / "scenario.json"
-    scen_file.write_text(json.dumps(END_TO_END_SCENARIO))
-    return net_file, scen_file
-
-
 def test_criterion_7_end_to_end(tmp_path, capsys):
     with criterion(7, "3-vehicle / 2-AP / 5-pit scenario"):
         start = time.monotonic()
-        net_file, scen_file = _write_end_to_end(tmp_path)
+        net_file, scen_file = write_end_to_end(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", "--network", str(net_file),
                      "--scenario", str(scen_file), "--out-dir", str(out)]) == 0
@@ -272,7 +221,7 @@ def test_criterion_7_end_to_end(tmp_path, capsys):
 
 def test_criterion_8_determinism(tmp_path):
     with criterion(8, "same seed reproduces byte-identical outputs"):
-        net_file, scen_file = _write_end_to_end(tmp_path)
+        net_file, scen_file = write_end_to_end(tmp_path)
         digests = []
         for name in ("run1", "run2"):
             out = tmp_path / name
