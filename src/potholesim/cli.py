@@ -7,7 +7,8 @@ Subcommands:
     report      maintenance priority CSV printed to stdout
     preprocess  weight the network from a registry dump, CSV to stdout
 
-Exit codes: 0 success, 1 input error, 2 unreachable destination.
+Exit codes: 0 success, 1 input error, 2 unreachable destination (`route`;
+`simulate` traces an unreachable DEST_CHANGE and keeps running).
 """
 
 from __future__ import annotations

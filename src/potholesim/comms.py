@@ -11,7 +11,8 @@ Modelled behaviors:
     fires at each node arrival, where the next arc is chosen (routing
     session first, scenario waypoints otherwise);
   * detection -- a DETECT event sweeps the vehicle's current arc, queues
-    one sealed envelope per extracted pothole, and warns nearby vehicles;
+    one sealed envelope per extracted pothole, and warns nearby vehicles
+    (an arc shorter than one scanner cell has nothing to sweep);
   * warning broadcast -- single-hop, lossless delivery to every other
     vehicle within 20 m (closed bound); receivers cache the warning and
     never re-broadcast;
@@ -23,7 +24,8 @@ Modelled behaviors:
     at 4 per exchange.
 
 Trace format: one line per processed event, `t=<ms> <EVENT_KIND> <details>`
-with a fixed field order per kind.
+with a fixed field order per kind.  A DEST_CHANGE whose destination is
+unreachable ends in ` unreachable` and clears the vehicle's destination.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ from enum import Enum
 
 from . import weighting
 from .config import SimConfig
-from .detection import DepthMap, GroundTruthSurface, IntensityImage, extract_potholes, sweep
+from .detection import (DepthMap, GroundTruthSurface, IntensityImage, cell_count,
+                        extract_potholes, sweep)
 from .geocrypto import Location, PlainReport, ReportEnvelope, encrypt
 from .network import StreetNetwork
 from .registry import PotholeRegistry
-from .routing import RoutingSession, fmt_num, modify_destination
+from .routing import RoutingSession, UnreachableError, fmt_num, modify_destination
 from .scenario import Scenario
 from .server import Server
 
@@ -332,10 +335,12 @@ class Simulation:
     def _on_detect(self, now_ms: int, vehicle: str) -> None:
         v = self.world.vehicle(vehicle)
         arc = self.world.net.arc(v.arc)
-        surface = self.world.surfaces.get(
-            v.arc, GroundTruthSurface(v.arc, arc.length_m, []))
-        dm, ii = sweep(surface, (0.0, arc.length_m), self.config.cell_m)
-        detections = extract_potholes(dm, ii, self.config.threshold_mm, v.arc, 0.0)
+        detections = []
+        if cell_count(arc.length_m, self.config.cell_m) >= 1:  # else nothing to sense
+            surface = self.world.surfaces.get(
+                v.arc, GroundTruthSurface(v.arc, arc.length_m, []))
+            dm, ii = sweep(surface, (0.0, arc.length_m), self.config.cell_m)
+            detections = extract_potholes(dm, ii, self.config.threshold_mm, v.arc, 0.0)
 
         fresh = 0
         for det in detections:
@@ -383,7 +388,13 @@ class Simulation:
     def _on_dest_change(self, now_ms: int, vehicle: str, dest: str | None) -> None:
         v = self.world.vehicle(vehicle)
         s = v.session
-        modify_destination(s, dest)
+        try:
+            modify_destination(s, dest)
+        except UnreachableError:
+            s.clear()  # no route: back to weight-display mode
+            self._emit(now_ms, EventKind.DEST_CHANGE,
+                       f"vehicle={vehicle} dest={dest} unreachable")
+            return
         if dest is not None and v.stopped and v.speed_mps > 0:
             resting = self.world.net.arc(v.arc).head
             if s.destination == resting:

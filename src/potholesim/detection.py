@@ -109,6 +109,11 @@ class PotholeDetection:
     cells_intensity: tuple[float, ...] = ()
 
 
+def cell_count(span_m: float, cell_m: float) -> int:
+    """Whole cells in a span; the epsilon absorbs float division error."""
+    return math.floor(span_m / cell_m + 1e-9)
+
+
 def sweep(surface: GroundTruthSurface, window: tuple[float, float],
           cell_m: float = DEFAULT_CELL_M, rows: int = 1) -> tuple[DepthMap, IntensityImage]:
     """Sample the surface over a window into paired grids.
@@ -124,7 +129,7 @@ def sweep(surface: GroundTruthSurface, window: tuple[float, float],
     if not (0.0 <= start < end <= surface.arc_length_m):
         raise ValueError(f"window [{start}, {end}) invalid for arc "
                          f"{surface.arc!r} of length {surface.arc_length_m} m")
-    cols = math.floor((end - start) / cell_m + 1e-9)
+    cols = cell_count(end - start, cell_m)
     if cols < 1:
         raise ValueError(f"window [{start}, {end}) shorter than one {cell_m} m cell")
     depth_row = [0.0] * cols
@@ -162,8 +167,11 @@ def extract_potholes(dm: DepthMap, ii: IntensityImage, threshold_mm: float,
     if (dm.rows, dm.cols) != (ii.rows, ii.cols):
         raise ValueError("depth map and intensity image dimensions differ")
 
-    col_depth = [max(dm.at(r, c) for r in range(dm.rows)) for c in range(dm.cols)]
-    col_inten = [sum(ii.at(r, c) for r in range(ii.rows)) / ii.rows for c in range(ii.cols)]
+    n = dm.cols
+    col_depth = [max(col) for col in zip(*(dm.depths[r * n:(r + 1) * n]
+                                           for r in range(dm.rows)))]
+    col_inten = [sum(col) / ii.rows for col in zip(*(ii.values[r * n:(r + 1) * n]
+                                                     for r in range(ii.rows)))]
 
     reports: list[PotholeDetection] = []
     c = 0

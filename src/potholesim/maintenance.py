@@ -43,17 +43,9 @@ class IntensityWindow:
 
 def traffic_intensity(events: list[UpdateEvent], pothole_id: str, at_ms: int) -> int:
     """Updates per minute for one pothole at the evaluation instant."""
-    known = False
-    n = 0
-    lo = at_ms - WINDOW_MS
-    for e in events:
-        if e.pothole_id == pothole_id:
-            known = True
-            if lo < e.timestamp_ms <= at_ms:
-                n += 1
-    if not known:
+    if not any(e.pothole_id == pothole_id for e in events):
         raise UnknownPotholeError(pothole_id)
-    return n
+    return IntensityWindow.build(events, at_ms).counts.get(pothole_id, 0)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,8 @@ A street network is a set of nodes (intersections, with planar coordinates
 in meters) joined by directed arcs (street segments / lanes) that carry an
 explicit physical length.  Parallel arcs between the same ordered node pair
 are first-class: the network keeps a pair index mapping (tail, head) to the
-list of parallel arcs, and the weighting layer keeps, per pair, a weight
-multiset sorted non-descending plus the global min-weight multiset the
-router relaxes over.
+list of parallel arcs, and the weighting layer keeps, per pair, the least
+arc the router relaxes over.
 
 Networks are immutable after load.  Anything that changes arc weights lives
 in the weighting module; this module only knows topology and lengths.
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -98,10 +97,13 @@ class StreetNetwork:
         for ids in self._pairs.values():
             ids.sort()
 
-        # tail node -> sorted head list, for deterministic adjacency walks
+        # tail node -> sorted head list and head node -> sorted tail list,
+        # for deterministic adjacency walks in either direction
         self._out: dict[str, list[str]] = {n: [] for n in self.nodes}
+        self._in: dict[str, list[str]] = {n: [] for n in self.nodes}
         for (u, v) in sorted(self._pairs):
             self._out[u].append(v)
+            self._in[v].append(u)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -133,6 +135,12 @@ class StreetNetwork:
             raise UnknownNodeError(u)
         return self._out[u]
 
+    def predecessors(self, v: str) -> list[str]:
+        """Tail nodes that reach v over a single arc, sorted."""
+        if v not in self.nodes:
+            raise UnknownNodeError(v)
+        return self._in[v]
+
     def out_arcs(self, u: str) -> list[Arc]:
         """All arcs with tail u, in arc-id order."""
         arcs = []
@@ -140,54 +148,6 @@ class StreetNetwork:
             arcs.extend(self.arcs[a] for a in self._pairs[(u, v)])
         arcs.sort(key=lambda a: a.id)
         return arcs
-
-
-def arcs_between(net: StreetNetwork, u: str, v: str) -> list[Arc]:
-    return net.arcs_between(u, v)
-
-
-@dataclass
-class WeightMultiset:
-    """Arcs of one ordered pair, keyed and sorted non-descending by weight.
-
-    Equal weights break ties by ascending arc id so that the ordering, and
-    therefore every min-weight lookup, is reproducible.
-    """
-
-    pair: tuple[str, str]
-    entries: list[tuple[str, float]] = field(default_factory=list)
-
-    def sort(self) -> None:
-        self.entries.sort(key=lambda e: (e[1], e[0]))
-
-    def is_sorted(self) -> bool:
-        keys = [(w, a) for a, w in self.entries]
-        return keys == sorted(keys)
-
-    def min_entry(self) -> tuple[str, float]:
-        if not self.entries:
-            raise ValueError(f"weight multiset for pair {self.pair} is empty")
-        return self.entries[0]
-
-
-def min_weight(wm: WeightMultiset) -> tuple[str, float]:
-    """First (arc id, weight) entry; sorted order guarantees minimality."""
-    return wm.min_entry()
-
-
-@dataclass
-class MinWeightMultiset:
-    """Per ordered pair with at least one arc: the minimum arc weight and
-    the arc id achieving it (the first entry of that pair's WeightMultiset).
-    """
-
-    entries: dict[tuple[str, str], tuple[float, str]] = field(default_factory=dict)
-
-    def get(self, u: str, v: str) -> tuple[float, str] | None:
-        return self.entries.get((u, v))
-
-    def items(self) -> list[tuple[str, str, float, str]]:
-        return [(u, v, w, a) for (u, v), (w, a) in sorted(self.entries.items())]
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:

@@ -2,7 +2,7 @@
 
 `gda` is single-source Dijkstra generalized to multigraphs: instead of
 relaxing every parallel arc between an ordered node pair, it relaxes once
-per pair using the pair's minimum arc weight from the min-weight multiset.
+per pair using the pair's least arc from `WeightedNetwork.min_weights`.
 That collapse is sound because any path through a non-minimal parallel arc
 is dominated by the same path through the minimal one (the all-arcs
 variant `dijkstra_all_arcs` exists so tests can prove the equivalence).
@@ -10,9 +10,10 @@ variant `dijkstra_all_arcs` exists so tests can prove the equivalence).
 `route` reconstructs the source-to-destination path and pins down ties,
 which matter because clean arcs weigh exactly zero: among weight-equal
 paths it returns the one with minimum total physical length, and among
-those the lexicographically smallest arc-id sequence.  The search runs on
-exact rational arithmetic so tie detection never depends on float
-rounding; the reported totals are plain float sums over the chosen arcs.
+those the lexicographically smallest arc-id sequence.  Its searches relax
+the same pair minima as `gda` and run on exact rational arithmetic, so tie
+detection never depends on float rounding; the reported totals are plain
+float sums over the chosen arcs.
 
 Route trace format: one line `arc_id tail head weight length` per arc,
 then `TOTAL weight length`.
@@ -82,7 +83,7 @@ def gda(wnet: WeightedNetwork, source: str) -> ShortestPathTree:
             continue
         settled.add(u)
         for v in net.successors(u):
-            w, arc_id = wnet.min_weights.get(u, v)
+            w, _, arc_id = wnet.min_weights[(u, v)]
             cand = d + w
             if cand < dist[v]:
                 dist[v] = cand
@@ -121,22 +122,12 @@ def _lex_dijkstra(wnet: WeightedNetwork, start: str, forward: bool) -> dict[str,
     """Exact (weight, length)-lexicographic distances from/to `start`.
 
     With forward=False the multigraph is traversed against arc direction,
-    giving distances *to* `start`.  Per ordered pair only the arc with the
-    minimal (weight, length) contribution is relaxed; parallel arcs worse
-    on that key cannot appear on any (weight, length)-optimal path.
+    giving distances *to* `start`.  Per ordered pair only the pair minimum
+    is relaxed; parallel arcs worse on (weight, length) cannot appear on
+    any (weight, length)-optimal path.
     """
     net = wnet.base
-    adj: dict[str, list[tuple[str, Fraction, Fraction]]] = {n: [] for n in net.nodes}
-    for (u, v) in net.pairs():
-        best: tuple[Fraction, Fraction] | None = None
-        for arc in net.arcs_between(u, v):
-            cand = (Fraction(wnet.arc_weights[arc.id]), Fraction(arc.length_m))
-            if best is None or cand < best:
-                best = cand
-        if forward:
-            adj[u].append((v, best[0], best[1]))
-        else:
-            adj[v].append((u, best[0], best[1]))
+    neighbours = net.successors if forward else net.predecessors
 
     zero = Fraction(0)
     dist: dict[str, LexDist] = {start: (zero, zero)}
@@ -147,8 +138,9 @@ def _lex_dijkstra(wnet: WeightedNetwork, start: str, forward: bool) -> dict[str,
         if u in settled or (dw, dl) > dist[u]:
             continue
         settled.add(u)
-        for v, w, l in adj[u]:
-            cand = (dw + w, dl + l)
+        for v in neighbours(u):
+            w, l, _ = wnet.min_weights[(u, v) if forward else (v, u)]
+            cand = (dw + Fraction(w), dl + Fraction(l))
             if v not in dist or cand < dist[v]:
                 dist[v] = cand
                 heapq.heappush(heap, (cand[0], cand[1], v))

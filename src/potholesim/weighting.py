@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .network import MinWeightMultiset, StreetNetwork, WeightMultiset
+from .network import StreetNetwork
 from .registry import PotholeRegistry
 
 
@@ -47,51 +47,46 @@ def arc_damage(arc_id: str, registry: PotholeRegistry) -> ArcDamage:
 class WeightedNetwork:
     """A street network annotated with current per-arc weights.
 
-    Holds the per-pair weight multisets (sorted non-descending, ties by arc
-    id) and the global min-weight multiset the router relaxes over.  All
-    three views are kept mutually consistent by preprocess/apply_update.
+    `min_weights` maps every ordered pair with at least one arc to that
+    pair's least arc under (weight, length, arc id), as the tuple
+    (weight, length_m, arc_id): the one arc per pair the router relaxes.
+    preprocess/apply_update keep it consistent with `arc_weights`.
     """
 
     base: StreetNetwork
     arc_weights: dict[str, float]
-    pair_multisets: dict[tuple[str, str], WeightMultiset]
-    min_weights: MinWeightMultiset
+    min_weights: dict[tuple[str, str], tuple[float, float, str]]
 
     def weight(self, arc_id: str) -> float:
         self.base.arc(arc_id)
         return self.arc_weights[arc_id]
 
 
-def _rebuild_pair(wnet: WeightedNetwork, pair: tuple[str, str]) -> None:
-    u, v = pair
-    wm = WeightMultiset(pair, [(a.id, wnet.arc_weights[a.id])
-                               for a in wnet.base.arcs_between(u, v)])
-    wm.sort()
-    wnet.pair_multisets[pair] = wm
-    best_arc, best_w = wm.min_entry()
-    wnet.min_weights.entries[pair] = (best_w, best_arc)
+def _set_pair_min(wnet: WeightedNetwork, u: str, v: str) -> None:
+    wnet.min_weights[(u, v)] = min((wnet.arc_weights[a.id], a.length_m, a.id)
+                                   for a in wnet.base.arcs_between(u, v))
 
 
 def preprocess(net: StreetNetwork, registry: PotholeRegistry) -> WeightedNetwork:
-    """Weight every arc from the current registry and build the multisets."""
-    wnet = WeightedNetwork(net, {}, {}, MinWeightMultiset())
+    """Weight every arc from the current registry and set each pair minimum."""
+    wnet = WeightedNetwork(net, {}, {})
     for arc_id in net.arcs:
         arc = net.arcs[arc_id]
         wnet.arc_weights[arc_id] = arc_damage(arc_id, registry).average * arc.length_m
-    for pair in net.pairs():
-        _rebuild_pair(wnet, pair)
+    for u, v in net.pairs():
+        _set_pair_min(wnet, u, v)
     return wnet
 
 
 def apply_update(wnet: WeightedNetwork, arc_id: str, registry: PotholeRegistry) -> WeightedNetwork:
-    """Recompute one arc's weight and repair the affected multiset entries.
+    """Recompute one arc's weight and its pair's minimum.
 
     Leaves the WeightedNetwork state-identical to a full preprocess over
     the same registry.
     """
     arc = wnet.base.arc(arc_id)
     wnet.arc_weights[arc_id] = arc_damage(arc_id, registry).average * arc.length_m
-    _rebuild_pair(wnet, (arc.tail, arc.head))
+    _set_pair_min(wnet, arc.tail, arc.head)
     return wnet
 
 

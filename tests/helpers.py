@@ -60,8 +60,10 @@ def random_registry(rng: random.Random, net: StreetNetwork,
 def enumerate_min_weight(wnet: WeightedNetwork, source: str, dest: str) -> float:
     """Exhaustive minimum path weight over simple node paths (pair-min arcs).
 
-    Returns math.inf when dest is unreachable.  Accumulation is
-    left-to-right, matching how a path's weight would be summed by hand.
+    Each hop's pair minimum is taken here from `arc_weights`, not from the
+    production `min_weights`.  Returns math.inf when dest is unreachable.
+    Accumulation is left-to-right, matching how a path's weight would be
+    summed by hand.
     """
     if source == dest:
         return 0.0
@@ -75,7 +77,7 @@ def enumerate_min_weight(wnet: WeightedNetwork, source: str, dest: str) -> float
         for v in net.successors(u):
             if v in used:
                 continue
-            w, _ = wnet.min_weights.get(u, v)
+            w = min(wnet.arc_weights[a.id] for a in net.arcs_between(u, v))
             if v == dest:
                 best = min(best, acc + w)
             else:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from helpers import enumerate_best_route
+from helpers import enumerate_best_route, write_inputs
 from potholesim.cli import main
 
 NETWORK = {
@@ -96,6 +96,56 @@ class TestSimulate:
                    "--out-dir", str(tmp / "nope")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    OUTPUTS = {"trace.txt", "registry.csv", "events.csv", "weighted_network.csv",
+               "maintenance_report.csv", "route_v1.txt"}
+
+    def test_unreachable_dest_change_keeps_running(self, tmp_path):
+        # only A->B and C->B: from the vehicle's anchor B nothing reaches C
+        network = {
+            "nodes": [{"id": n, "x": x, "y": 0.0}
+                      for n, x in (("A", 0.0), ("B", 100.0), ("C", 200.0))],
+            "arcs": [{"id": "ab", "tail": "A", "head": "B", "length_m": 100.0},
+                     {"id": "cb", "tail": "C", "head": "B", "length_m": 100.0}],
+        }
+        scenario = {
+            "duration_ms": 15_000, "seed": 1,
+            "vehicles": [{"id": "v1", "start_arc": "ab", "start_offset_m": 0.0,
+                          "speed_mps": 10.0, "waypoints": ["B"]}],
+            "events": [{"t_ms": 1000, "kind": "DEST_CHANGE", "vehicle": "v1",
+                        "dest": "C"}],
+        }
+        net, scen = write_inputs(tmp_path, network, scenario)
+        out = tmp_path / "out"
+        assert main(["simulate", "--network", str(net), "--scenario", str(scen),
+                     "--out-dir", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == self.OUTPUTS
+        assert (out / "route_v1.txt").read_text() == "DISPLAY ab 0\n"
+        trace = (out / "trace.txt").read_text().splitlines()
+        assert "t=1000 DEST_CHANGE vehicle=v1 dest=C unreachable" in trace
+        assert "t=10000 MOVE vehicle=v1 node=B arc=-" in trace
+
+    def test_detect_on_sub_cell_arc(self, tmp_path):
+        # a 0.4 m arc holds no whole 0.5 m scanner cell: nothing to sense
+        network = {
+            "nodes": [{"id": "A", "x": 0.0, "y": 0.0}, {"id": "B", "x": 0.4, "y": 0.0}],
+            "arcs": [{"id": "ab", "tail": "A", "head": "B", "length_m": 0.4}],
+        }
+        scenario = {
+            "duration_ms": 1000, "seed": 1,
+            "vehicles": [{"id": "v1", "start_arc": "ab", "start_offset_m": 0.0,
+                          "speed_mps": 0.0, "waypoints": ["B"]}],
+            "pits": [{"arc": "ab", "center_m": 0.2, "half_length_m": 0.1,
+                      "depth_mm": 40.0, "reflectivity": 0.5}],
+            "events": [{"t_ms": 100, "kind": "DETECT", "vehicle": "v1"}],
+        }
+        net, scen = write_inputs(tmp_path, network, scenario)
+        out = tmp_path / "out"
+        assert main(["simulate", "--network", str(net), "--scenario", str(scen),
+                     "--out-dir", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == self.OUTPUTS
+        assert "t=100 DETECT vehicle=v1 arc=ab reports=0 new=0" \
+            in (out / "trace.txt").read_text().splitlines()
 
 
 class TestRouteOnce:

@@ -46,13 +46,13 @@ def simulate(tmp_path, write):
     out = tmp_path / "out"
     assert main(["simulate", "--network", str(net_file),
                  "--scenario", str(scen_file), "--out-dir", str(out)]) == 0
-    return net_file, out
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_simulate_outputs_match_golden_digests(tmp_path, name):
     write, expected = GOLDEN[name]
-    _, out = simulate(tmp_path, write)
+    out = simulate(tmp_path, write)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.iterdir())}
     assert got == expected
@@ -61,9 +61,9 @@ def test_simulate_outputs_match_golden_digests(tmp_path, name):
 def test_grid_scenario_exercises_arc_id_tie_break(tmp_path):
     # the grid golden only guards the tie-break if some vehicle ends with a
     # route, and that route takes a clean arc over a clean, equally long
-    # parallel arc with a larger id (weights never fall, so both were clean
-    # when the route was computed)
-    _, out = simulate(tmp_path, write_grid)
+    # parallel arc with a larger id (records are never removed, so an arc
+    # clean at the end was clean when the route was computed)
+    out = simulate(tmp_path, write_grid)
     with open(out / "weighted_network.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     pair_arcs = {}

@@ -1,13 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from potholesim.network import (MinWeightMultiset, NetworkFormatError,
-                                NetworkValidationError, UnknownNodeError,
-                                WeightMultiset, load_network, min_weight,
-                                network_to_dict, save_network)
+from potholesim.network import (NetworkFormatError, NetworkValidationError,
+                                UnknownNodeError, load_network, network_to_dict,
+                                save_network)
 
 
 def write_net(tmp_path, payload):
@@ -95,40 +92,11 @@ class TestArcsBetween:
             parallel_net.arcs_between("u", "ghost")
 
 
-class TestMinWeight:
-    def test_sorted_first_element(self):
-        wm = WeightMultiset(("u", "v"), [("a1", 3.0), ("a2", 7.0)])
-        assert min_weight(wm) == ("a1", 3.0)
-
-    def test_tie_broken_by_arc_id(self):
-        wm = WeightMultiset(("u", "v"), [("a5", 4.0), ("a2", 4.0)])
-        wm.sort()
-        assert min_weight(wm) == ("a2", 4.0)
-
-    def test_singleton(self):
-        wm = WeightMultiset(("u", "v"), [("a9", 0.0)])
-        assert min_weight(wm) == ("a9", 0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            min_weight(WeightMultiset(("u", "v"), []))
-
-
-@given(st.lists(st.tuples(st.sampled_from("abcdefgh"),
-                          st.floats(0, 100, allow_nan=False)), min_size=1))
-def test_multiset_sort_invariants(entries):
-    wm = WeightMultiset(("u", "v"), [(f"a{n}", w) for n, w in entries])
-    wm.sort()
-    assert wm.is_sorted()
-    # first entry weight is the minimum over a brute-force scan
-    assert wm.min_entry()[1] == min(w for _, w in wm.entries)
-
-
-def test_min_multiset_matches_brute_force(parallel_net):
-    mw = MinWeightMultiset()
-    mw.entries[("u", "v")] = (5.0, "a1")
-    items = mw.items()
-    assert items == [("u", "v", 5.0, "a1")]
+def test_predecessors_sorted_and_directed(triangle_net):
+    assert triangle_net.predecessors("d") == ["m", "s"]
+    assert triangle_net.predecessors("s") == []
+    with pytest.raises(UnknownNodeError):
+        triangle_net.predecessors("ghost")
 
 
 def test_out_arcs_sorted(parallel_net):

@@ -41,6 +41,16 @@ class TestGda:
         assert tree.dist["v"] == 3.0
         assert tree.predecessor["v"] == ("u", "a1")
 
+    def test_weight_tied_parallel_arcs_predecessor_is_shorter(self):
+        # clean a1 (10 m) and a2 (4 m) tie on weight 0; the pair minimum, and
+        # so the predecessor, breaks the tie on length before arc id
+        net = build_net([("u", 0, 0), ("v", 10, 0)],
+                        [("a1", "u", "v", 10.0), ("a2", "u", "v", 4.0)])
+        wnet, _ = weighted(net)
+        tree = gda(wnet, "u")
+        assert tree.dist["v"] == 0.0
+        assert tree.predecessor["v"] == ("u", "a2")
+
     def test_random_graphs_match_enumeration(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -157,15 +167,15 @@ class TestRoute:
 
     def test_weight_tied_parallel_arcs_pick_shorter(self):
         # a1: 1 mm avg over 100 m and a2: 10 mm avg over 10 m both weigh 100;
-        # the min-weight multiset keys on arc id (a1) while the route's
-        # length tie-break must choose the physically shorter a2
+        # the pair minimum and the route's length tie-break must both choose
+        # the physically shorter a2 over the smaller id a1
         net = build_net([("u", 0, 0), ("v", 100, 0)],
                         [("a1", "u", "v", 100.0), ("a2", "u", "v", 10.0)])
         reg = PotholeRegistry(net)
         ingest(reg, "a1", 50.0, 1.0)
         ingest(reg, "a2", 5.0, 10.0)
         wnet = preprocess(net, reg)
-        assert wnet.min_weights.get("u", "v") == (100.0, "a1")
+        assert wnet.min_weights[("u", "v")] == (100.0, 10.0, "a2")
         rt = route(wnet, "u", "v")
         assert rt.arcs == ("a2",) and rt.total_length_m == 10.0
 

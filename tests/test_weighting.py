@@ -52,8 +52,18 @@ class TestPreprocess:
         wnet = preprocess(parallel_net, reg)
         assert wnet.weight("a1") == 20.0
         assert wnet.weight("a2") == 14.0
-        assert wnet.min_weights.get("u", "v") == (14.0, "a2")
-        assert wnet.pair_multisets[("u", "v")].entries == [("a2", 14.0), ("a1", 20.0)]
+        assert wnet.min_weights[("u", "v")] == (14.0, 7.0, "a2")
+
+    def test_pair_minimum_tie_broken_by_arc_id(self):
+        # equal weight and length: the smaller arc id is the pair minimum
+        net = build_net([("u", 0.0, 0.0), ("v", 10.0, 0.0)],
+                        [("a5", "u", "v", 10.0), ("a2", "u", "v", 10.0)])
+        reg = PotholeRegistry(net)
+        wnet = preprocess(net, reg)
+        assert wnet.min_weights[("u", "v")] == (0.0, 10.0, "a2")
+        ingest(reg, "a2", 5.0, 3.0)
+        apply_update(wnet, "a2", reg)
+        assert wnet.min_weights[("u", "v")] == (0.0, 10.0, "a5")
 
 
 class TestApplyUpdate:
@@ -94,9 +104,19 @@ class TestApplyUpdate:
 
 def _assert_same_state(a, b):
     assert a.arc_weights == b.arc_weights
-    assert a.min_weights.entries == b.min_weights.entries
-    assert {p: m.entries for p, m in a.pair_multisets.items()} \
-        == {p: m.entries for p, m in b.pair_multisets.items()}
+    assert a.min_weights == b.min_weights
+
+
+def _assert_pair_minima(wnet):
+    # brute force: scan every arc once, keep each pair's least
+    # (weight, length, arc id) key
+    best = {}
+    for arc in wnet.base.arcs.values():
+        key = (wnet.arc_weights[arc.id], arc.length_m, arc.id)
+        pair = (arc.tail, arc.head)
+        if pair not in best or key < best[pair]:
+            best[pair] = key
+    assert wnet.min_weights == best
 
 
 def test_incremental_equals_full_random_sequences():
@@ -106,11 +126,13 @@ def test_incremental_equals_full_random_sequences():
         arc_ids = sorted(net.arcs)
         reg = PotholeRegistry(net)
         wnet = preprocess(net, reg)
+        _assert_pair_minima(wnet)
         for i in range(rng.randint(0, 12)):
             arc = net.arcs[rng.choice(arc_ids)]
             ingest(reg, arc.id, round(rng.uniform(0, arc.length_m), 3),
                    round(rng.uniform(0, 60), 3), now=i)
             apply_update(wnet, arc.id, reg)
+            _assert_pair_minima(wnet)
         _assert_same_state(wnet, preprocess(net, reg))
 
 
@@ -138,8 +160,6 @@ def test_weights_non_negative_and_merge_monotone(reports, seed):
         if not is_new:
             assert wnet.arc_weights[arc] >= prev[arc]
         prev = dict(wnet.arc_weights)
-        for wm in wnet.pair_multisets.values():
-            assert wm.is_sorted()
 
 
 def test_units_are_exact_products():
