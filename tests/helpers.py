@@ -7,10 +7,12 @@ they check.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from potholesim.detection import PotholeDetection
 from potholesim.network import Arc, Node, StreetNetwork
@@ -268,3 +270,99 @@ def grid_inputs(seed: int = 5, size: int = 5) -> tuple[dict, dict]:
 def write_grid(tmp_path):
     """The seeded 5 x 5 grid scenario of `grid_inputs`."""
     return write_inputs(tmp_path, *grid_inputs())
+
+
+def write_demo(tmp_path):
+    """The inputs of `scripts/run_demo.py`, the README's diamond demo, read
+    from the script itself so that the golden digests pin the demo as it
+    ships."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_demo.py"
+    spec = importlib.util.spec_from_file_location("run_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    return write_inputs(tmp_path, demo.NETWORK, demo.SCENARIO)
+
+
+# The access point that `ap_grid_inputs` places exactly its range away from
+# the node where vehicle v1 comes to rest.
+EXACT_AP = "apx"
+
+
+def ap_grid_inputs(seed: int = 11, size: int = 6) -> tuple[dict, dict]:
+    """Seeded access-point-heavy scenario on a size x size grid.
+
+    Nodes `n<row><col>` sit 50 m apart from (-120, -120), so coordinates
+    are negative and positive and vehicles cross many 80 m squares.  Every
+    arc is 50 m long and vehicles drive at 10 or 12.5 m/s, so they reach
+    nodes on 100 ms ticks.  Twelve access points with ranges of 40-80 m
+    overlap, some open and some closed.  The open access point EXACT_AP
+    stands (30, 40) m from node n22, with a 50 m range: v1 drives into
+    n22 from n21 (outside that range) and stops there, exactly on its edge.
+    No other open access point reaches n22; the closed one `apc` does,
+    and is nearer.
+    Pits on the start arcs of five vehicles, v1 among them, swept twice,
+    give the uplinks something to carry: v1's reports reach the server
+    only through EXACT_AP.
+    """
+    rng = random.Random(seed)
+    origin, step = -120.0, 50.0
+    xy = {f"n{r}{c}": (origin + step * c, origin + step * r)
+          for r in range(size) for c in range(size)}
+    nodes = [{"id": n, "x": x, "y": y} for n, (x, y) in xy.items()]
+    arcs = []
+    for r in range(size):
+        for c in range(size):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < size and c + dc < size:
+                    u, v = f"n{r}{c}", f"n{r + dr}{c + dc}"
+                    arcs.append({"id": f"{u}-{v}", "tail": u, "head": v, "length_m": step})
+                    arcs.append({"id": f"{v}-{u}", "tail": v, "head": u, "length_m": step})
+    succ: dict[str, list[str]] = {}
+    for a in arcs:
+        succ.setdefault(a["tail"], []).append(a["head"])
+
+    vehicles = [{"id": "v1", "start_arc": "n20-n21", "start_offset_m": 0.0,
+                 "speed_mps": 10.0, "waypoints": ["n21", "n22"]}]
+    for i in range(2, 10):
+        arc = rng.choice(arcs)
+        path = [arc["head"]]
+        prev = arc["tail"]
+        while len(path) < 10:
+            options = sorted(v for v in succ[path[-1]] if v != prev)
+            prev = path[-1]
+            path.append(rng.choice(options))
+        vehicles.append({"id": f"v{i}", "start_arc": arc["id"], "start_offset_m": 0.0,
+                         "speed_mps": rng.choice([10.0, 12.5]), "waypoints": path})
+
+    pits = []
+    for vehicle in vehicles[:5]:
+        for slot in (12.0, 30.0):
+            pits.append({"arc": vehicle["start_arc"], "center_m": slot + rng.randint(0, 5),
+                         "half_length_m": 1.0, "depth_mm": float(rng.randint(20, 70)),
+                         "reflectivity": 0.5})
+
+    ex, ey = xy["n22"]
+    aps = [{"id": EXACT_AP, "x": ex + 30.0, "y": ey + 40.0, "range_m": 50.0, "open": True},
+           {"id": "apc", "x": ex + 10.0, "y": ey - 10.0, "range_m": 40.0, "open": False}]
+    low, high = origin, origin + step * (size - 1)
+    while len(aps) < 14:
+        x, y = round(rng.uniform(low, high), 1), round(rng.uniform(low, high), 1)
+        range_m = round(rng.uniform(40.0, 80.0), 1)
+        is_open = len(aps) % 3 != 0
+        if is_open and math.hypot(x - ex, y - ey) <= range_m + 5.0:
+            continue  # at n22 only EXACT_AP (and closed ones) may be heard
+        aps.append({"id": f"ap{len(aps):02d}", "x": x, "y": y, "range_m": range_m,
+                    "open": is_open})
+
+    events = [{"t_ms": t, "kind": "DETECT", "vehicle": v["id"]}
+              for v in vehicles[:5] for t in (1000, 3000)]
+    events += [{"t_ms": 20_000, "kind": "DETECT", "vehicle": v["id"]} for v in vehicles[5:]]
+    network = {"nodes": nodes, "arcs": arcs}
+    scenario = {"duration_ms": 40_000, "seed": seed, "vehicles": vehicles, "pits": pits,
+                "access_points": aps, "events": events}
+    return network, scenario
+
+
+def write_ap_grid(tmp_path):
+    """The seeded access-point-heavy scenario of `ap_grid_inputs`."""
+    return write_inputs(tmp_path, *ap_grid_inputs())

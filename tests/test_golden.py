@@ -8,13 +8,43 @@ pass.
 
 import csv
 import hashlib
+import math
 
 import pytest
 
-from helpers import write_end_to_end, write_grid
+from helpers import (EXACT_AP, ap_grid_inputs, write_ap_grid, write_demo, write_end_to_end,
+                     write_grid)
 from potholesim.cli import main
 
 GOLDEN = {
+    "ap_grid": (write_ap_grid, {
+        "events.csv": "5599a885cd2f32327ce760cd2890e6c1f2c7e4c27a02062fdb844b30a985e5a8",
+        "maintenance_report.csv": "7daf8bc632bb93d657496c47b5aae7efaf8842eaa269a55172c5ea57364291a4",
+        "registry.csv": "e2bf20b7973b3761ddba0589add67818cf8a3440a30e452746ee8edf04c4fae1",
+        "route_v1.txt": "980323ae884bf22a7f98b07a4f5560b7056637f50d6f88265d571a531cd563b4",
+        "route_v2.txt": "b435ee11d20cab8673c882e1853a787d73676779d62b687df0f3321761597d8c",
+        "route_v3.txt": "b35fe22d39ed9c1a7805d8d948771a1d70d29d5e4b8b2726b188b7c9fe4612f2",
+        "route_v4.txt": "0b1a8b66c524abdfb935ac2d9d57b91018b2abd6feeb387d73979c09f3c65149",
+        "route_v5.txt": "fb122d60dfc152b4a70df361656c4d250c5de26781c26dc282cbd5da7cd3f89e",
+        "route_v6.txt": "6c88295e518f238bac79d385bfa2948d6eece7ba220995732ffb2e82ad6a4c8f",
+        "route_v7.txt": "c4b7808040b9bd645939d5ca0f5ad8c7383b64d06a2ebafd95ac9b8675a5da5d",
+        "route_v8.txt": "b364f7a2c28ea845f0a74df0368282e0bd3d3ac3fb9a71d83a85296637f9a106",
+        "route_v9.txt": "0b1a8b66c524abdfb935ac2d9d57b91018b2abd6feeb387d73979c09f3c65149",
+        "trace.txt": "3db9db18ee2b80b884f4262f5efcb9b6250048445bde45b5b88704f746e96bc6",
+        "weighted_network.csv": "e24a6e9162091f99892cd07dc7c8dd9d4b0edf326fe869a2bd920199586a2897",
+    }),
+    # the demo's inputs equal the end-to-end scenario's today; this case
+    # keeps pinning the demo if the two ever part
+    "demo": (write_demo, {
+        "events.csv": "2f4d5ff53ffdbdc800cedcb5d3e61bb8ed0818d9f42ec8dbdcd79b8699595b1a",
+        "maintenance_report.csv": "0aa8d2b42daf4a5e673f314749accd69ddcb0412bfd6316b8421c8038aef0c7e",
+        "registry.csv": "c7b3ce041f7881c50540c6c51759f55b144370521aa391d1d3fa819dd918cda7",
+        "route_v1.txt": "7dfcc8761cf5536db4fccac655e71c8a3416eb7071bfec40bd36ae8f09292428",
+        "route_v2.txt": "7dfcc8761cf5536db4fccac655e71c8a3416eb7071bfec40bd36ae8f09292428",
+        "route_v3.txt": "43bd80e924f7d0501de1e3776413ca016c48cfaba395263fe732929149f386c8",
+        "trace.txt": "5fe79a26007982275740466afdc1eadc91781700677ac9b0475bac8296aaa091",
+        "weighted_network.csv": "abd8f5be81a58e8c65d01858ba1306328fc32d628e5cb78cffcb49b99a2710be",
+    }),
     "end_to_end": (write_end_to_end, {
         "events.csv": "2f4d5ff53ffdbdc800cedcb5d3e61bb8ed0818d9f42ec8dbdcd79b8699595b1a",
         "maintenance_report.csv": "0aa8d2b42daf4a5e673f314749accd69ddcb0412bfd6316b8421c8038aef0c7e",
@@ -82,3 +112,20 @@ def test_grid_scenario_exercises_arc_id_tie_break(tmp_path):
             and float(r["length_m"]) == float(length)
             for r in pair_arcs[(tail, head)])]
     assert tie_broken
+
+
+def test_ap_grid_scenario_exercises_the_closed_range_bound(tmp_path):
+    # the ap_grid golden only guards the closed `<=` test if v1, parked
+    # exactly EXACT_AP's range away from it, connects through EXACT_AP
+    # alone and uplinks its reports there
+    network, scenario = ap_grid_inputs()
+    node = next(n for n in network["nodes"] if n["id"] == "n22")
+    ap = next(a for a in scenario["access_points"] if a["id"] == EXACT_AP)
+    assert math.hypot(ap["x"] - node["x"], ap["y"] - node["y"]) == ap["range_m"]
+    assert scenario["vehicles"][0]["waypoints"][-1] == "n22"
+    assert min(n["x"] for n in network["nodes"]) < 0 < max(n["x"] for n in network["nodes"])
+    out = simulate(tmp_path, write_ap_grid)
+    trace = (out / "trace.txt").read_text().splitlines()
+    assert f"t=10000 PHASE_TIMEOUT vehicle=v1 phase=ASSOCIATING ap={EXACT_AP}" in trace
+    assert any(line.startswith("t=10200 UPLINK vehicle=v1 delivered=")
+               and " delivered=0 " not in line for line in trace)
