@@ -1,9 +1,11 @@
 """Discrete-event vehicle communications and movement.
 
-Single-threaded event loop over a min-heap of (timestamp, insertion seq,
-event); all world mutations happen inside handlers, in timestamp order
-with ties broken by insertion sequence.  Identical scenario and seed give
-a bit-identical trace.
+Single-threaded event loop over a min-heap of plain
+(t_ms, insertion seq, kind, payload) tuples, where the kind names the
+handler and the payload tuple holds its arguments after the time; all
+world mutations happen inside handlers, in timestamp order with ties
+broken by insertion sequence.  Identical scenario and seed give a
+bit-identical trace.
 
 Modelled behaviors:
 
@@ -23,6 +25,13 @@ Modelled behaviors:
     than 500 ms; while CONNECTED, queued envelopes drain to the server
     at 4 per exchange.
 
+Open access points are indexed once, when the world is built, on a
+uniform grid (a spatial hash in the manner of Teschner et al. 2003).  The
+cell is a little wider than the largest open range, and each open access
+point is listed in the 3x3 block of cells around its own, so the one
+bucket of a vehicle's cell lists every open access point that can reach
+it.  Closed access points are never indexed.
+
 Trace format: one line per processed event, `t=<ms> <EVENT_KIND> <details>`
 with a fixed field order per kind.  A DEST_CHANGE whose destination is
 unreachable ends in ` unreachable` and clears the vehicle's destination.
@@ -31,11 +40,12 @@ unreachable ends in ` unreachable` and clears the vehicle's destination.
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from math import floor, hypot
 
 from . import weighting
 from .config import SimConfig
@@ -118,7 +128,9 @@ class VehicleState:
     stopped: bool = False
 
 
-class EventKind(Enum):
+class EventKind:
+    """Event kinds; each is also the word that opens its trace lines."""
+
     MOVE = "MOVE"
     DETECT = "DETECT"
     P2P_BROADCAST = "P2P_BROADCAST"
@@ -127,13 +139,38 @@ class EventKind(Enum):
     DEST_CHANGE = "DEST_CHANGE"
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """One scheduled event; processed in (timestamp, insertion seq) order."""
+# one bucket entry of the access point grid: (x, y, range_m, id)
+APEntry = tuple[float, float, float, str]
 
-    t_ms: int
-    kind: EventKind
-    payload: dict
+
+def _grid_open_aps(aps: Iterable[AccessPoint], net: StreetNetwork
+                   ) -> tuple[float, dict[tuple[int, int], list[APEntry]]]:
+    """Cell width and buckets of the uniform grid over the open `aps`.
+
+    Each open access point is listed in the 3x3 cells around its own cell
+    (floor(x / cell), floor(y / cell)).  A point that passes the range test
+    `hypot(ap.x - x, ap.y - y) <= range_m` lies less than one cell from the
+    access point on each axis, so the bucket of the point's own cell lists
+    that access point.  The cell is strictly
+    wider than the largest open range, by 2**-50 of (that range + twice
+    the largest coordinate magnitude of any node or open access point):
+    several times the worst rounding of `ap.x - x` and of the two
+    `floor(x / cell)` divisions, and enough to keep every quotient far
+    from overflow.
+    """
+    open_aps = [ap for ap in aps if ap.open]
+    reach = max((ap.range_m for ap in open_aps), default=1.0)
+    extent = max([abs(c) for n in net.nodes.values() for c in (n.x, n.y)]
+                 + [abs(c) for ap in open_aps for c in (ap.x, ap.y)], default=0.0)
+    cell = reach + (reach + 2.0 * extent) * 2.0 ** -50
+    buckets: dict[tuple[int, int], list[APEntry]] = {}
+    for ap in open_aps:
+        i, j = floor(ap.x / cell), floor(ap.y / cell)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                buckets.setdefault((i + di, j + dj), []).append(
+                    (ap.x, ap.y, ap.range_m, ap.id))
+    return cell, buckets
 
 
 class World:
@@ -156,10 +193,13 @@ class World:
                 id=spec.id, arc=spec.start_arc, offset_m=spec.start_offset_m,
                 at_ms=0, speed_mps=spec.speed_mps, waypoints=list(spec.waypoints),
                 session=session)
+        # vehicles are fixed after set-up: broadcasts walk this order
+        self.vehicle_ids: tuple[str, ...] = tuple(sorted(self.vehicles))
 
         self.aps: dict[str, AccessPoint] = {
             ap.id: AccessPoint(ap.id, ap.x, ap.y, ap.range_m, ap.open)
             for ap in scenario.access_points}
+        self.ap_cell_m, self._ap_buckets = _grid_open_aps(self.aps.values(), net)
 
     def vehicle(self, vid: str) -> VehicleState:
         try:
@@ -170,26 +210,30 @@ class World:
     def vehicle_position(self, vid: str, now_ms: int) -> tuple[float, float]:
         """Planar position, interpolated linearly along the current arc."""
         v = self.vehicle(vid)
-        arc = self.net.arc(v.arc)
+        arc = self.net.arcs[v.arc]  # ids were validated when the inputs were loaded
         speed = 0.0 if v.stopped else v.speed_mps
         offset = min(v.offset_m + speed * (now_ms - v.at_ms) / 1000.0, arc.length_m)
-        tail = self.net.node(arc.tail)
-        head = self.net.node(arc.head)
+        nodes = self.net.nodes
+        tail = nodes[arc.tail]
+        head = nodes[arc.head]
         frac = offset / arc.length_m
         return (tail.x + (head.x - tail.x) * frac,
                 tail.y + (head.y - tail.y) * frac)
 
     def visible_ap(self, vid: str, now_ms: int) -> str | None:
         """Open access point in radio range; the current handshake peer wins
-        while still visible, otherwise the nearest (ties by ap id)."""
+        while still visible, otherwise the nearest (ties by ap id).  Reads
+        only the grid bucket of the vehicle's cell."""
         x, y = self.vehicle_position(vid, now_ms)
+        cell = self.ap_cell_m
+        bucket = self._ap_buckets.get((floor(x / cell), floor(y / cell)))
+        if bucket is None:
+            return None
         in_range = []
-        for ap in self.aps.values():
-            if not ap.open:
-                continue
-            dist = math.hypot(ap.x - x, ap.y - y)
-            if dist <= ap.range_m:
-                in_range.append((dist, ap.id))
+        for ap_x, ap_y, range_m, ap_id in bucket:
+            dist = hypot(ap_x - x, ap_y - y)
+            if dist <= range_m:
+                in_range.append((dist, ap_id))
         if not in_range:
             return None
         peer = self.vehicle(vid).conn.peer
@@ -206,11 +250,11 @@ def p2p_broadcast(world: World, sender: str, pothole_key: str, now_ms: int) -> l
     """
     sx, sy = world.vehicle_position(sender, now_ms)
     receivers = []
-    for vid in sorted(world.vehicles):
+    for vid in world.vehicle_ids:
         if vid == sender:
             continue
         x, y = world.vehicle_position(vid, now_ms)
-        if math.hypot(x - sx, y - sy) <= world.config.p2p_range_m:
+        if hypot(x - sx, y - sy) <= world.config.p2p_range_m:
             world.vehicles[vid].warning_cache.add(pothole_key)
             receivers.append(vid)
     return receivers
@@ -250,35 +294,36 @@ class Simulation:
         self.config = config
         self.duration_ms = scenario.duration_ms
         self.trace: list[str] = []
-        self._heap: list[tuple[int, int, SimEvent]] = []
+        self._heap: list[tuple[int, int, str, tuple]] = []
         self._seq = 0
 
         for ev in scenario.events:
             if ev.kind == "DEST_CHANGE":
-                self._schedule(ev.t_ms, EventKind.DEST_CHANGE,
-                               vehicle=ev.vehicle, dest=ev.dest)
+                self._schedule(ev.t_ms, EventKind.DEST_CHANGE, ev.vehicle, ev.dest)
             else:
-                self._schedule(ev.t_ms, EventKind.DETECT, vehicle=ev.vehicle)
+                self._schedule(ev.t_ms, EventKind.DETECT, ev.vehicle)
         for vid, v in self.world.vehicles.items():
             if v.speed_mps > 0:
                 self._schedule_arrival(vid, 0)
-            self._schedule(config.phase_latency_ms, EventKind.PHASE_TIMEOUT, vehicle=vid)
+            self._schedule(config.phase_latency_ms, EventKind.PHASE_TIMEOUT, vid)
 
-    def _schedule(self, t_ms: int, kind: EventKind, **payload) -> None:
+    def _schedule(self, t_ms: int, kind: str, *payload) -> None:
+        """Queue the handler of `kind` to run at `t_ms` with `payload` as
+        its arguments after the time."""
         if t_ms >= self.duration_ms:
             return
-        heapq.heappush(self._heap, (t_ms, self._seq, SimEvent(t_ms, kind, payload)))
+        heapq.heappush(self._heap, (t_ms, self._seq, kind, payload))
         self._seq += 1
 
     def _schedule_arrival(self, vid: str, now_ms: int) -> None:
         v = self.world.vehicle(vid)
-        arc = self.world.net.arc(v.arc)
+        arc = self.world.net.arcs[v.arc]
         remaining = arc.length_m - v.offset_m
         self._schedule(now_ms + int(round(remaining / v.speed_mps * 1000.0)),
-                       EventKind.MOVE, vehicle=vid)
+                       EventKind.MOVE, vid)
 
-    def _emit(self, t_ms: int, kind: EventKind, details: str) -> None:
-        self.trace.append(f"t={t_ms} {kind.value} {details}")
+    def _emit(self, t_ms: int, kind: str, details: str) -> None:
+        self.trace.append(f"t={t_ms} {kind} {details}")
 
     def run(self) -> World:
         handlers = {
@@ -289,9 +334,10 @@ class Simulation:
             EventKind.UPLINK: self._on_uplink,
             EventKind.DEST_CHANGE: self._on_dest_change,
         }
-        while self._heap:
-            t, _, event = heapq.heappop(self._heap)
-            handlers[event.kind](t, **event.payload)
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            t, _, kind, payload = pop(heap)
+            handlers[kind](t, *payload)
         return self.world
 
     # -- handlers ----------------------------------------------------------
@@ -357,8 +403,7 @@ class Simulation:
             if key not in v.warning_cache:
                 v.warning_cache.add(key)
                 fresh += 1
-                self._schedule(now_ms, EventKind.P2P_BROADCAST,
-                               vehicle=vehicle, pothole=key)
+                self._schedule(now_ms, EventKind.P2P_BROADCAST, vehicle, key)
         self._emit(now_ms, EventKind.DETECT,
                    f"vehicle={vehicle} arc={v.arc} reports={len(detections)} new={fresh}")
 
@@ -375,9 +420,9 @@ class Simulation:
         self._emit(now_ms, EventKind.PHASE_TIMEOUT,
                    f"vehicle={vehicle} phase={v.conn.phase.value} ap={v.conn.peer or '-'}")
         if v.conn.phase is Phase.CONNECTED and visible == v.conn.peer and v.queue:
-            self._schedule(now_ms, EventKind.UPLINK, vehicle=vehicle)
+            self._schedule(now_ms, EventKind.UPLINK, vehicle)
         self._schedule(now_ms + self.config.phase_latency_ms,
-                       EventKind.PHASE_TIMEOUT, vehicle=vehicle)
+                       EventKind.PHASE_TIMEOUT, vehicle)
 
     def _on_uplink(self, now_ms: int, vehicle: str) -> None:
         delivered = uplink(self.world, vehicle, now_ms)

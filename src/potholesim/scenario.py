@@ -20,12 +20,15 @@ Waypoints are the node path the vehicle drives when no routing destination
 is set; the first waypoint must be the head of the start arc and every
 consecutive pair must be joined by at least one arc.  DEST_CHANGE with
 "dest": null clears the destination.  Scripted event times satisfy
-0 <= t_ms < duration_ms, so a zero-duration scenario runs nothing.
+0 <= t_ms < duration_ms, so a zero-duration scenario runs nothing.  Each
+section present is a list of objects, and speeds and access point
+coordinates and ranges are finite numbers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,6 +85,23 @@ def _keys(obj: dict, required: set[str], optional: set[str], where: str) -> None
         raise ScenarioError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _section(raw: dict, name: str) -> list[dict]:
+    items = raw.get(name, [])
+    if not isinstance(items, list):
+        raise ScenarioError(f"{name!r} must be a list, got {items!r}")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ScenarioError(f"{name}[{i}] must be an object, got {item!r}")
+    return items
+
+
+def _finite(item: dict, key: str, where: str) -> float:
+    value = float(item[key])
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}.{key} must be a finite number, got {item[key]!r}")
+    return value
+
+
 def load_scenario(path: str | Path, net: StreetNetwork) -> Scenario:
     try:
         raw = json.loads(Path(path).read_text())
@@ -102,7 +122,7 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
     scenario = Scenario(duration_ms=duration, seed=int(raw["seed"]))
 
     seen_vehicles: set[str] = set()
-    for i, item in enumerate(raw.get("vehicles", [])):
+    for i, item in enumerate(_section(raw, "vehicles")):
         _keys(item, {"id", "start_arc", "start_offset_m", "speed_mps", "waypoints"},
               set(), f"vehicles[{i}]")
         vid = item["id"]
@@ -114,7 +134,7 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
         if not (0.0 <= offset < arc.length_m):
             raise ScenarioError(
                 f"vehicle {vid!r} start offset {offset} outside arc {arc.id!r}")
-        speed = float(item["speed_mps"])
+        speed = _finite(item, "speed_mps", f"vehicles[{i}]")
         if speed < 0:
             raise ScenarioError(f"vehicle {vid!r} speed must be >= 0")
         waypoints = tuple(item["waypoints"])
@@ -132,7 +152,7 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
         scenario.vehicles.append(VehicleSpec(vid, arc.id, offset, speed, waypoints))
 
     pits_by_arc: dict[str, list[Pit]] = {}
-    for i, item in enumerate(raw.get("pits", [])):
+    for i, item in enumerate(_section(raw, "pits")):
         _keys(item, {"arc", "center_m", "half_length_m", "depth_mm", "reflectivity"},
               set(), f"pits[{i}]")
         net.arc(item["arc"])
@@ -144,18 +164,19 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
             arc_id, net.arc(arc_id).length_m, pits)  # validates extents
 
     seen_aps: set[str] = set()
-    for i, item in enumerate(raw.get("access_points", [])):
-        _keys(item, {"id", "x", "y", "range_m", "open"}, set(), f"access_points[{i}]")
+    for i, item in enumerate(_section(raw, "access_points")):
+        where = f"access_points[{i}]"
+        _keys(item, {"id", "x", "y", "range_m", "open"}, set(), where)
         if item["id"] in seen_aps:
             raise ScenarioError(f"duplicate access point id {item['id']!r}")
         seen_aps.add(item["id"])
-        if float(item["range_m"]) <= 0:
+        x, y, range_m = (_finite(item, key, where) for key in ("x", "y", "range_m"))
+        if range_m <= 0:
             raise ScenarioError(f"access point {item['id']!r} range must be > 0")
         scenario.access_points.append(AccessPointSpec(
-            item["id"], float(item["x"]), float(item["y"]),
-            float(item["range_m"]), bool(item["open"])))
+            item["id"], x, y, range_m, bool(item["open"])))
 
-    for i, item in enumerate(raw.get("events", [])):
+    for i, item in enumerate(_section(raw, "events")):
         _keys(item, {"t_ms", "kind", "vehicle"}, {"dest"}, f"events[{i}]")
         t = int(item["t_ms"])
         if not (0 <= t < scenario.duration_ms):

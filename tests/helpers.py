@@ -366,3 +366,25 @@ def ap_grid_inputs(seed: int = 11, size: int = 6) -> tuple[dict, dict]:
 def write_ap_grid(tmp_path):
     """The seeded access-point-heavy scenario of `ap_grid_inputs`."""
     return write_inputs(tmp_path, *ap_grid_inputs())
+
+
+def visible_ap_by_scan(world, vid: str, now_ms: int) -> str | None:
+    """Reference for `World.visible_ap`: a scan over every access point.
+
+    The nearest open access point within its range (closed bound), ties by
+    id, except that the vehicle's current peer wins while it is in range.
+    """
+    x, y = world.vehicle_position(vid, now_ms)
+    in_range = []
+    for ap in world.aps.values():
+        if not ap.open:
+            continue
+        dist = math.hypot(ap.x - x, ap.y - y)
+        if dist <= ap.range_m:
+            in_range.append((dist, ap.id))
+    if not in_range:
+        return None
+    peer = world.vehicle(vid).conn.peer
+    if peer is not None and any(ap_id == peer for _, ap_id in in_range):
+        return peer
+    return min(in_range)[1]

@@ -97,6 +97,28 @@ class TestSimulate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, value, named", [
+        ("access_points", [dict(SCENARIO["access_points"][0], range_m=float("nan"))],
+         "access_points[0].range_m"),
+        ("access_points", [dict(SCENARIO["access_points"][0], x=float("inf"))],
+         "access_points[0].x"),
+        ("vehicles", [dict(SCENARIO["vehicles"][0], speed_mps=float("nan"))],
+         "vehicles[0].speed_mps"),
+        ("vehicles", [1], "vehicles[0]"),
+        ("events", None, "'events'"),
+    ], ids=["nan-ap-range", "inf-ap-x", "nan-speed", "non-object-vehicle", "null-events"])
+    def test_malformed_scenario_exits_one_naming_the_field(self, files, capsys,
+                                                            section, value, named):
+        net, _, tmp = files
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps(dict(SCENARIO, **{section: value})))
+        rc = main(["simulate", "--network", str(net), "--scenario", str(bad),
+                   "--out-dir", str(tmp / "nope")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not (tmp / "nope").exists()
+
     OUTPUTS = {"trace.txt", "registry.csv", "events.csv", "weighted_network.csv",
                "maintenance_report.csv", "route_v1.txt"}
 

@@ -1,14 +1,17 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import build_net
+from helpers import build_net, visible_ap_by_scan
 from potholesim.comms import (ConnectionState, Phase, Simulation, UnknownVehicleError,
                               World, p2p_broadcast, step_connection, uplink)
 from potholesim.config import SimConfig
 from potholesim.detection import DepthMap, IntensityImage
 from potholesim.geocrypto import PlainReport, encrypt
-from potholesim.scenario import scenario_from_dict
+from potholesim.scenario import AccessPointSpec, Scenario, VehicleSpec, scenario_from_dict
 
 
 def strip_net():
@@ -139,6 +142,124 @@ class TestUplink:
         world.vehicles["v1"].conn = ConnectionState(Phase.CONNECTED, 0, "ap1")
         queue_envelopes(world, "v1", 2, world.config.shared_key)
         assert uplink(world, "v1", 100) == 0
+
+
+# Oracle worlds: the vehicle's arc P -> Q lies within +-BOUND / 2; two
+# anchor nodes at +-BOUND fix the coordinate extent, and an anchor access
+# point at (BOUND, BOUND) with the largest range, when open, fixes the
+# grid cell to ORACLE_CELL, so positions can be put on cell edges.
+BOUND = 1000.0
+MAX_RANGE = 80.0
+
+
+def oracle_world(p, q, length_m, aps, anchor_open=True):
+    net = build_net([("P", *p), ("Q", *q), ("lo", -BOUND, -BOUND), ("hi", BOUND, BOUND)],
+                    [("pq", "P", "Q", length_m), ("anchor", "lo", "hi", 1.0)])
+    anchor = AccessPointSpec("zz-anchor", BOUND, BOUND, MAX_RANGE, anchor_open)
+    scenario = Scenario(duration_ms=0, seed=0,
+                        vehicles=[VehicleSpec("v", "pq", 0.0, 0.0, ())],
+                        access_points=[anchor, *aps])
+    return World(net, scenario, SimConfig())
+
+
+ORACLE_CELL = oracle_world((0.0, 0.0), (1.0, 0.0), 1.0, []).ap_cell_m
+
+coord = st.one_of(st.integers(-400, 400).map(float),
+                  st.floats(-400.0, 400.0, allow_nan=False, allow_infinity=False))
+ranges = st.one_of(st.sampled_from([40.0, 50.0, 60.0, MAX_RANGE]),
+                   st.floats(40.0, MAX_RANGE))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A world, the vehicle's state and query times for `visible_ap`."""
+    mode = draw(st.sampled_from(["node", "edge", "moving"]))
+    if mode == "edge":  # on, or one ulp either side of, a grid line
+        p = tuple(math.nextafter(k * ORACLE_CELL, draw(st.sampled_from([-BOUND, BOUND])))
+                  if draw(st.booleans()) else k * ORACLE_CELL
+                  for k in draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5))))
+    elif mode == "node":
+        p = draw(st.tuples(st.integers(-400, 400), st.integers(-400, 400)).map(
+            lambda t: (float(t[0]), float(t[1]))))
+    else:
+        p = draw(st.tuples(coord, coord))
+    q = draw(st.tuples(coord, coord).filter(lambda t: t != p))
+    length = draw(st.floats(1.0, 500.0))
+
+    aps = [AccessPointSpec(f"ap{i}", x, y, r, is_open) for i, (x, y, r, is_open)
+           in enumerate(draw(st.lists(st.tuples(coord, coord, ranges, st.booleans()),
+                                      max_size=8)))]
+    px, py = p
+    for k in draw(st.lists(st.sampled_from([8.0, 10.0, 12.0, 16.0]), max_size=2)):
+        # (3k, 4k) away: exactly 5k from P, its range
+        sx, sy = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+        aps.append(AccessPointSpec(f"ex{len(aps)}", px + 3 * k * sx, py + 4 * k * sy,
+                                   5 * k, draw(st.booleans())))
+    if draw(st.booleans()):  # an equal-distance pair either side of P
+        d = float(draw(st.integers(1, 60)))
+        r = draw(ranges)
+        ids = draw(st.permutations([f"tie{len(aps)}", f"tie{len(aps) + 1}"]))
+        aps += [AccessPointSpec(ids[0], px + d, py, r, True),
+                AccessPointSpec(ids[1], px - d, py, r, True)]
+
+    world = oracle_world(p, q, length, aps, anchor_open=draw(st.booleans()))
+    v = world.vehicles["v"]
+    peer = draw(st.sampled_from([None, "nowhere", "zz-anchor", *(ap.id for ap in aps)]))
+    v.conn = ConnectionState(Phase.ASSOCIATING, 0, peer)
+    if mode == "moving":
+        v.offset_m = draw(st.floats(0.0, length, exclude_max=True))
+        v.speed_mps = draw(st.floats(0.0, 30.0))
+        times = draw(st.lists(st.integers(0, 60_000), min_size=1, max_size=4))
+    else:
+        times = [0]
+    return world, times
+
+
+class TestVisibleAp:
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_cases())
+    def test_matches_full_scan(self, case):
+        world, times = case
+        for now_ms in times:
+            assert world.visible_ap("v", now_ms) == visible_ap_by_scan(world, "v", now_ms)
+
+    def test_oracle_cell_is_fixed_by_the_anchors(self):
+        # edge positions above are only on grid lines while this holds
+        world = oracle_world((3.0, 4.0), (-5.0, 7.0), 9.0,
+                             [AccessPointSpec("a", 100.0, -50.0, 60.0, True)])
+        assert world.ap_cell_m == ORACLE_CELL > MAX_RANGE
+
+    @pytest.mark.parametrize("p, aps, anchor_open, peer, expected", [
+        ((2 * ORACLE_CELL, -ORACLE_CELL), [("a", 2 * ORACLE_CELL - 30.0, 40.0 - ORACLE_CELL,
+                                            50.0, True)], True, None, "a"),
+        # 128 - nextafter(64, 0) rounds to 64.0, within the 64 m range, while
+        # x / 64 and 128 / 64 floor to cells 0 and 2: a cell of exactly the
+        # largest range would miss this access point
+        ((math.nextafter(64.0, 0.0), 0.0), [("a", 128.0, 0.0, 64.0, True)], False, None, "a"),
+        ((0.0, 0.0), [("a", 1.0, 1.0, 50.0, False)], False, None, None),
+        ((0.0, 0.0), [("a", 1.0, 1.0, 50.0, False), ("b", 2.0, 1.0, 50.0, True)],
+         False, "a", "b"),
+        ((0.0, 0.0), [("near", 5.0, 0.0, 50.0, True), ("far", -40.0, 0.0, 50.0, True)],
+         False, None, "near"),
+        ((0.0, 0.0), [("near", 5.0, 0.0, 50.0, True), ("far", -40.0, 0.0, 50.0, True)],
+         False, "far", "far"),
+        ((0.0, 0.0), [("b", 30.0, 0.0, 50.0, True), ("a", -30.0, 0.0, 50.0, True)],
+         False, None, "a"),
+    ], ids=["exact-range-on-grid-lines", "in-range-by-rounding", "no-open-ap", "closed-ignored",
+            "nearest", "peer-wins", "tie-by-id"])
+    def test_cases(self, p, aps, anchor_open, peer, expected):
+        world = oracle_world(p, (p[0] + 10.0, p[1]), 10.0,
+                             [AccessPointSpec(*ap) for ap in aps], anchor_open)
+        world.vehicles["v"].conn = ConnectionState(Phase.ASSOCIATING, 0, peer)
+        assert visible_ap_by_scan(world, "v", 0) == expected
+        assert world.visible_ap("v", 0) == expected
+
+    def test_closed_access_points_are_not_indexed(self):
+        world = oracle_world((0.0, 0.0), (10.0, 0.0), 10.0,
+                             [AccessPointSpec("a", 1.0, 1.0, 50.0, False),
+                              AccessPointSpec("b", 2.0, 1.0, 50.0, True)])
+        indexed = {entry[3] for bucket in world._ap_buckets.values() for entry in bucket}
+        assert indexed == {"b", "zz-anchor"}
 
 
 MINIMAL_SCENARIO = {

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -86,3 +87,29 @@ def test_dest_change_null_clears(net):
                           "dest": None}])
     s = scenario_from_dict(ok, net)
     assert s.events[0].dest is None
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["x", "y", "range_m"])
+def test_non_finite_access_point_number_rejected(net, key, value):
+    bad = variant(access_points=[dict(BASE["access_points"][0], **{key: value})])
+    with pytest.raises(ScenarioError, match=rf"access_points\[0\]\.{key} must be a finite"):
+        scenario_from_dict(bad, net)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_speed_rejected(net, value):
+    bad = variant(vehicles=[dict(BASE["vehicles"][0], speed_mps=value)])
+    with pytest.raises(ScenarioError, match=r"vehicles\[0\]\.speed_mps must be a finite"):
+        scenario_from_dict(bad, net)
+
+
+def test_non_object_vehicle_rejected(net):
+    with pytest.raises(ScenarioError, match=r"vehicles\[0\] must be an object"):
+        scenario_from_dict(variant(vehicles=[1]), net)
+
+
+@pytest.mark.parametrize("section", ["vehicles", "pits", "access_points", "events"])
+def test_null_section_rejected(net, section):
+    with pytest.raises(ScenarioError, match=f"'{section}' must be a list"):
+        scenario_from_dict(variant(**{section: None}), net)
