@@ -96,10 +96,11 @@ def _section(raw: dict, name: str) -> list[dict]:
 
 
 def _finite(item: dict, key: str, where: str) -> float:
-    value = float(item[key])
-    if not math.isfinite(value):
-        raise ScenarioError(f"{where}.{key} must be a finite number, got {item[key]!r}")
-    return value
+    value = item[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ScenarioError(f"{where}.{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def load_scenario(path: str | Path, net: StreetNetwork) -> Scenario:

@@ -294,13 +294,12 @@ def ap_grid_inputs(seed: int = 11, size: int = 6) -> tuple[dict, dict]:
     Nodes `n<row><col>` sit 50 m apart from (-120, -120), so coordinates
     are negative and positive and vehicles cross many 80 m squares.  Every
     arc is 50 m long and vehicles drive at 10 or 12.5 m/s, so they reach
-    nodes on 100 ms ticks.  Twelve access points with ranges of 40-80 m
-    overlap, some open and some closed.  The open access point EXACT_AP
+    nodes on 100 ms ticks.  Fourteen access points with ranges of 40-80 m
+    overlap, nine open and five closed.  The open access point EXACT_AP
     stands (30, 40) m from node n22, with a 50 m range: v1 drives into
     n22 from n21 (outside that range) and stops there, exactly on its edge.
     No other open access point reaches n22; the closed one `apc` does,
-    and is nearer.
-    Pits on the start arcs of five vehicles, v1 among them, swept twice,
+    and is nearer.  Pits on the start arcs of five vehicles, v1 among them, swept twice,
     give the uplinks something to carry: v1's reports reach the server
     only through EXACT_AP.
     """

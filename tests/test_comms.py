@@ -247,7 +247,7 @@ class TestVisibleAp:
          False, None, "a"),
     ], ids=["exact-range-on-grid-lines", "in-range-by-rounding", "no-open-ap", "closed-ignored",
             "nearest", "peer-wins", "tie-by-id"])
-    def test_cases(self, p, aps, anchor_open, peer, expected):
+    def test_named_cases_match_full_scan(self, p, aps, anchor_open, peer, expected):
         world = oracle_world(p, (p[0] + 10.0, p[1]), 10.0,
                              [AccessPointSpec(*ap) for ap in aps], anchor_open)
         world.vehicles["v"].conn = ConnectionState(Phase.ASSOCIATING, 0, peer)

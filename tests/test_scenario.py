@@ -89,16 +89,16 @@ def test_dest_change_null_clears(net):
     assert s.events[0].dest is None
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "5", True])
 @pytest.mark.parametrize("key", ["x", "y", "range_m"])
-def test_non_finite_access_point_number_rejected(net, key, value):
+def test_non_finite_or_non_number_access_point_field_rejected(net, key, value):
     bad = variant(access_points=[dict(BASE["access_points"][0], **{key: value})])
     with pytest.raises(ScenarioError, match=rf"access_points\[0\]\.{key} must be a finite"):
         scenario_from_dict(bad, net)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_non_finite_speed_rejected(net, value):
+@pytest.mark.parametrize("value", [math.nan, math.inf, None])
+def test_non_finite_or_non_number_speed_rejected(net, value):
     bad = variant(vehicles=[dict(BASE["vehicles"][0], speed_mps=value)])
     with pytest.raises(ScenarioError, match=r"vehicles\[0\]\.speed_mps must be a finite"):
         scenario_from_dict(bad, net)
