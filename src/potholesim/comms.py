@@ -1,20 +1,37 @@
 """Discrete-event vehicle communications and movement.
 
-Single-threaded event loop over a min-heap of plain
-(t_ms, insertion seq, kind, payload) tuples, where the kind names the
-handler and the payload tuple holds its arguments after the time; all
-world mutations happen inside handlers, in timestamp order with ties
-broken by insertion sequence.  Identical scenario and seed give a
-bit-identical trace.
+Single-threaded event loop over two queues of plain tuples that share
+one insertion counter; all world mutations happen inside handlers, in
+timestamp order with ties broken by insertion sequence.  Identical
+scenario and seed give a bit-identical trace.
+
+  * the ticks -- every vehicle's PHASE_TIMEOUT, as (t_ms, seq, vehicle)
+    in a FIFO.  Only set-up and the tick handler schedule ticks, and each
+    tick appends its successor one phase latency later, with a seq above
+    every entry queued so far.  Ticks run in (t_ms, seq) order, so every
+    queued tick is due within one latency of the one running and the FIFO
+    stays sorted by (t_ms, seq) without any heap operation;
+  * the heap -- every other event, as (t_ms, seq, kind, payload), where
+    the kind names the handler and the payload holds its arguments after
+    the time.
+
+The loop runs the first tick while it sorts before the top of the heap and
+pops the heap otherwise.  Seqs are unique, so the comparison never reaches
+the third field, and events run in exactly the (t_ms, seq) order of one
+heap holding both queues, also where a MOVE, DETECT, UPLINK or
+DEST_CHANGE shares its millisecond with ticks.
 
 Modelled behaviors:
 
   * movement -- vehicles traverse arcs at constant speed; a MOVE event
     fires at each node arrival, where the next arc is chosen (routing
     session first, scenario waypoints otherwise);
-  * detection -- a DETECT event sweeps the vehicle's current arc, queues
-    one sealed envelope per extracted pothole, and warns nearby vehicles
-    (an arc shorter than one scanner cell has nothing to sweep);
+  * detection -- a DETECT event senses the vehicle's current arc, queues
+    one sealed envelope (with a fresh nonce) per extracted pothole, and
+    warns nearby vehicles.  The ground truth is fixed for the run, so the
+    world sweeps each arc at most once, on its first DETECT, and keeps the
+    extracted potholes; an arc with no pit, or shorter than one scanner
+    cell, senses nothing without a sweep;
   * warning broadcast -- single-hop, lossless delivery to every other
     vehicle within 20 m (closed bound); receivers cache the warning and
     never re-broadcast;
@@ -49,8 +66,8 @@ from math import floor, hypot
 
 from . import weighting
 from .config import SimConfig
-from .detection import (DepthMap, GroundTruthSurface, IntensityImage, cell_count,
-                        extract_potholes, sweep)
+from .detection import (DepthMap, GroundTruthSurface, IntensityImage, PotholeDetection,
+                        cell_count, extract_potholes, sweep)
 from .geocrypto import Location, PlainReport, ReportEnvelope, encrypt
 from .network import StreetNetwork
 from .registry import PotholeRegistry
@@ -201,6 +218,11 @@ class World:
             for ap in scenario.access_points}
         self.ap_cell_m, self._ap_buckets = _grid_open_aps(self.aps.values(), net)
 
+        # filled on first use: arc id -> (tail x, tail y, dx, dy, length)
+        self._arc_lines: dict[str, tuple[float, float, float, float, float]] = {}
+        # filled on first use: arc id -> what a sweep of the whole arc extracts
+        self._sensed: dict[str, list[PotholeDetection]] = {}
+
     def vehicle(self, vid: str) -> VehicleState:
         try:
             return self.vehicles[vid]
@@ -209,22 +231,27 @@ class World:
 
     def vehicle_position(self, vid: str, now_ms: int) -> tuple[float, float]:
         """Planar position, interpolated linearly along the current arc."""
-        v = self.vehicle(vid)
-        arc = self.net.arcs[v.arc]  # ids were validated when the inputs were loaded
+        return self._position(self.vehicle(vid), now_ms)
+
+    def _position(self, v: VehicleState, now_ms: int) -> tuple[float, float]:
+        line = self._arc_lines.get(v.arc)
+        if line is None:
+            arc = self.net.arcs[v.arc]  # ids were validated when the inputs were loaded
+            tail = self.net.nodes[arc.tail]
+            head = self.net.nodes[arc.head]
+            line = self._arc_lines[v.arc] = (tail.x, tail.y, head.x - tail.x,
+                                             head.y - tail.y, arc.length_m)
+        x, y, dx, dy, length = line
         speed = 0.0 if v.stopped else v.speed_mps
-        offset = min(v.offset_m + speed * (now_ms - v.at_ms) / 1000.0, arc.length_m)
-        nodes = self.net.nodes
-        tail = nodes[arc.tail]
-        head = nodes[arc.head]
-        frac = offset / arc.length_m
-        return (tail.x + (head.x - tail.x) * frac,
-                tail.y + (head.y - tail.y) * frac)
+        frac = min(v.offset_m + speed * (now_ms - v.at_ms) / 1000.0, length) / length
+        return (x + dx * frac, y + dy * frac)
 
     def visible_ap(self, vid: str, now_ms: int) -> str | None:
         """Open access point in radio range; the current handshake peer wins
         while still visible, otherwise the nearest (ties by ap id).  Reads
         only the grid bucket of the vehicle's cell."""
-        x, y = self.vehicle_position(vid, now_ms)
+        v = self.vehicle(vid)
+        x, y = self._position(v, now_ms)
         cell = self.ap_cell_m
         bucket = self._ap_buckets.get((floor(x / cell), floor(y / cell)))
         if bucket is None:
@@ -236,10 +263,30 @@ class World:
                 in_range.append((dist, ap_id))
         if not in_range:
             return None
-        peer = self.vehicle(vid).conn.peer
+        peer = v.conn.peer
         if peer is not None and any(ap_id == peer for _, ap_id in in_range):
             return peer
         return min(in_range)[1]
+
+    def sense(self, arc_id: str) -> list[PotholeDetection]:
+        """The potholes that a sweep of the whole arc extracts.
+
+        The ground truth is fixed for the run, so each arc is swept at most
+        once per world and every later call returns the same list.  An arc
+        with no pit, or with no whole scanner cell, senses nothing and is
+        never swept.
+        """
+        found = self._sensed.get(arc_id)
+        if found is None:
+            found = []
+            surface = self.surfaces.get(arc_id)
+            length = self.net.arcs[arc_id].length_m
+            cell_m = self.config.cell_m
+            if surface is not None and cell_count(length, cell_m) >= 1:
+                dm, ii = sweep(surface, (0.0, length), cell_m)
+                found = extract_potholes(dm, ii, self.config.threshold_mm, arc_id, 0.0)
+            self._sensed[arc_id] = found
+        return found
 
 
 def p2p_broadcast(world: World, sender: str, pothole_key: str, now_ms: int) -> list[str]:
@@ -295,6 +342,7 @@ class Simulation:
         self.duration_ms = scenario.duration_ms
         self.trace: list[str] = []
         self._heap: list[tuple[int, int, str, tuple]] = []
+        self._ticks: deque[tuple[int, int, str]] = deque()
         self._seq = 0
 
         for ev in scenario.events:
@@ -305,7 +353,7 @@ class Simulation:
         for vid, v in self.world.vehicles.items():
             if v.speed_mps > 0:
                 self._schedule_arrival(vid, 0)
-            self._schedule(config.phase_latency_ms, EventKind.PHASE_TIMEOUT, vid)
+            self._schedule_tick(config.phase_latency_ms, vid)
 
     def _schedule(self, t_ms: int, kind: str, *payload) -> None:
         """Queue the handler of `kind` to run at `t_ms` with `payload` as
@@ -313,6 +361,14 @@ class Simulation:
         if t_ms >= self.duration_ms:
             return
         heapq.heappush(self._heap, (t_ms, self._seq, kind, payload))
+        self._seq += 1
+
+    def _schedule_tick(self, t_ms: int, vid: str) -> None:
+        """Queue a PHASE_TIMEOUT; only set-up and the tick handler call this,
+        which keeps the ticks FIFO sorted (see the module docstring)."""
+        if t_ms >= self.duration_ms:
+            return
+        self._ticks.append((t_ms, self._seq, vid))
         self._seq += 1
 
     def _schedule_arrival(self, vid: str, now_ms: int) -> None:
@@ -330,14 +386,18 @@ class Simulation:
             EventKind.MOVE: self._on_move,
             EventKind.DETECT: self._on_detect,
             EventKind.P2P_BROADCAST: self._on_broadcast,
-            EventKind.PHASE_TIMEOUT: self._on_phase_timeout,
             EventKind.UPLINK: self._on_uplink,
             EventKind.DEST_CHANGE: self._on_dest_change,
         }
         heap, pop = self._heap, heapq.heappop
-        while heap:
-            t, _, kind, payload = pop(heap)
-            handlers[kind](t, *payload)
+        ticks, tick = self._ticks, self._on_phase_timeout
+        while ticks or heap:
+            if ticks and (not heap or ticks[0] < heap[0]):
+                t, _, vid = ticks.popleft()
+                tick(t, vid)
+            else:
+                t, _, kind, payload = pop(heap)
+                handlers[kind](t, *payload)
         return self.world
 
     # -- handlers ----------------------------------------------------------
@@ -380,14 +440,7 @@ class Simulation:
 
     def _on_detect(self, now_ms: int, vehicle: str) -> None:
         v = self.world.vehicle(vehicle)
-        arc = self.world.net.arc(v.arc)
-        detections = []
-        if cell_count(arc.length_m, self.config.cell_m) >= 1:  # else nothing to sense
-            surface = self.world.surfaces.get(
-                v.arc, GroundTruthSurface(v.arc, arc.length_m, []))
-            dm, ii = sweep(surface, (0.0, arc.length_m), self.config.cell_m)
-            detections = extract_potholes(dm, ii, self.config.threshold_mm, v.arc, 0.0)
-
+        detections = self.world.sense(v.arc)
         fresh = 0
         for det in detections:
             report = PlainReport(
@@ -414,15 +467,15 @@ class Simulation:
                    f"receivers={','.join(receivers) or '-'}")
 
     def _on_phase_timeout(self, now_ms: int, vehicle: str) -> None:
-        v = self.world.vehicle(vehicle)
+        v = self.world.vehicles[vehicle]  # ticks exist only for known vehicles
         visible = self.world.visible_ap(vehicle, now_ms)
-        v.conn = step_connection(v.conn, visible, now_ms, self.config.loss_timeout_ms)
-        self._emit(now_ms, EventKind.PHASE_TIMEOUT,
-                   f"vehicle={vehicle} phase={v.conn.phase.value} ap={v.conn.peer or '-'}")
-        if v.conn.phase is Phase.CONNECTED and visible == v.conn.peer and v.queue:
+        conn = v.conn = step_connection(v.conn, visible, now_ms, self.config.loss_timeout_ms)
+        # `_value_` is the member's stored value, read without the `.value` descriptor
+        self.trace.append(f"t={now_ms} PHASE_TIMEOUT vehicle={vehicle} "
+                          f"phase={conn.phase._value_} ap={conn.peer or '-'}")
+        if conn.phase is Phase.CONNECTED and visible == conn.peer and v.queue:
             self._schedule(now_ms, EventKind.UPLINK, vehicle)
-        self._schedule(now_ms + self.config.phase_latency_ms,
-                       EventKind.PHASE_TIMEOUT, vehicle)
+        self._schedule_tick(now_ms + self.config.phase_latency_ms, vehicle)
 
     def _on_uplink(self, now_ms: int, vehicle: str) -> None:
         delivered = uplink(self.world, vehicle, now_ms)

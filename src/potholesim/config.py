@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 DEFAULT_SHARED_KEY = bytes(range(32))  # pre-shared simulation key, not a secret
@@ -17,3 +18,12 @@ class SimConfig:
     phase_latency_ms: int = 100       # one request/response exchange per phase
     transfer_budget: int = 4          # envelopes per exchange while connected
     shared_key: bytes = field(default=DEFAULT_SHARED_KEY)
+
+    def __post_init__(self):
+        # the scanner divides by the cell and thresholds the depth map; a
+        # DETECT on an arc with no pit is answered without either, so bad
+        # values are refused here rather than on the first pitted sweep
+        for name in ("threshold_mm", "cell_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")

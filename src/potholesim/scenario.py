@@ -21,8 +21,12 @@ is set; the first waypoint must be the head of the start arc and every
 consecutive pair must be joined by at least one arc.  DEST_CHANGE with
 "dest": null clears the destination.  Scripted event times satisfy
 0 <= t_ms < duration_ms, so a zero-duration scenario runs nothing.  Each
-section present is a list of objects, and speeds and access point
-coordinates and ranges are finite numbers.
+section present is a list of objects.  `duration_ms`, `seed` and `t_ms`
+are integers; offsets, speeds, pit numbers and access point coordinates and
+ranges are finite numbers (not strings or booleans); `half_length_m` is
+>= 0; ids of arcs and nodes are strings that the network knows.  Every
+rejection raises ScenarioError naming the field, e.g. `pits[0].arc:
+unknown arc 'zz'`.
 """
 
 from __future__ import annotations
@@ -95,12 +99,40 @@ def _section(raw: dict, name: str) -> list[dict]:
     return items
 
 
-def _finite(item: dict, key: str, where: str) -> float:
+def _name(where: str, key: str | int) -> str:
+    """The field `container[key]` of `where`: `pits[0].arc`,
+    `vehicles[0].waypoints[1]` or, at the top level, `seed`."""
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else key
+
+
+# Each check reads `item[key]` and names the field only when it fails.
+
+def _finite(item, key: str | int, where: str) -> float:
     value = item[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not math.isfinite(value):
-        raise ScenarioError(f"{where}.{key} must be a finite number, got {value!r}")
+        raise ScenarioError(f"{_name(where, key)} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _integer(item, key: str | int, where: str) -> int:
+    value = item[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{_name(where, key)} must be an integer, got {value!r}")
+    return value
+
+
+def _lookup(find, item, key: str | int, where: str, what: str):
+    """`find(item[key])` on the network, as an arc or node id."""
+    value = item[key]
+    if not isinstance(value, str):
+        raise ScenarioError(f"{_name(where, key)} must be a string, got {value!r}")
+    try:
+        return find(value)
+    except LookupError:
+        raise ScenarioError(f"{_name(where, key)}: unknown {what} {value!r}") from None
 
 
 def load_scenario(path: str | Path, net: StreetNetwork) -> Scenario:
@@ -117,30 +149,34 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
     _keys(raw, {"duration_ms", "seed"},
           {"vehicles", "pits", "access_points", "events"}, "scenario")
 
-    duration = int(raw["duration_ms"])
+    duration = _integer(raw, "duration_ms", "")
     if duration < 0:
         raise ScenarioError("duration_ms must be >= 0")
-    scenario = Scenario(duration_ms=duration, seed=int(raw["seed"]))
+    scenario = Scenario(duration_ms=duration, seed=_integer(raw, "seed", ""))
 
     seen_vehicles: set[str] = set()
     for i, item in enumerate(_section(raw, "vehicles")):
+        where = f"vehicles[{i}]"
         _keys(item, {"id", "start_arc", "start_offset_m", "speed_mps", "waypoints"},
-              set(), f"vehicles[{i}]")
+              set(), where)
         vid = item["id"]
         if vid in seen_vehicles:
             raise ScenarioError(f"duplicate vehicle id {vid!r}")
         seen_vehicles.add(vid)
-        arc = net.arc(item["start_arc"])
-        offset = float(item["start_offset_m"])
+        arc = _lookup(net.arc, item, "start_arc", where, "arc")
+        offset = _finite(item, "start_offset_m", where)
         if not (0.0 <= offset < arc.length_m):
             raise ScenarioError(
                 f"vehicle {vid!r} start offset {offset} outside arc {arc.id!r}")
-        speed = _finite(item, "speed_mps", f"vehicles[{i}]")
+        speed = _finite(item, "speed_mps", where)
         if speed < 0:
             raise ScenarioError(f"vehicle {vid!r} speed must be >= 0")
+        if not isinstance(item["waypoints"], list):
+            raise ScenarioError(
+                f"{where}.waypoints must be a list, got {item['waypoints']!r}")
         waypoints = tuple(item["waypoints"])
-        for w in waypoints:
-            net.node(w)
+        for k in range(len(waypoints)):
+            _lookup(net.node, waypoints, k, f"{where}.waypoints", "node")
         if waypoints:
             if waypoints[0] != arc.head:
                 raise ScenarioError(
@@ -154,12 +190,17 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
 
     pits_by_arc: dict[str, list[Pit]] = {}
     for i, item in enumerate(_section(raw, "pits")):
+        where = f"pits[{i}]"
         _keys(item, {"arc", "center_m", "half_length_m", "depth_mm", "reflectivity"},
-              set(), f"pits[{i}]")
-        net.arc(item["arc"])
+              set(), where)
+        _lookup(net.arc, item, "arc", where, "arc")
+        center, half_length, depth, reflectivity = (
+            _finite(item, key, where)
+            for key in ("center_m", "half_length_m", "depth_mm", "reflectivity"))
+        if half_length < 0:
+            raise ScenarioError(f"{where}.half_length_m must be >= 0, got {half_length!r}")
         pits_by_arc.setdefault(item["arc"], []).append(
-            Pit(float(item["center_m"]), float(item["half_length_m"]),
-                float(item["depth_mm"]), float(item["reflectivity"])))
+            Pit(center, half_length, depth, reflectivity))
     for arc_id, pits in pits_by_arc.items():
         scenario.pits[arc_id] = GroundTruthSurface(
             arc_id, net.arc(arc_id).length_m, pits)  # validates extents
@@ -178,8 +219,9 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
             item["id"], x, y, range_m, bool(item["open"])))
 
     for i, item in enumerate(_section(raw, "events")):
-        _keys(item, {"t_ms", "kind", "vehicle"}, {"dest"}, f"events[{i}]")
-        t = int(item["t_ms"])
+        where = f"events[{i}]"
+        _keys(item, {"t_ms", "kind", "vehicle"}, {"dest"}, where)
+        t = _integer(item, "t_ms", where)
         if not (0 <= t < scenario.duration_ms):
             raise ScenarioError(f"events[{i}]: t_ms {t} outside [0, duration)")
         if item["vehicle"] not in seen_vehicles:
@@ -191,7 +233,7 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
                 raise ScenarioError(f"events[{i}]: DETECT takes no dest")
         elif kind == "DEST_CHANGE":
             if dest is not None:
-                net.node(dest)
+                _lookup(net.node, item, "dest", where, "node")
         else:
             raise ScenarioError(f"events[{i}]: unknown kind {kind!r}")
         scenario.events.append(TimedEvent(t, kind, item["vehicle"], dest))

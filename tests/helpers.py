@@ -7,6 +7,8 @@ they check.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import importlib.util
 import json
 import math
@@ -14,9 +16,14 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from potholesim.detection import PotholeDetection
+from potholesim.comms import Phase, World, p2p_broadcast, step_connection, uplink
+from potholesim.config import SimConfig
+from potholesim.detection import (DepthMap, GroundTruthSurface, IntensityImage,
+                                  PotholeDetection, cell_count, extract_potholes, sweep)
+from potholesim.geocrypto import PlainReport, encrypt
 from potholesim.network import Arc, Node, StreetNetwork
 from potholesim.registry import PotholeRegistry
+from potholesim.routing import UnreachableError, fmt_num, modify_destination
 from potholesim.weighting import WeightedNetwork
 
 
@@ -387,3 +394,176 @@ def visible_ap_by_scan(world, vid: str, now_ms: int) -> str | None:
     if peer is not None and any(ap_id == peer for _, ap_id in in_range):
         return peer
     return min(in_range)[1]
+
+
+def vehicle_position_by_formula(world, vid: str, now_ms: int) -> tuple[float, float]:
+    """Reference for `World.vehicle_position`: looks every node up afresh."""
+    v = world.vehicle(vid)
+    arc = world.net.arcs[v.arc]
+    speed = 0.0 if v.stopped else v.speed_mps
+    offset = min(v.offset_m + speed * (now_ms - v.at_ms) / 1000.0, arc.length_m)
+    tail = world.net.nodes[arc.tail]
+    head = world.net.nodes[arc.head]
+    frac = offset / arc.length_m
+    return (tail.x + (head.x - tail.x) * frac,
+            tail.y + (head.y - tail.y) * frac)
+
+
+class SingleHeapSimulation:
+    """Reference for `Simulation`: every event, PHASE_TIMEOUT included, goes
+    through one heap of (t_ms, insertion seq, kind, payload) entries, and
+    every DETECT sweeps its whole arc.
+
+    The world is the production `World`, but its vehicle positions come from
+    `vehicle_position_by_formula` and its access point lookups from
+    `visible_ap_by_scan`, so this reference shares no caching or indexing
+    with the code it checks.
+    """
+
+    def __init__(self, net, scenario, config=SimConfig()):
+        self.world = World(net, scenario, config)
+        self.world.vehicle_position = functools.partial(vehicle_position_by_formula,
+                                                        self.world)
+        self.world.visible_ap = functools.partial(visible_ap_by_scan, self.world)
+        self.config = config
+        self.duration_ms = scenario.duration_ms
+        self.trace: list[str] = []
+        self._heap: list = []
+        self._seq = 0
+        for ev in scenario.events:
+            if ev.kind == "DEST_CHANGE":
+                self._schedule(ev.t_ms, "DEST_CHANGE", ev.vehicle, ev.dest)
+            else:
+                self._schedule(ev.t_ms, "DETECT", ev.vehicle)
+        for vid, v in self.world.vehicles.items():
+            if v.speed_mps > 0:
+                self._schedule_arrival(vid, 0)
+            self._schedule(config.phase_latency_ms, "PHASE_TIMEOUT", vid)
+
+    def _schedule(self, t_ms, kind, *payload):
+        if t_ms >= self.duration_ms:
+            return
+        heapq.heappush(self._heap, (t_ms, self._seq, kind, payload))
+        self._seq += 1
+
+    def _schedule_arrival(self, vid, now_ms):
+        v = self.world.vehicle(vid)
+        remaining = self.world.net.arcs[v.arc].length_m - v.offset_m
+        self._schedule(now_ms + int(round(remaining / v.speed_mps * 1000.0)),
+                       "MOVE", vid)
+
+    def _emit(self, t_ms, kind, details):
+        self.trace.append(f"t={t_ms} {kind} {details}")
+
+    def run(self):
+        handlers = {
+            "MOVE": self._on_move,
+            "DETECT": self._on_detect,
+            "P2P_BROADCAST": self._on_broadcast,
+            "PHASE_TIMEOUT": self._on_phase_timeout,
+            "UPLINK": self._on_uplink,
+            "DEST_CHANGE": self._on_dest_change,
+        }
+        while self._heap:
+            t, _, kind, payload = heapq.heappop(self._heap)
+            handlers[kind](t, *payload)
+        return self.world
+
+    def _enter_arc(self, v, arc_id, now_ms):
+        v.arc = arc_id
+        v.offset_m = 0.0
+        v.at_ms = now_ms
+        v.stopped = False
+        v.session.advance(arc_id)
+        self._schedule_arrival(v.id, now_ms)
+
+    def _on_move(self, now_ms, vehicle):
+        net = self.world.net
+        v = self.world.vehicle(vehicle)
+        node = net.arc(v.arc).head
+        v.offset_m = net.arc(v.arc).length_m
+        v.at_ms = now_ms
+        if v.waypoints and v.waypoints[0] == node:
+            v.waypoints.pop(0)
+        s = v.session
+        next_arc = None
+        if s.destination is not None:
+            if node == s.destination:
+                s.clear()
+            elif s.pending_arcs and net.arc(s.pending_arcs[0]).tail == node:
+                next_arc = s.pending_arcs.pop(0)
+        if next_arc is None and s.destination is None and v.waypoints:
+            candidates = net.arcs_between(node, v.waypoints[0])
+            if candidates:
+                next_arc = candidates[0].id
+        if next_arc is not None:
+            self._enter_arc(v, next_arc, now_ms)
+        else:
+            v.stopped = True
+        self._emit(now_ms, "MOVE", f"vehicle={vehicle} node={node} arc={next_arc or '-'}")
+
+    def _on_detect(self, now_ms, vehicle):
+        v = self.world.vehicle(vehicle)
+        arc = self.world.net.arc(v.arc)
+        detections = []
+        if cell_count(arc.length_m, self.config.cell_m) >= 1:
+            surface = self.world.surfaces.get(
+                v.arc, GroundTruthSurface(v.arc, arc.length_m, []))
+            dm, ii = sweep(surface, (0.0, arc.length_m), self.config.cell_m)
+            detections = extract_potholes(dm, ii, self.config.threshold_mm, v.arc, 0.0)
+        fresh = 0
+        for det in detections:
+            report = PlainReport(
+                depth_map=DepthMap(1, len(det.cells_depth), self.config.cell_m,
+                                   list(det.cells_depth)),
+                intensity_image=IntensityImage(1, len(det.cells_intensity),
+                                               list(det.cells_intensity)),
+                arc=det.arc, offset_m=det.offset_m,
+                vehicle_id=vehicle, timestamp_ms=now_ms)
+            env = encrypt(report, self.config.shared_key, self.world.rng)
+            v.queue.append((env, (det.arc, det.offset_m)))
+            key = f"{det.arc}:{fmt_num(det.offset_m)}"
+            if key not in v.warning_cache:
+                v.warning_cache.add(key)
+                fresh += 1
+                self._schedule(now_ms, "P2P_BROADCAST", vehicle, key)
+        self._emit(now_ms, "DETECT",
+                   f"vehicle={vehicle} arc={v.arc} reports={len(detections)} new={fresh}")
+
+    def _on_broadcast(self, now_ms, vehicle, pothole):
+        receivers = p2p_broadcast(self.world, vehicle, pothole, now_ms)
+        self._emit(now_ms, "P2P_BROADCAST",
+                   f"vehicle={vehicle} pothole={pothole} "
+                   f"receivers={','.join(receivers) or '-'}")
+
+    def _on_phase_timeout(self, now_ms, vehicle):
+        v = self.world.vehicle(vehicle)
+        visible = self.world.visible_ap(vehicle, now_ms)
+        v.conn = step_connection(v.conn, visible, now_ms, self.config.loss_timeout_ms)
+        self._emit(now_ms, "PHASE_TIMEOUT",
+                   f"vehicle={vehicle} phase={v.conn.phase.value} ap={v.conn.peer or '-'}")
+        if v.conn.phase is Phase.CONNECTED and visible == v.conn.peer and v.queue:
+            self._schedule(now_ms, "UPLINK", vehicle)
+        self._schedule(now_ms + self.config.phase_latency_ms, "PHASE_TIMEOUT", vehicle)
+
+    def _on_uplink(self, now_ms, vehicle):
+        delivered = uplink(self.world, vehicle, now_ms)
+        queued = len(self.world.vehicle(vehicle).queue)
+        self._emit(now_ms, "UPLINK", f"vehicle={vehicle} delivered={delivered} queued={queued}")
+
+    def _on_dest_change(self, now_ms, vehicle, dest):
+        v = self.world.vehicle(vehicle)
+        s = v.session
+        try:
+            modify_destination(s, dest)
+        except UnreachableError:
+            s.clear()
+            self._emit(now_ms, "DEST_CHANGE", f"vehicle={vehicle} dest={dest} unreachable")
+            return
+        if dest is not None and v.stopped and v.speed_mps > 0:
+            resting = self.world.net.arc(v.arc).head
+            if s.destination == resting:
+                s.clear()
+            elif s.pending_arcs and self.world.net.arc(s.pending_arcs[0]).tail == resting:
+                self._enter_arc(v, s.pending_arcs.pop(0), now_ms)
+        self._emit(now_ms, "DEST_CHANGE", f"vehicle={vehicle} dest={dest or '-'}")

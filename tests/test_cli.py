@@ -106,7 +106,25 @@ class TestSimulate:
          "vehicles[0].speed_mps"),
         ("vehicles", [1], "vehicles[0]"),
         ("events", None, "'events'"),
-    ], ids=["nan-ap-range", "inf-ap-x", "nan-speed", "non-object-vehicle", "null-events"])
+        ("duration_ms", "5000", "duration_ms"),
+        ("seed", True, "seed"),
+        ("events", [dict(SCENARIO["events"][0], t_ms=None)], "events[0].t_ms"),
+        ("vehicles", [dict(SCENARIO["vehicles"][0], start_offset_m=None)],
+         "vehicles[0].start_offset_m"),
+        ("vehicles", [dict(SCENARIO["vehicles"][0], waypoints=5)], "vehicles[0].waypoints"),
+        ("pits", [dict(SCENARIO["pits"][0], depth_mm=float("nan"))], "pits[0].depth_mm"),
+        ("pits", [dict(SCENARIO["pits"][0], half_length_m=-1.0)], "pits[0].half_length_m"),
+        ("pits", [dict(SCENARIO["pits"][0], arc="zz")], "pits[0].arc: unknown arc 'zz'"),
+        ("vehicles", [dict(SCENARIO["vehicles"][0], start_arc="zz")],
+         "vehicles[0].start_arc: unknown arc 'zz'"),
+        ("vehicles", [dict(SCENARIO["vehicles"][0], waypoints=["B", "zz"])],
+         "vehicles[0].waypoints[1]: unknown node 'zz'"),
+        ("events", [{"t_ms": 1000, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": "zz"}],
+         "events[0].dest: unknown node 'zz'"),
+    ], ids=["nan-ap-range", "inf-ap-x", "nan-speed", "non-object-vehicle", "null-events",
+            "string-duration", "bool-seed", "null-t-ms", "null-start-offset", "number-waypoints",
+            "nan-depth", "negative-half-length", "unknown-pit-arc", "unknown-start-arc",
+            "unknown-waypoint", "unknown-dest"])
     def test_malformed_scenario_exits_one_naming_the_field(self, files, capsys,
                                                             section, value, named):
         net, _, tmp = files
@@ -117,6 +135,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not (tmp / "nope").exists()
+
+    @pytest.mark.parametrize("option, value, named", [
+        ("--cell-m", "0", "cell_m"), ("--cell-m", "-1", "cell_m"),
+        ("--threshold-mm", "0", "threshold_mm"), ("--threshold-mm", "nan", "threshold_mm"),
+    ])
+    def test_bad_sensing_option_exits_one_naming_it(self, files, capsys, option, value, named):
+        net, scen, tmp = files
+        rc = main(["simulate", "--network", str(net), "--scenario", str(scen),
+                   "--out-dir", str(tmp / "nope"), option, value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {named} must be a finite number > 0")
         assert not (tmp / "nope").exists()
 
     OUTPUTS = {"trace.txt", "registry.csv", "events.csv", "weighted_network.csv",

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_net, visible_ap_by_scan
+from helpers import (SingleHeapSimulation, ap_grid_inputs, build_net, grid_inputs,
+                     vehicle_position_by_formula, visible_ap_by_scan)
+from potholesim import comms
 from potholesim.comms import (ConnectionState, Phase, Simulation, UnknownVehicleError,
                               World, p2p_broadcast, step_connection, uplink)
 from potholesim.config import SimConfig
-from potholesim.detection import DepthMap, IntensityImage
-from potholesim.geocrypto import PlainReport, encrypt
+from potholesim.detection import DepthMap, IntensityImage, sweep
+from potholesim.geocrypto import PlainReport, decrypt, encrypt
+from potholesim.network import network_from_dict
 from potholesim.scenario import AccessPointSpec, Scenario, VehicleSpec, scenario_from_dict
 
 
@@ -452,3 +455,167 @@ class TestSimulation:
         assert "receivers=v2" in bcasts[0]  # 15 m away; v3 at 60 m misses it
         assert world.vehicles["v2"].warning_cache == world.vehicles["v1"].warning_cache
         assert not world.vehicles["v3"].warning_cache
+
+
+@st.composite
+def tick_tie_cases(draw):
+    """A seeded grid scenario whose events share milliseconds with the ticks.
+
+    The grid generators drive vehicles over 50-60 m arcs at 10 or 12.5 m/s,
+    so arrivals land on 100 ms ticks, and their scripted events sit on ticks
+    too.  On top: a duration cut to a tick, extra DETECTs and DEST_CHANGEs
+    on ticks, and maybe one vehicle parked at zero speed.  Uplinks, which a
+    tick schedules at its own millisecond, follow from the access points.
+    """
+    make = draw(st.sampled_from([grid_inputs, ap_grid_inputs]))
+    network, scenario = make(seed=draw(st.integers(0, 2 ** 16)))
+    duration = 100 * draw(st.integers(1, scenario["duration_ms"] // 100))
+    vids = [v["id"] for v in scenario["vehicles"]]
+    nodes = [n["id"] for n in network["nodes"]]
+    events = [e for e in scenario["events"] if e["t_ms"] < duration]
+    for _ in range(draw(st.integers(0, 6))):
+        t = 100 * draw(st.integers(0, duration // 100 - 1))
+        vid = draw(st.sampled_from(vids))
+        if draw(st.booleans()):
+            events.append({"t_ms": t, "kind": "DETECT", "vehicle": vid})
+        else:
+            events.append({"t_ms": t, "kind": "DEST_CHANGE", "vehicle": vid,
+                           "dest": draw(st.sampled_from([None, *nodes]))})
+    if draw(st.booleans()):
+        draw(st.sampled_from(scenario["vehicles"]))["speed_mps"] = 0.0
+    scenario.update(duration_ms=duration, events=events)
+    net = network_from_dict(network)
+    probe_ms = draw(st.lists(st.integers(0, 2 * duration), min_size=1, max_size=4))
+    return net, scenario_from_dict(scenario, net), probe_ms
+
+
+def final_state(world):
+    """Everything a run leaves behind, envelopes as their bytes."""
+    vehicles = {vid: (v.arc, v.offset_m, v.at_ms, v.speed_mps, v.stopped, v.waypoints,
+                      v.conn, v.warning_cache, [(env.to_bytes(), loc) for env, loc in v.queue],
+                      v.session.current_arc, v.session.destination, v.session.route,
+                      v.session.pending_arcs)
+                for vid, v in world.vehicles.items()}
+    server = world.server
+    return (vehicles, server.stats, server.registry.records, server.registry.events,
+            server.wnet.arc_weights, server.wnet.min_weights, world.rng.getstate())
+
+
+class TestEventOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(tick_tie_cases())
+    def test_matches_single_heap_reference(self, case):
+        net, scenario, probe_ms = case
+        reference = SingleHeapSimulation(net, scenario)
+        want = final_state(reference.run())
+        sim = Simulation(net, scenario)
+        got = final_state(sim.run())
+        assert sim.trace == reference.trace
+        assert got == want
+        world = sim.world
+        for vid in world.vehicles:  # the cached arc geometry, up to and past the arc's end
+            for now_ms in (*probe_ms, 10 ** 7):
+                assert world.vehicle_position(vid, now_ms) \
+                    == vehicle_position_by_formula(world, vid, now_ms)
+
+    def test_grid_scenarios_tie_events_with_ticks(self):
+        # the generators behind tick_tie_cases put every kind of event on a
+        # millisecond that also runs PHASE_TIMEOUTs
+        kinds = set()
+        for make in (grid_inputs, ap_grid_inputs):
+            network, scenario = make()
+            net = network_from_dict(network)
+            reference = SingleHeapSimulation(net, scenario_from_dict(scenario, net))
+            reference.run()
+            tick_ms = {line.split()[0] for line in reference.trace if " PHASE_TIMEOUT " in line}
+            kinds |= {line.split()[1] for line in reference.trace
+                      if line.split()[0] in tick_ms}
+        assert kinds == {"MOVE", "DETECT", "P2P_BROADCAST", "PHASE_TIMEOUT", "UPLINK",
+                         "DEST_CHANGE"}
+
+
+def sensing_net():
+    """Three 100 m arcs in a row and a 0.4 m spur, shorter than one cell."""
+    return build_net([("A", 0.0, 0.0), ("B", 100.0, 0.0), ("C", 200.0, 0.0),
+                      ("D", 300.0, 0.0), ("E", 300.4, 0.0)],
+                     [("deep", "A", "B", 100.0), ("shallow", "B", "C", 100.0),
+                      ("clean", "C", "D", 100.0), ("spur", "D", "E", 0.4)])
+
+
+SENSING_SCENARIO = {
+    "duration_ms": 3000, "seed": 9,
+    "vehicles": [{"id": vid, "start_arc": arc, "start_offset_m": offset,
+                  "speed_mps": 0.0, "waypoints": []}
+                 for vid, arc, offset in (("v1", "deep", 10.0), ("v2", "deep", 60.0),
+                                          ("v3", "shallow", 0.0), ("v4", "clean", 0.0),
+                                          ("v5", "spur", 0.0))],
+    "pits": [{"arc": "deep", "center_m": 20.0, "half_length_m": 1.0,
+              "depth_mm": 40.0, "reflectivity": 0.5},
+             {"arc": "deep", "center_m": 70.0, "half_length_m": 0.5,
+              "depth_mm": 25.0, "reflectivity": 0.3},
+             {"arc": "shallow", "center_m": 50.0, "half_length_m": 1.0,
+              "depth_mm": 5.0, "reflectivity": 0.5},
+             {"arc": "spur", "center_m": 0.2, "half_length_m": 0.1,
+              "depth_mm": 40.0, "reflectivity": 0.5}],
+    "events": [{"t_ms": t, "kind": "DETECT", "vehicle": vid}
+               for t in (500, 1200, 2000) for vid in ("v1", "v2", "v3", "v4", "v5")],
+}
+
+
+def run_sensing(monkeypatch):
+    """Runs two Simulations built from the same network and scenario objects,
+    counting the sweeps per arc of each run."""
+    swept = []
+
+    def counting_sweep(surface, window, cell_m):
+        swept[-1][surface.arc] = swept[-1].get(surface.arc, 0) + 1
+        return sweep(surface, window, cell_m)
+
+    monkeypatch.setattr(comms, "sweep", counting_sweep)
+    net = sensing_net()
+    scenario = scenario_from_dict(SENSING_SCENARIO, net)
+    sims = []
+    for _ in range(2):
+        swept.append({})
+        sim = Simulation(net, scenario)
+        sim.run()
+        sims.append(sim)
+    return sims, swept
+
+
+class TestSensing:
+    def test_each_pitted_arc_is_swept_once_per_simulation(self, monkeypatch):
+        # three DETECTs per vehicle, two vehicles on `deep`: one sweep per
+        # pitted arc in each run, none on the clean arc or the sub-cell spur
+        _, swept = run_sensing(monkeypatch)
+        assert swept == [{"deep": 1, "shallow": 1}, {"deep": 1, "shallow": 1}]
+
+    def test_repeated_detects_trace_the_same_reports(self, monkeypatch):
+        # v2's first DETECT runs before v1's warnings are broadcast, so both
+        # count the two potholes as new
+        (sim, _), _ = run_sensing(monkeypatch)
+        detects = [line.split(" ", 2)[2] for line in sim.trace if " DETECT " in line]
+        assert detects == [
+            "vehicle=v1 arc=deep reports=2 new=2", "vehicle=v2 arc=deep reports=2 new=2",
+            "vehicle=v3 arc=shallow reports=0 new=0", "vehicle=v4 arc=clean reports=0 new=0",
+            "vehicle=v5 arc=spur reports=0 new=0",
+        ] + [f"vehicle={vid} arc={arc} reports={n} new=0" for vid, arc, n in (
+            ("v1", "deep", 2), ("v2", "deep", 2), ("v3", "shallow", 0),
+            ("v4", "clean", 0), ("v5", "spur", 0))] * 2
+
+    def test_shared_arc_gives_equal_reports_in_separate_envelopes(self, monkeypatch):
+        (sim, _), _ = run_sensing(monkeypatch)
+        world = sim.world
+        key = world.config.shared_key
+        queues = {vid: list(world.vehicles[vid].queue) for vid in ("v1", "v2")}
+        assert [len(q) for q in queues.values()] == [6, 6]  # 3 DETECTs x 2 potholes
+        reports = {vid: [decrypt(env, key, loc) for env, loc in q]
+                   for vid, q in queues.items()}
+        for mine, theirs in zip(reports["v1"], reports["v2"]):
+            assert mine.vehicle_id == "v1" and theirs.vehicle_id == "v2"
+            assert (mine.depth_map, mine.intensity_image, mine.arc, mine.offset_m,
+                    mine.timestamp_ms) == (theirs.depth_map, theirs.intensity_image,
+                                           theirs.arc, theirs.offset_m, theirs.timestamp_ms)
+        nonces = [env.nonce for q in queues.values() for env, _ in q]
+        assert len(set(nonces)) == len(nonces) == 12
+        assert not any(world.vehicles[vid].queue for vid in ("v3", "v4", "v5"))

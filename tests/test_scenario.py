@@ -47,8 +47,78 @@ def test_unknown_key_rejected(net):
 
 def test_unknown_arc_rejected(net):
     bad = variant(vehicles=[dict(BASE["vehicles"][0], start_arc="zz")])
-    with pytest.raises(Exception):
+    with pytest.raises(ScenarioError, match=r"^vehicles\[0\]\.start_arc: unknown arc 'zz'$"):
         scenario_from_dict(bad, net)
+
+
+@pytest.mark.parametrize("section, item, message", [
+    ("pits", dict(BASE["pits"][0], arc="zz"), "pits[0].arc: unknown arc 'zz'"),
+    ("vehicles", dict(BASE["vehicles"][0], waypoints=["zz"]),
+     "vehicles[0].waypoints[0]: unknown node 'zz'"),
+    ("events", {"t_ms": 10, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": "zz"},
+     "events[0].dest: unknown node 'zz'"),
+    ("pits", dict(BASE["pits"][0], arc=5), "pits[0].arc must be a string, got 5"),
+    ("vehicles", dict(BASE["vehicles"][0], start_arc=None),
+     "vehicles[0].start_arc must be a string, got None"),
+], ids=["pit-arc", "waypoint", "dest", "pit-arc-number", "start-arc-null"])
+def test_lookup_error_names_its_field(net, section, item, message):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(variant(**{section: [item]}), net)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", ["5000", True, None, 5000.0, [5000]])
+@pytest.mark.parametrize("key", ["duration_ms", "seed"])
+def test_non_integer_top_level_field_rejected(net, key, value):
+    with pytest.raises(ScenarioError, match=rf"^{key} must be an integer"):
+        scenario_from_dict(variant(**{key: value}), net)
+
+
+@pytest.mark.parametrize("value", ["100", False, None, 100.0])
+def test_non_integer_event_time_rejected(net, value):
+    bad = variant(events=[dict(BASE["events"][0], t_ms=value)])
+    with pytest.raises(ScenarioError, match=r"^events\[0\]\.t_ms must be an integer"):
+        scenario_from_dict(bad, net)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, None, "50", True])
+@pytest.mark.parametrize("key", ["center_m", "half_length_m", "depth_mm", "reflectivity"])
+def test_non_finite_or_non_number_pit_field_rejected(net, key, value):
+    bad = variant(pits=[dict(BASE["pits"][0], **{key: value})])
+    with pytest.raises(ScenarioError, match=rf"^pits\[0\]\.{key} must be a finite number"):
+        scenario_from_dict(bad, net)
+
+
+def test_negative_pit_half_length_rejected(net):
+    bad = variant(pits=[dict(BASE["pits"][0], half_length_m=-1.0)])
+    with pytest.raises(ScenarioError, match=r"^pits\[0\]\.half_length_m must be >= 0"):
+        scenario_from_dict(bad, net)
+
+
+def test_zero_pit_half_length_accepted(net):
+    ok = variant(pits=[dict(BASE["pits"][0], half_length_m=0.0)])
+    assert scenario_from_dict(ok, net).pits["ab"].pits[0].half_length_m == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, None, "0"])
+def test_non_finite_or_non_number_start_offset_rejected(net, value):
+    bad = variant(vehicles=[dict(BASE["vehicles"][0], start_offset_m=value)])
+    with pytest.raises(ScenarioError,
+                       match=r"^vehicles\[0\]\.start_offset_m must be a finite number"):
+        scenario_from_dict(bad, net)
+
+
+@pytest.mark.parametrize("value, message", [
+    (5, "vehicles[0].waypoints must be a list, got 5"),
+    ("B", "vehicles[0].waypoints must be a list, got 'B'"),
+    (None, "vehicles[0].waypoints must be a list, got None"),
+    (["B", 5], "vehicles[0].waypoints[1] must be a string, got 5"),
+])
+def test_waypoints_must_be_a_list_of_strings(net, value, message):
+    bad = variant(vehicles=[dict(BASE["vehicles"][0], waypoints=value)])
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(bad, net)
+    assert str(err.value) == message
 
 
 def test_event_after_duration_rejected(net):
