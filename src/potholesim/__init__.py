@@ -11,10 +11,9 @@ from .comms import Simulation, World, p2p_broadcast, step_connection, uplink
 from .detection import GroundTruthSurface, Pit, extract_potholes, sweep
 from .geocrypto import PlainReport, ReportEnvelope, decrypt, encrypt
 from .maintenance import priority_report, traffic_intensity
-from .network import StreetNetwork, load_network, save_network
+from .network import StreetNetwork, load_network
 from .registry import PotholeRegistry
-from .routing import (Route, RoutingSession, current_arc_weight, gda,
-                      modify_destination, route)
+from .routing import Route, RoutingSession, modify_destination, route
 from .scenario import Scenario, load_scenario
 from .server import Server
 from .weighting import WeightedNetwork, apply_update, arc_damage, preprocess
@@ -25,8 +24,8 @@ __all__ = [
     "SimConfig", "Simulation", "World", "p2p_broadcast", "step_connection",
     "uplink", "GroundTruthSurface", "Pit", "extract_potholes", "sweep",
     "PlainReport", "ReportEnvelope", "decrypt", "encrypt", "priority_report",
-    "traffic_intensity", "StreetNetwork", "load_network", "save_network",
-    "PotholeRegistry", "Route", "RoutingSession", "current_arc_weight", "gda",
-    "modify_destination", "route", "Scenario", "load_scenario", "Server",
-    "WeightedNetwork", "apply_update", "arc_damage", "preprocess",
+    "traffic_intensity", "StreetNetwork", "load_network", "PotholeRegistry",
+    "Route", "RoutingSession", "modify_destination", "route", "Scenario",
+    "load_scenario", "Server", "WeightedNetwork", "apply_update", "arc_damage",
+    "preprocess",
 ]

@@ -37,10 +37,12 @@ Modelled behaviors:
     never re-broadcast;
   * opportunistic uplink -- a per-vehicle connection steps through
     SCANNING -> ASSOCIATING -> AUTHENTICATING -> CONNECTED, one phase per
-    100 ms exchange while an open access point is in range, and drops to
-    LOST (then back to SCANNING) once nothing has been heard for more
-    than 500 ms; while CONNECTED, queued envelopes drain to the server
-    at 4 per exchange.
+    exchange (`SimConfig.phase_latency_ms`, 100 ms) while an open access
+    point is in range, and drops to LOST (then back to SCANNING) once
+    nothing has been heard for more than `SimConfig.loss_timeout_ms`
+    (500 ms); while CONNECTED, queued envelopes drain to the server at
+    `SimConfig.transfer_budget` (4) per exchange.  A phase is the plain
+    word that the PHASE_TIMEOUT trace line prints.
 
 Open access points are indexed once, when the world is built, on a
 uniform grid (a spatial hash in the manner of Teschner et al. 2003).  The
@@ -61,7 +63,6 @@ import random
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from math import floor, hypot
 
 from . import weighting
@@ -80,7 +81,9 @@ class UnknownVehicleError(LookupError):
     pass
 
 
-class Phase(Enum):
+class Phase:
+    """Connection phases; each is also the word its trace lines print."""
+
     SCANNING = "SCANNING"
     ASSOCIATING = "ASSOCIATING"
     AUTHENTICATING = "AUTHENTICATING"
@@ -90,33 +93,34 @@ class Phase(Enum):
 
 @dataclass(frozen=True)
 class ConnectionState:
-    phase: Phase = Phase.SCANNING
+    phase: str = Phase.SCANNING
     last_activity_ms: int = 0
     peer: str | None = None
 
 
 def step_connection(conn: ConnectionState, visible_ap: str | None, now_ms: int,
-                    loss_timeout_ms: int = 500) -> ConnectionState:
+                    loss_timeout_ms: int) -> ConnectionState:
     """Advance the connection lifecycle by one request/response exchange.
 
     LOST immediately re-enters SCANNING.  Any handshake or connected state
-    falls to LOST once the silence since the last activity exceeds the
-    timeout.  While an access point is visible, each step advances one
-    phase toward CONNECTED (a visible peer refreshes activity); a visible
-    AP that differs from the handshake peer does not advance anything --
-    the stale handshake simply times out.
+    falls to LOST once the silence since the last activity exceeds
+    `loss_timeout_ms` (the simulation passes `SimConfig.loss_timeout_ms`).
+    While an access point is visible, each step advances one phase toward
+    CONNECTED (a visible peer refreshes activity); a visible AP that
+    differs from the handshake peer does not advance anything -- the stale
+    handshake simply times out.
     """
-    if conn.phase is Phase.LOST:
+    if conn.phase == Phase.LOST:
         return ConnectionState(Phase.SCANNING, now_ms, None)
-    if conn.phase is not Phase.SCANNING and now_ms - conn.last_activity_ms > loss_timeout_ms:
+    if conn.phase != Phase.SCANNING and now_ms - conn.last_activity_ms > loss_timeout_ms:
         return ConnectionState(Phase.LOST, conn.last_activity_ms, conn.peer)
     if visible_ap is None:
         return conn
-    if conn.phase is Phase.SCANNING:
+    if conn.phase == Phase.SCANNING:
         return ConnectionState(Phase.ASSOCIATING, now_ms, visible_ap)
     if visible_ap != conn.peer:
         return conn
-    if conn.phase is Phase.ASSOCIATING:
+    if conn.phase == Phase.ASSOCIATING:
         return ConnectionState(Phase.AUTHENTICATING, now_ms, conn.peer)
     return ConnectionState(Phase.CONNECTED, now_ms, conn.peer)
 
@@ -205,7 +209,7 @@ class World:
 
         self.vehicles: dict[str, VehicleState] = {}
         for spec in scenario.vehicles:
-            session = RoutingSession(wnet, spec.id, spec.start_arc)
+            session = RoutingSession(wnet, spec.start_arc)
             self.vehicles[spec.id] = VehicleState(
                 id=spec.id, arc=spec.start_arc, offset_m=spec.start_offset_m,
                 at_ms=0, speed_mps=spec.speed_mps, waypoints=list(spec.waypoints),
@@ -318,7 +322,7 @@ def uplink(world: World, vid: str, now_ms: int) -> int:
     reaches the server at most once.
     """
     v = world.vehicle(vid)
-    if v.conn.phase is not Phase.CONNECTED:
+    if v.conn.phase != Phase.CONNECTED:
         return 0
     if world.visible_ap(vid, now_ms) != v.conn.peer:
         return 0
@@ -470,10 +474,9 @@ class Simulation:
         v = self.world.vehicles[vehicle]  # ticks exist only for known vehicles
         visible = self.world.visible_ap(vehicle, now_ms)
         conn = v.conn = step_connection(v.conn, visible, now_ms, self.config.loss_timeout_ms)
-        # `_value_` is the member's stored value, read without the `.value` descriptor
         self.trace.append(f"t={now_ms} PHASE_TIMEOUT vehicle={vehicle} "
-                          f"phase={conn.phase._value_} ap={conn.peer or '-'}")
-        if conn.phase is Phase.CONNECTED and visible == conn.peer and v.queue:
+                          f"phase={conn.phase} ap={conn.peer or '-'}")
+        if conn.phase == Phase.CONNECTED and visible == conn.peer and v.queue:
             self._schedule(now_ms, EventKind.UPLINK, vehicle)
         self._schedule_tick(now_ms + self.config.phase_latency_ms, vehicle)
 

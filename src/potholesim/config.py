@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-DEFAULT_SHARED_KEY = bytes(range(32))  # pre-shared simulation key, not a secret
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -17,7 +15,7 @@ class SimConfig:
     loss_timeout_ms: int = 500        # silence before a connection is declared lost
     phase_latency_ms: int = 100       # one request/response exchange per phase
     transfer_budget: int = 4          # envelopes per exchange while connected
-    shared_key: bytes = field(default=DEFAULT_SHARED_KEY)
+    shared_key: bytes = bytes(range(32))  # pre-shared simulation key, not a secret
 
     def __post_init__(self):
         # the scanner divides by the cell and thresholds the depth map; a

@@ -23,9 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-DEFAULT_THRESHOLD_MM = 10.0
-DEFAULT_CELL_M = 0.5
-
 
 @dataclass(frozen=True)
 class Pit:
@@ -115,7 +112,7 @@ def cell_count(span_m: float, cell_m: float) -> int:
 
 
 def sweep(surface: GroundTruthSurface, window: tuple[float, float],
-          cell_m: float = DEFAULT_CELL_M, rows: int = 1) -> tuple[DepthMap, IntensityImage]:
+          cell_m: float, rows: int = 1) -> tuple[DepthMap, IntensityImage]:
     """Sample the surface over a window into paired grids.
 
     Cell i spans [start + i*cell, start + (i+1)*cell) and samples the

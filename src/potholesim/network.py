@@ -10,7 +10,8 @@ arc the router relaxes over.
 Networks are immutable after load.  Anything that changes arc weights lives
 in the weighting module; this module only knows topology and lengths.
 
-File format (JSON, strict -- unknown keys are rejected):
+File format (JSON, strict -- unknown keys are rejected), read by
+`load_network`; the package never writes one:
 
     {
       "nodes": [{"id": "A", "x": 0.0, "y": 0.0}, ...],
@@ -211,15 +212,3 @@ def network_from_dict(raw) -> StreetNetwork:
                         _as_number(item["length_m"], f"arcs[{i}].length_m")))
     return StreetNetwork(nodes, arcs)
 
-
-def network_to_dict(net: StreetNetwork) -> dict:
-    return {
-        "nodes": [{"id": n.id, "x": n.x, "y": n.y}
-                  for n in sorted(net.nodes.values(), key=lambda n: n.id)],
-        "arcs": [{"id": a.id, "tail": a.tail, "head": a.head, "length_m": a.length_m}
-                 for a in sorted(net.arcs.values(), key=lambda a: a.id)],
-    }
-
-
-def save_network(net: StreetNetwork, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(network_to_dict(net), indent=2) + "\n")

@@ -9,20 +9,24 @@ UpdateEvent, which is the raw material for traffic-intensity ranking.
 
 Dump format (CSV): pothole_id, arc_id, offset_m, depth_mm, intensity,
 first_seen_ms, last_seen_ms.  Update events: pothole_id, vehicle_id,
-timestamp_ms.
+timestamp_ms.  The readers refuse a row that breaks the rules an ingested
+report keeps (`check_record`), a pothole id that is not a decimal integer
+without a leading zero, a `*_ms` field that is not an integer and a number
+that is not finite, naming the file, the line and the field.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import SimConfig
 from .detection import PotholeDetection
-from .network import StreetNetwork, UnknownArcError
-
-DEFAULT_DEDUP_RADIUS_M = 1.0
+from .network import Arc, StreetNetwork, UnknownArcError
 
 
 class UnknownPotholeError(LookupError):
@@ -60,7 +64,7 @@ class PotholeRegistry:
     """
 
     def __init__(self, net: StreetNetwork | None,
-                 dedup_radius_m: float = DEFAULT_DEDUP_RADIUS_M):
+                 dedup_radius_m: float = SimConfig.dedup_radius_m):
         self.net = net
         self.dedup_radius_m = dedup_radius_m
         self.records: dict[str, PotholeRecord] = {}
@@ -86,12 +90,8 @@ class PotholeRegistry:
         """
         if self.net is None:
             raise ValueError("registry loaded without a network is read-only")
-        arc = self.net.arc(report.arc)  # raises UnknownArcError
-        if not (0.0 <= report.offset_m <= arc.length_m):
-            raise ValueError(
-                f"offset {report.offset_m} outside arc {arc.id!r} of length {arc.length_m}")
-        if not (math.isfinite(report.depth_mm) and report.depth_mm >= 0.0):
-            raise ValueError(f"negative or non-finite depth {report.depth_mm}")
+        check_record(report.offset_m, report.depth_mm,
+                     self.net.arc(report.arc))  # raises UnknownArcError
 
         match: PotholeRecord | None = None
         best = self.dedup_radius_m
@@ -154,40 +154,91 @@ class PotholeRegistry:
 
     @classmethod
     def read_csv(cls, path: str | Path, net: StreetNetwork | None = None,
-                 dedup_radius_m: float = DEFAULT_DEDUP_RADIUS_M) -> "PotholeRegistry":
+                 dedup_radius_m: float = SimConfig.dedup_radius_m) -> "PotholeRegistry":
         reg = cls(net, dedup_radius_m)
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != cls.RECORD_FIELDS:
-                raise ValueError(f"{path}: expected columns {cls.RECORD_FIELDS}, "
-                                 f"got {reader.fieldnames}")
-            for row in reader:
-                rec = PotholeRecord(
-                    id=row["pothole_id"], arc=row["arc_id"],
-                    offset_m=float(row["offset_m"]), depth_mm=float(row["depth_mm"]),
-                    intensity=float(row["intensity"]),
-                    first_seen_ms=int(row["first_seen_ms"]),
-                    last_seen_ms=int(row["last_seen_ms"]))
-                if net is not None:
-                    net.arc(rec.arc)
-                if rec.id in reg.records:
-                    raise ValueError(f"{path}: duplicate pothole id {rec.id!r}")
-                reg.records[rec.id] = rec
-                reg._by_arc.setdefault(rec.arc, []).append(rec.id)
-                reg._next_id = max(reg._next_id, int(rec.id) + 1)
+
+        def add(row: dict[str, str]) -> None:
+            rec = PotholeRecord(
+                id=_pothole_id(row), arc=row["arc_id"],
+                offset_m=_finite(row, "offset_m"), depth_mm=_finite(row, "depth_mm"),
+                intensity=_finite(row, "intensity"),
+                first_seen_ms=_integer(row, "first_seen_ms"),
+                last_seen_ms=_integer(row, "last_seen_ms"))
+            arc = None
+            if net is not None:
+                try:
+                    arc = net.arc(rec.arc)
+                except UnknownArcError:
+                    raise ValueError(f"arc_id: unknown arc {rec.arc!r}") from None
+            check_record(rec.offset_m, rec.depth_mm, arc)
+            if rec.id in reg.records:
+                raise ValueError(f"duplicate pothole id {rec.id!r}")
+            reg.records[rec.id] = rec
+            reg._by_arc.setdefault(rec.arc, []).append(rec.id)
+            reg._next_id = max(reg._next_id, int(rec.id) + 1)
+
+        _read_rows(path, cls.RECORD_FIELDS, add)
         for ids in reg._by_arc.values():
             ids.sort(key=int)  # restore minting order regardless of row order
         return reg
 
 
-def read_events_csv(path: str | Path) -> list[UpdateEvent]:
-    events = []
+def check_record(offset_m: float, depth_mm: float, arc: Arc | None) -> None:
+    """The rules every stored pothole keeps: a finite offset >= 0 that lies
+    on its arc when the arc is known, and a finite depth >= 0."""
+    if not (math.isfinite(offset_m) and 0.0 <= offset_m
+            and (arc is None or offset_m <= arc.length_m)):
+        rule = ">= 0" if arc is None else f"in [0, {arc.length_m!r}] on arc {arc.id!r}"
+        raise ValueError(f"offset_m must be a finite number {rule}, got {offset_m!r}")
+    if not (math.isfinite(depth_mm) and depth_mm >= 0.0):
+        raise ValueError(f"depth_mm must be a finite number >= 0, got {depth_mm!r}")
+
+
+def _read_rows(path: str | Path, fields: list[str],
+               parse: Callable[[dict[str, str]], object]) -> list:
+    """`parse(row)` for each data row of a CSV file whose header is exactly
+    `fields`.  A ValueError from a row is raised again naming the file and
+    the line."""
+    out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != PotholeRegistry.EVENT_FIELDS:
-            raise ValueError(f"{path}: expected columns {PotholeRegistry.EVENT_FIELDS}, "
-                             f"got {reader.fieldnames}")
+        if reader.fieldnames != fields:
+            raise ValueError(f"{path}: expected columns {fields}, got {reader.fieldnames}")
         for row in reader:
-            events.append(UpdateEvent(row["pothole_id"], row["vehicle_id"],
-                                      int(row["timestamp_ms"])))
-    return events
+            try:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(fields)} fields")
+                out.append(parse(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    return out
+
+
+def _pothole_id(row: dict[str, str]) -> str:
+    value = row["pothole_id"]
+    if not re.fullmatch(r"0|[1-9][0-9]*", value):
+        raise ValueError(f"pothole_id must be a decimal integer, got {value!r}")
+    return value
+
+
+def _integer(row: dict[str, str], key: str) -> int:
+    value = row[key]
+    if not re.fullmatch(r"-?[0-9]+", value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(row: dict[str, str], key: str) -> float:
+    value = row[key]
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def read_events_csv(path: str | Path) -> list[UpdateEvent]:
+    return _read_rows(path, PotholeRegistry.EVENT_FIELDS, lambda row: UpdateEvent(
+        _pothole_id(row), row["vehicle_id"], _integer(row, "timestamp_ms")))

@@ -1,17 +1,16 @@
 """Minimum-damage routing over the weighted multigraph.
 
-`gda` is single-source Dijkstra generalized to multigraphs: instead of
-relaxing every parallel arc between an ordered node pair, it relaxes once
-per pair using the pair's least arc from `WeightedNetwork.min_weights`.
-That collapse is sound because any path through a non-minimal parallel arc
-is dominated by the same path through the minimal one (the all-arcs
-variant `dijkstra_all_arcs` exists so tests can prove the equivalence).
+`route` is the package's one shortest-path search: Dijkstra generalized to
+multigraphs.  Instead of relaxing every parallel arc between an ordered
+node pair, it relaxes once per pair using the pair's least arc from
+`WeightedNetwork.min_weights`.  That collapse is sound because any path
+through a non-minimal parallel arc is dominated by the same path through
+the minimal one.
 
-`route` reconstructs the source-to-destination path and pins down ties,
-which matter because clean arcs weigh exactly zero: among weight-equal
-paths it returns the one with minimum total physical length, and among
-those the lexicographically smallest arc-id sequence.  Its searches relax
-the same pair minima as `gda` and run on exact rational arithmetic, so tie
+`route` also pins down ties, which matter because clean arcs weigh
+exactly zero: among weight-equal paths it returns the one with minimum
+total physical length, and among those the lexicographically smallest
+arc-id sequence.  Its searches run on exact rational arithmetic, so tie
 detection never depends on float rounding; the reported totals are plain
 float sums over the chosen arcs.
 
@@ -40,79 +39,6 @@ class Route:
     arcs: tuple[str, ...]
     total_weight: float
     total_length_m: float
-
-
-@dataclass
-class ShortestPathTree:
-    """Per-node weight distance and predecessor (node, arc) from one source.
-
-    Unreachable nodes carry an infinite distance and no predecessor.
-    """
-
-    source: str
-    dist: dict[str, float]
-    predecessor: dict[str, tuple[str, str]]
-
-
-def _check_weights(wnet: WeightedNetwork) -> None:
-    for arc_id, w in wnet.arc_weights.items():
-        if w < 0:
-            raise ValueError(f"negative weight {w} on arc {arc_id!r}")
-
-
-def gda(wnet: WeightedNetwork, source: str) -> ShortestPathTree:
-    """Single-source shortest path tree, relaxing one arc per ordered pair.
-
-    For every node v, dist[v] is the minimum total weight over directed
-    paths from the source, where each (u, v) hop may use any parallel arc
-    and relaxation uses the pair minimum w_uv.  The predecessor records
-    the arc achieving that minimum.
-    """
-    net = wnet.base
-    net.node(source)
-    _check_weights(wnet)
-
-    dist = {n: math.inf for n in net.nodes}
-    dist[source] = 0.0
-    pred: dict[str, tuple[str, str]] = {}
-    settled: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled or d > dist[u]:
-            continue
-        settled.add(u)
-        for v in net.successors(u):
-            w, _, arc_id = wnet.min_weights[(u, v)]
-            cand = d + w
-            if cand < dist[v]:
-                dist[v] = cand
-                pred[v] = (u, arc_id)
-                heapq.heappush(heap, (cand, v))
-    return ShortestPathTree(source, dist, pred)
-
-
-def dijkstra_all_arcs(wnet: WeightedNetwork, source: str) -> dict[str, float]:
-    """Reference variant relaxing every parallel arc individually."""
-    net = wnet.base
-    net.node(source)
-    _check_weights(wnet)
-
-    dist = {n: math.inf for n in net.nodes}
-    dist[source] = 0.0
-    settled: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled or d > dist[u]:
-            continue
-        settled.add(u)
-        for arc in net.out_arcs(u):
-            cand = d + wnet.arc_weights[arc.id]
-            if cand < dist[arc.head]:
-                dist[arc.head] = cand
-                heapq.heappush(heap, (cand, arc.head))
-    return dist
 
 
 LexDist = tuple[Fraction, Fraction]  # (total weight, total length)
@@ -156,7 +82,9 @@ def route(wnet: WeightedNetwork, source: str, dest: str) -> Route:
     net = wnet.base
     net.node(source)
     net.node(dest)
-    _check_weights(wnet)
+    for arc_id, w in wnet.arc_weights.items():
+        if w < 0:
+            raise ValueError(f"negative weight {w} on arc {arc_id!r}")
     if source == dest:
         return Route(source, dest, (), 0.0, 0.0)
 
@@ -198,11 +126,6 @@ def route(wnet: WeightedNetwork, source: str, dest: str) -> Route:
     return Route(source, dest, tuple(arcs), total_w, total_l)
 
 
-def current_arc_weight(wnet: WeightedNetwork, arc_id: str) -> float:
-    """Damage-level display for the arc the vehicle currently occupies."""
-    return wnet.weight(arc_id)
-
-
 @dataclass
 class RoutingSession:
     """Event-driven per-vehicle routing state.
@@ -215,7 +138,6 @@ class RoutingSession:
     """
 
     wnet: WeightedNetwork
-    vehicle_id: str
     current_arc: str
     destination: str | None = None
     route: Route | None = None
@@ -238,7 +160,7 @@ class RoutingSession:
     def display(self) -> Route | float:
         if self.destination is not None and self.route is not None:
             return self.route
-        return current_arc_weight(self.wnet, self.current_arc)
+        return self.wnet.weight(self.current_arc)
 
 
 def modify_destination(session: RoutingSession, new_dest: str | None) -> Route | float:
@@ -253,7 +175,7 @@ def modify_destination(session: RoutingSession, new_dest: str | None) -> Route |
         return session.display()
     if new_dest is None:
         session.clear()
-        return current_arc_weight(session.wnet, session.current_arc)
+        return session.wnet.weight(session.current_arc)
     session.wnet.base.node(new_dest)
     fresh = route(session.wnet, session.next_node, new_dest)
     session.destination = new_dest

@@ -24,9 +24,10 @@ consecutive pair must be joined by at least one arc.  DEST_CHANGE with
 section present is a list of objects.  `duration_ms`, `seed` and `t_ms`
 are integers; offsets, speeds, pit numbers and access point coordinates and
 ranges are finite numbers (not strings or booleans); `half_length_m` is
->= 0; ids of arcs and nodes are strings that the network knows.  Every
-rejection raises ScenarioError naming the field, e.g. `pits[0].arc:
-unknown arc 'zz'`.
+>= 0; vehicle and access point ids and event vehicles are strings, ids of
+arcs and nodes are strings that the network knows, and `open` is a
+boolean.  Every rejection raises ScenarioError naming the field, e.g.
+`pits[0].arc: unknown arc 'zz'`.
 """
 
 from __future__ import annotations
@@ -124,11 +125,16 @@ def _integer(item, key: str | int, where: str) -> int:
     return value
 
 
-def _lookup(find, item, key: str | int, where: str, what: str):
-    """`find(item[key])` on the network, as an arc or node id."""
+def _string(item, key: str | int, where: str) -> str:
     value = item[key]
     if not isinstance(value, str):
         raise ScenarioError(f"{_name(where, key)} must be a string, got {value!r}")
+    return value
+
+
+def _lookup(find, item, key: str | int, where: str, what: str):
+    """`find(item[key])` on the network, as an arc or node id."""
+    value = _string(item, key, where)
     try:
         return find(value)
     except LookupError:
@@ -159,7 +165,7 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
         where = f"vehicles[{i}]"
         _keys(item, {"id", "start_arc", "start_offset_m", "speed_mps", "waypoints"},
               set(), where)
-        vid = item["id"]
+        vid = _string(item, "id", where)
         if vid in seen_vehicles:
             raise ScenarioError(f"duplicate vehicle id {vid!r}")
         seen_vehicles.add(vid)
@@ -209,14 +215,16 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
     for i, item in enumerate(_section(raw, "access_points")):
         where = f"access_points[{i}]"
         _keys(item, {"id", "x", "y", "range_m", "open"}, set(), where)
-        if item["id"] in seen_aps:
-            raise ScenarioError(f"duplicate access point id {item['id']!r}")
-        seen_aps.add(item["id"])
+        ap_id = _string(item, "id", where)
+        if ap_id in seen_aps:
+            raise ScenarioError(f"duplicate access point id {ap_id!r}")
+        seen_aps.add(ap_id)
         x, y, range_m = (_finite(item, key, where) for key in ("x", "y", "range_m"))
         if range_m <= 0:
-            raise ScenarioError(f"access point {item['id']!r} range must be > 0")
-        scenario.access_points.append(AccessPointSpec(
-            item["id"], x, y, range_m, bool(item["open"])))
+            raise ScenarioError(f"access point {ap_id!r} range must be > 0")
+        if not isinstance(item["open"], bool):
+            raise ScenarioError(f"{where}.open must be true or false, got {item['open']!r}")
+        scenario.access_points.append(AccessPointSpec(ap_id, x, y, range_m, item["open"]))
 
     for i, item in enumerate(_section(raw, "events")):
         where = f"events[{i}]"
@@ -224,8 +232,9 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
         t = _integer(item, "t_ms", where)
         if not (0 <= t < scenario.duration_ms):
             raise ScenarioError(f"events[{i}]: t_ms {t} outside [0, duration)")
-        if item["vehicle"] not in seen_vehicles:
-            raise ScenarioError(f"events[{i}]: unknown vehicle {item['vehicle']!r}")
+        vid = _string(item, "vehicle", where)
+        if vid not in seen_vehicles:
+            raise ScenarioError(f"events[{i}]: unknown vehicle {vid!r}")
         kind = item["kind"]
         dest = item.get("dest")
         if kind == "DETECT":
@@ -236,6 +245,6 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
                 _lookup(net.node, item, "dest", where, "node")
         else:
             raise ScenarioError(f"events[{i}]: unknown kind {kind!r}")
-        scenario.events.append(TimedEvent(t, kind, item["vehicle"], dest))
+        scenario.events.append(TimedEvent(t, kind, vid, dest))
 
     return scenario

@@ -96,6 +96,32 @@ def enumerate_min_weight(wnet: WeightedNetwork, source: str, dest: str) -> float
     return best
 
 
+def dijkstra_all_arcs(wnet: WeightedNetwork, source: str) -> dict[str, Fraction]:
+    """Exact least total weight from `source` to every node it reaches,
+    relaxing every parallel arc on its own: the reference for `route`'s
+    one relaxation per node pair.  Unreachable nodes are absent."""
+    net = wnet.base
+    dist = {source: Fraction(0)}
+    settled: set[str] = set()
+    heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        for arc in net.out_arcs(u):
+            cand = d + Fraction(wnet.arc_weights[arc.id])
+            if arc.head not in dist or cand < dist[arc.head]:
+                dist[arc.head] = cand
+                heapq.heappush(heap, (cand, arc.head))
+    return dist
+
+
+def exact_weight(wnet: WeightedNetwork, arcs) -> Fraction:
+    """Exact total weight of a sequence of arc ids."""
+    return sum((Fraction(wnet.arc_weights[a]) for a in arcs), Fraction(0))
+
+
 def enumerate_best_route(wnet: WeightedNetwork, source: str, dest: str):
     """Exhaustive minimum over arc-level simple paths under the full
     tie-break hierarchy (weight, length, lexicographic arc-id sequence).
@@ -541,8 +567,8 @@ class SingleHeapSimulation:
         visible = self.world.visible_ap(vehicle, now_ms)
         v.conn = step_connection(v.conn, visible, now_ms, self.config.loss_timeout_ms)
         self._emit(now_ms, "PHASE_TIMEOUT",
-                   f"vehicle={vehicle} phase={v.conn.phase.value} ap={v.conn.peer or '-'}")
-        if v.conn.phase is Phase.CONNECTED and visible == v.conn.peer and v.queue:
+                   f"vehicle={vehicle} phase={v.conn.phase} ap={v.conn.peer or '-'}")
+        if v.conn.phase == Phase.CONNECTED and visible == v.conn.peer and v.queue:
             self._schedule(now_ms, "UPLINK", vehicle)
         self._schedule(now_ms + self.config.phase_latency_ms, "PHASE_TIMEOUT", vehicle)
 

@@ -13,8 +13,9 @@ import time
 
 import pytest
 
-from helpers import (build_net, close, enumerate_min_weight, ingest,
-                     random_network, random_registry, write_end_to_end)
+from helpers import (build_net, close, dijkstra_all_arcs, enumerate_min_weight,
+                     exact_weight, ingest, random_network, random_registry,
+                     write_end_to_end)
 from potholesim.cli import main
 from potholesim.comms import ConnectionState, Phase, World, p2p_broadcast, step_connection
 from potholesim.config import SimConfig
@@ -22,7 +23,7 @@ from potholesim.detection import DepthMap, IntensityImage
 from potholesim.geocrypto import (GeocryptoError, PlainReport, ReportEnvelope,
                                   decrypt, encrypt)
 from potholesim.registry import PotholeRegistry
-from potholesim.routing import UnreachableError, dijkstra_all_arcs, gda, route
+from potholesim.routing import UnreachableError, route
 from potholesim.scenario import scenario_from_dict
 from potholesim.weighting import apply_update, preprocess
 
@@ -62,13 +63,11 @@ def test_criterion_1_optimal_routing(corpus):
         for net, _, wnet in corpus:
             nodes = sorted(net.nodes)
             for source in nodes:
-                tree = gda(wnet, source)
                 for dest in nodes:
                     if dest == source:
                         continue
                     expected = enumerate_min_weight(wnet, source, dest)
                     if math.isinf(expected):
-                        assert math.isinf(tree.dist[dest])
                         with pytest.raises(UnreachableError):
                             route(wnet, source, dest)
                         continue
@@ -120,10 +119,17 @@ def test_criterion_3_incremental_equals_full():
 
 
 def test_criterion_4_pair_collapse_soundness(corpus):
-    with criterion(4, "min-weight-multiset relaxation equals all-arc relaxation"):
+    with criterion(4, "pair-minimum relaxation equals all-arc relaxation"):
         for net, _, wnet in corpus:
             for source in sorted(net.nodes):
-                assert gda(wnet, source).dist == dijkstra_all_arcs(wnet, source)
+                exact = dijkstra_all_arcs(wnet, source)
+                for dest in sorted(net.nodes):
+                    if dest not in exact:
+                        with pytest.raises(UnreachableError):
+                            route(wnet, source, dest)
+                        continue
+                    rt = route(wnet, source, dest)
+                    assert exact_weight(wnet, rt.arcs) == exact[dest], f"{source}->{dest}"
 
 
 def _range_world(offsets):
@@ -143,13 +149,15 @@ def test_criterion_5_comms_constants():
         got = p2p_broadcast(world, "vs", "h1:99", 0)
         assert got == ["v15", "v20"]  # <= 20 m delivered, > 20 m not
 
+        timeout = SimConfig().loss_timeout_ms  # what the simulation passes
+        assert timeout == 500
         conn = ConnectionState(Phase.CONNECTED, last_activity_ms=1000, peer="ap1")
-        assert step_connection(conn, None, 1400).phase is Phase.CONNECTED
-        assert step_connection(conn, None, 1500).phase is Phase.CONNECTED
-        assert step_connection(conn, None, 1501).phase is Phase.LOST
-        assert step_connection(conn, None, 1600).phase is Phase.LOST
-        lost = step_connection(conn, None, 1600)
-        assert step_connection(lost, None, 1700).phase is Phase.SCANNING
+        assert step_connection(conn, None, 1400, timeout).phase == Phase.CONNECTED
+        assert step_connection(conn, None, 1500, timeout).phase == Phase.CONNECTED
+        assert step_connection(conn, None, 1501, timeout).phase == Phase.LOST
+        assert step_connection(conn, None, 1600, timeout).phase == Phase.LOST
+        lost = step_connection(conn, None, 1600, timeout)
+        assert step_connection(lost, None, 1700, timeout).phase == Phase.SCANNING
 
 
 def test_criterion_6_geocrypto_envelope():

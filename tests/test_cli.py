@@ -121,10 +121,18 @@ class TestSimulate:
          "vehicles[0].waypoints[1]: unknown node 'zz'"),
         ("events", [{"t_ms": 1000, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": "zz"}],
          "events[0].dest: unknown node 'zz'"),
+        ("vehicles", [dict(SCENARIO["vehicles"][0], id=[1])], "vehicles[0].id must be a string"),
+        ("access_points", [dict(SCENARIO["access_points"][0], id=[1])],
+         "access_points[0].id must be a string"),
+        ("events", [dict(SCENARIO["events"][0], vehicle=[1])],
+         "events[0].vehicle must be a string"),
+        ("access_points", [dict(SCENARIO["access_points"][0], open="no")],
+         "access_points[0].open must be true or false, got 'no'"),
     ], ids=["nan-ap-range", "inf-ap-x", "nan-speed", "non-object-vehicle", "null-events",
             "string-duration", "bool-seed", "null-t-ms", "null-start-offset", "number-waypoints",
             "nan-depth", "negative-half-length", "unknown-pit-arc", "unknown-start-arc",
-            "unknown-waypoint", "unknown-dest"])
+            "unknown-waypoint", "unknown-dest", "list-vehicle-id", "list-ap-id",
+            "list-event-vehicle", "string-open"])
     def test_malformed_scenario_exits_one_naming_the_field(self, files, capsys,
                                                             section, value, named):
         net, _, tmp = files
@@ -261,3 +269,56 @@ class TestPreprocess:
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert {r["arc_id"] for r in rows} == {"ab", "bd", "ac", "cd"}
         assert all(float(r["weight"]) == 0.0 for r in rows)
+
+
+class TestCsvInputs:
+    ROW = {"pothole_id": "1", "arc_id": "ab", "offset_m": "50.0", "depth_mm": "40.0",
+           "intensity": "0.5", "first_seen_ms": "1000", "last_seen_ms": "1000"}
+
+    def run(self, files, command, registry_row, event_row="1,v1,1000"):
+        net, _, tmp = files
+        registry = tmp / "registry.csv"
+        registry.write_text(",".join(self.ROW) + "\n" + ",".join(registry_row.values()) + "\n")
+        events = tmp / "events.csv"
+        events.write_text("pothole_id,vehicle_id,timestamp_ms\n" + event_row + "\n")
+        args = {"route": ["--network", str(net), "--registry", str(registry),
+                          "--source", "A", "--dest", "D"],
+                "preprocess": ["--network", str(net), "--registry", str(registry)],
+                "report": ["--registry", str(registry), "--events", str(events),
+                           "--at", "2000"]}[command]
+        return main([command, *args]), registry, events
+
+    @pytest.mark.parametrize("command", ["route", "preprocess", "report"])
+    def test_valid_row_accepted(self, files, capsys, command):
+        rc, _, _ = self.run(files, command, self.ROW)
+        assert rc == 0 and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command, field, value, named", [
+        ("route", "depth_mm", "inf", "depth_mm must be a finite number, got 'inf'"),
+        ("report", "pothole_id", "p1", "pothole_id must be a decimal integer, got 'p1'"),
+        ("preprocess", "offset_m", "nan", "offset_m must be a finite number, got 'nan'"),
+        ("preprocess", "depth_mm", "nan", "depth_mm must be a finite number, got 'nan'"),
+        ("report", "offset_m", "nan", "offset_m must be a finite number, got 'nan'"),
+        ("report", "depth_mm", "nan", "depth_mm must be a finite number, got 'nan'"),
+        ("route", "offset_m", "120", "offset_m must be a finite number in [0, 100.0] "
+                                     "on arc 'ab', got 120.0"),
+        ("route", "arc_id", "zz", "arc_id: unknown arc 'zz'"),
+        ("report", "last_seen_ms", "1.5", "last_seen_ms must be an integer, got '1.5'"),
+    ], ids=["route-inf-depth", "report-id", "preprocess-nan-offset", "preprocess-nan-depth",
+            "report-nan-offset", "report-nan-depth", "route-offset-past-arc",
+            "route-unknown-arc", "report-float-ms"])
+    def test_bad_registry_row_exits_one_naming_the_field(self, files, capsys,
+                                                          command, field, value, named):
+        rc, registry, _ = self.run(files, command, dict(self.ROW, **{field: value}))
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert err == f"error: {registry}, line 2: {named}\n"
+
+    @pytest.mark.parametrize("row, named", [
+        ("p1,v1,1000", "pothole_id must be a decimal integer, got 'p1'"),
+        ("1,v1,soon", "timestamp_ms must be an integer, got 'soon'"),
+    ], ids=["id", "time"])
+    def test_bad_events_row_exits_one_naming_the_field(self, files, capsys, row, named):
+        rc, _, events = self.run(files, "report", self.ROW, row)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {events}, line 2: {named}\n"

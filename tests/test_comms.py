@@ -36,46 +36,51 @@ def make_world(vehicles, aps=(), duration=1000, seed=7, pits=(), events=()):
     return World(net, scenario, SimConfig())
 
 
+def step(conn, visible_ap, now_ms):
+    """`step_connection` with the loss timeout that the simulation passes."""
+    return step_connection(conn, visible_ap, now_ms, SimConfig().loss_timeout_ms)
+
+
 class TestStepConnection:
     def test_loss_after_600ms_silence(self):
         conn = ConnectionState(Phase.CONNECTED, last_activity_ms=0, peer="ap1")
-        assert step_connection(conn, "ap1", 600).phase is Phase.LOST
+        assert step(conn, "ap1", 600).phase == Phase.LOST
 
     def test_still_connected_at_400ms(self):
         conn = ConnectionState(Phase.CONNECTED, last_activity_ms=0, peer="ap1")
-        assert step_connection(conn, None, 400).phase is Phase.CONNECTED
+        assert step(conn, None, 400).phase == Phase.CONNECTED
 
     def test_boundary_exactly_500ms_not_lost(self):
         conn = ConnectionState(Phase.CONNECTED, last_activity_ms=0, peer="ap1")
-        assert step_connection(conn, None, 500).phase is Phase.CONNECTED
-        assert step_connection(conn, None, 501).phase is Phase.LOST
+        assert step(conn, None, 500).phase == Phase.CONNECTED
+        assert step(conn, None, 501).phase == Phase.LOST
 
     def test_authenticating_advances_to_connected(self):
         conn = ConnectionState(Phase.AUTHENTICATING, last_activity_ms=100, peer="ap1")
-        out = step_connection(conn, "ap1", 200)
-        assert out.phase is Phase.CONNECTED and out.peer == "ap1"
+        out = step(conn, "ap1", 200)
+        assert out.phase == Phase.CONNECTED and out.peer == "ap1"
 
     def test_full_lifecycle_order(self):
         conn = ConnectionState()
         seen = [conn.phase]
         for t in (100, 200, 300, 400):
-            conn = step_connection(conn, "ap1", t)
+            conn = step(conn, "ap1", t)
             seen.append(conn.phase)
         assert seen == [Phase.SCANNING, Phase.ASSOCIATING, Phase.AUTHENTICATING,
                         Phase.CONNECTED, Phase.CONNECTED]
 
     def test_lost_reenters_scanning(self):
         conn = ConnectionState(Phase.LOST, last_activity_ms=0, peer="ap1")
-        out = step_connection(conn, None, 1000)
-        assert out.phase is Phase.SCANNING and out.peer is None
+        out = step(conn, None, 1000)
+        assert out.phase == Phase.SCANNING and out.peer is None
 
     def test_different_ap_does_not_advance_handshake(self):
         conn = ConnectionState(Phase.ASSOCIATING, last_activity_ms=0, peer="ap1")
-        assert step_connection(conn, "ap2", 100) == conn
+        assert step(conn, "ap2", 100) == conn
 
     def test_scanning_waits_without_ap(self):
         conn = ConnectionState(Phase.SCANNING, last_activity_ms=0)
-        assert step_connection(conn, None, 10_000).phase is Phase.SCANNING
+        assert step(conn, None, 10_000).phase == Phase.SCANNING
 
 
 class TestBroadcast:

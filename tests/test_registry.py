@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from helpers import build_net, ingest
 from potholesim.network import UnknownArcError
-from potholesim.registry import PotholeRegistry, UnknownPotholeError
+from potholesim.registry import PotholeRegistry, UnknownPotholeError, read_events_csv
 
 
 @pytest.fixture
@@ -154,3 +154,105 @@ def test_csv_round_trip(tmp_path, line_net):
     assert len(detached) == 2
     with pytest.raises(ValueError):
         ingest(detached, "a1", 1.0, 1.0)
+
+
+GOOD_ROW = {"pothole_id": "1", "arc_id": "a1", "offset_m": "2.5", "depth_mm": "20.0",
+            "intensity": "0.5", "first_seen_ms": "100", "last_seen_ms": "200"}
+
+
+def write_rows(path, rows, fields=PotholeRegistry.RECORD_FIELDS):
+    """A CSV file: the header, then one line per row (a dict or a raw line)."""
+    lines = [",".join(fields)]
+    lines += [row if isinstance(row, str) else ",".join(row[f] for f in fields)
+              for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+BAD_FIELDS = [
+    ("depth_mm", "inf", "depth_mm must be a finite number, got 'inf'"),
+    ("depth_mm", "nan", "depth_mm must be a finite number, got 'nan'"),
+    ("depth_mm", "-1", "depth_mm must be a finite number >= 0, got -1.0"),
+    ("depth_mm", "", "depth_mm must be a finite number, got ''"),
+    ("offset_m", "nan", "offset_m must be a finite number, got 'nan'"),
+    ("offset_m", "10.5", "offset_m must be a finite number in [0, 10.0] on arc 'a1', got 10.5"),
+    ("offset_m", "-0.5", "offset_m must be a finite number in [0, 10.0] on arc 'a1', got -0.5"),
+    ("intensity", "ab", "intensity must be a finite number, got 'ab'"),
+    ("pothole_id", "p1", "pothole_id must be a decimal integer, got 'p1'"),
+    ("pothole_id", "-1", "pothole_id must be a decimal integer, got '-1'"),
+    ("pothole_id", "01", "pothole_id must be a decimal integer, got '01'"),
+    ("pothole_id", "1.0", "pothole_id must be a decimal integer, got '1.0'"),
+    ("first_seen_ms", "1.5", "first_seen_ms must be an integer, got '1.5'"),
+    ("last_seen_ms", "1e3", "last_seen_ms must be an integer, got '1e3'"),
+    ("arc_id", "zz", "arc_id: unknown arc 'zz'"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_FIELDS,
+                         ids=[f"{field}={value}" for field, value, _ in BAD_FIELDS])
+def test_read_csv_names_file_line_and_field(tmp_path, line_net, field, value, message):
+    path = write_rows(tmp_path / "registry.csv",
+                      [dict(GOOD_ROW, pothole_id="2", offset_m="7.0"),
+                       dict(GOOD_ROW, **{field: value})])
+    with pytest.raises(ValueError) as err:
+        PotholeRegistry.read_csv(path, line_net)
+    assert str(err.value) == f"{path}, line 3: {message}"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,a1,2.5,20.0,0.5,100", "expected 7 fields"),
+    ("1,a1,2.5,20.0,0.5,100,200,9", "expected 7 fields"),
+    ("2,a1,7.0,20.0,0.5,100,200", "duplicate pothole id '2'"),
+], ids=["short", "long", "duplicate"])
+def test_read_csv_refuses_ragged_and_duplicate_rows(tmp_path, line_net, row, message):
+    path = write_rows(tmp_path / "registry.csv", [dict(GOOD_ROW, pothole_id="2"), row])
+    with pytest.raises(ValueError) as err:
+        PotholeRegistry.read_csv(path, line_net)
+    assert str(err.value) == f"{path}, line 3: {message}"
+
+
+def test_read_csv_without_network_checks_offsets_and_depths(tmp_path):
+    # no arc length to check against: any finite offset >= 0 is on the arc
+    path = write_rows(tmp_path / "registry.csv", [dict(GOOD_ROW, offset_m="1e6")])
+    assert PotholeRegistry.read_csv(path).lookup("1").offset_m == 1e6
+    for field, value, message in [
+            ("offset_m", "-1", "offset_m must be a finite number >= 0, got -1.0"),
+            ("offset_m", "nan", "offset_m must be a finite number, got 'nan'"),
+            ("depth_mm", "-inf", "depth_mm must be a finite number, got '-inf'")]:
+        write_rows(path, [dict(GOOD_ROW, **{field: value})])
+        with pytest.raises(ValueError) as err:
+            PotholeRegistry.read_csv(path)
+        assert str(err.value) == f"{path}, line 2: {message}"
+
+
+def test_ingest_and_read_csv_share_the_record_rules(tmp_path, line_net):
+    # an offset at the arc's end and a zero depth are accepted by both
+    reg = PotholeRegistry(line_net)
+    ingest(reg, "a1", 10.0, 0.0)
+    path = tmp_path / "registry.csv"
+    reg.write_csv(path)
+    assert PotholeRegistry.read_csv(path, line_net).lookup("1").offset_m == 10.0
+    with pytest.raises(ValueError, match=r"^depth_mm must be a finite number >= 0, got nan$"):
+        ingest(reg, "a1", 1.0, float("nan"))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("p1,v1,100", "pothole_id must be a decimal integer, got 'p1'"),
+    ("1,v1,1e3", "timestamp_ms must be an integer, got '1e3'"),
+    ("1,v1,", "timestamp_ms must be an integer, got ''"),
+    ("1,v1", "expected 3 fields"),
+], ids=["id", "float-time", "empty-time", "short"])
+def test_read_events_csv_names_file_line_and_field(tmp_path, row, message):
+    path = write_rows(tmp_path / "events.csv", ["1,v1,50", row], PotholeRegistry.EVENT_FIELDS)
+    with pytest.raises(ValueError) as err:
+        read_events_csv(path)
+    assert str(err.value) == f"{path}, line 3: {message}"
+
+
+def test_read_events_csv_round_trip(tmp_path, line_net):
+    reg = PotholeRegistry(line_net)
+    ingest(reg, "a1", 2.0, 20.0, vid="x", now=1)
+    ingest(reg, "a1", 2.1, 25.0, vid="y", now=2)
+    path = tmp_path / "events.csv"
+    reg.write_events_csv(path)
+    assert read_events_csv(path) == reg.events

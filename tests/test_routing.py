@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (build_net, close, enumerate_best_route, enumerate_min_weight,
-                     ingest, random_network, random_registry)
+from helpers import (build_net, close, dijkstra_all_arcs, enumerate_best_route,
+                     enumerate_min_weight, exact_weight, ingest, random_network,
+                     random_registry)
 from potholesim.network import UnknownNodeError
 from potholesim.registry import PotholeRegistry
-from potholesim.routing import (RoutingSession, UnreachableError,
-                                current_arc_weight, dijkstra_all_arcs,
-                                fmt_num, format_route_trace, gda,
-                                modify_destination, route)
+from potholesim.routing import (RoutingSession, UnreachableError, fmt_num,
+                                format_route_trace, modify_destination, route)
 from potholesim.weighting import apply_update, preprocess
 
 
@@ -23,33 +22,24 @@ def weighted(net, reports=()):
 
 
 class TestGda:
+    """The generalized Dijkstra algorithm (GDA) that `route` runs: one
+    relaxation per ordered node pair, over the pair's least arc."""
+
     def test_isolated_source(self):
         net = build_net([("a", 0, 0), ("b", 1, 0), ("c", 2, 0)],
                         [("x", "b", "c", 5.0)])
         wnet, _ = weighted(net)
-        tree = gda(wnet, "a")
-        assert tree.dist["a"] == 0.0
-        assert tree.dist["b"] == math.inf
-        assert tree.dist["c"] == math.inf
-        assert tree.predecessor == {}
+        assert route(wnet, "a", "a").arcs == ()
+        for dest in ("b", "c"):
+            with pytest.raises(UnreachableError):
+                route(wnet, "a", dest)
 
     def test_parallel_arcs_use_pair_minimum(self, parallel_net):
         wnet, _ = weighted(parallel_net, [("a1", 1.0, 0.6), ("a2", 1.0, 1.0)])
         # weights: a1 = 0.6*5 = 3, a2 = 1.0*7 = 7
         assert wnet.weight("a1") == 3.0
-        tree = gda(wnet, "u")
-        assert tree.dist["v"] == 3.0
-        assert tree.predecessor["v"] == ("u", "a1")
-
-    def test_weight_tied_parallel_arcs_predecessor_is_shorter(self):
-        # clean a1 (10 m) and a2 (4 m) tie on weight 0; the pair minimum, and
-        # so the predecessor, breaks the tie on length before arc id
-        net = build_net([("u", 0, 0), ("v", 10, 0)],
-                        [("a1", "u", "v", 10.0), ("a2", "u", "v", 4.0)])
-        wnet, _ = weighted(net)
-        tree = gda(wnet, "u")
-        assert tree.dist["v"] == 0.0
-        assert tree.predecessor["v"] == ("u", "a2")
+        rt = route(wnet, "u", "v")
+        assert rt.arcs == ("a1",) and rt.total_weight == 3.0
 
     def test_random_graphs_match_enumeration(self):
         rng = random.Random(11)
@@ -57,43 +47,26 @@ class TestGda:
             net = random_network(rng, max_nodes=6)
             wnet = preprocess(net, random_registry(rng, net))
             for source in sorted(net.nodes):
-                tree = gda(wnet, source)
                 for dest in sorted(net.nodes):
                     if dest == source:
                         continue
                     expected = enumerate_min_weight(wnet, source, dest)
-                    assert close(tree.dist[dest], expected) or \
-                        (math.isinf(tree.dist[dest]) and math.isinf(expected))
+                    if math.isinf(expected):
+                        with pytest.raises(UnreachableError):
+                            route(wnet, source, dest)
+                        continue
+                    assert close(route(wnet, source, dest).total_weight, expected)
 
     def test_unknown_source(self, line_net):
         wnet, _ = weighted(line_net)
         with pytest.raises(UnknownNodeError):
-            gda(wnet, "ghost")
+            route(wnet, "ghost", "v")
 
     def test_negative_weight_detected(self, line_net):
         wnet, _ = weighted(line_net)
         wnet.arc_weights["a1"] = -1.0
         with pytest.raises(ValueError):
-            gda(wnet, "u")
-
-    def test_distances_non_decreasing_along_predecessors(self):
-        rng = random.Random(13)
-        for _ in range(20):
-            net = random_network(rng, max_nodes=6)
-            wnet = preprocess(net, random_registry(rng, net))
-            source = sorted(net.nodes)[0]
-            tree = gda(wnet, source)
-            for v, (u, _) in tree.predecessor.items():
-                assert tree.dist[v] >= tree.dist[u]
-            # every reachable node's predecessor chain terminates at source
-            for v in net.nodes:
-                if v == source or math.isinf(tree.dist[v]):
-                    continue
-                hops = 0
-                while v != source:
-                    v, _ = tree.predecessor[v]
-                    hops += 1
-                    assert hops <= len(net.nodes)
+            route(wnet, "u", "v")
 
 
 def test_pair_collapse_equals_all_arc_relaxation():
@@ -102,7 +75,13 @@ def test_pair_collapse_equals_all_arc_relaxation():
         net = random_network(rng, max_nodes=6)
         wnet = preprocess(net, random_registry(rng, net))
         for source in sorted(net.nodes):
-            assert gda(wnet, source).dist == dijkstra_all_arcs(wnet, source)
+            exact = dijkstra_all_arcs(wnet, source)
+            for dest in sorted(net.nodes):
+                if dest not in exact:
+                    with pytest.raises(UnreachableError):
+                        route(wnet, source, dest)
+                    continue
+                assert exact_weight(wnet, route(wnet, source, dest).arcs) == exact[dest]
 
 
 class TestRoute:
@@ -220,26 +199,29 @@ class TestRoute:
 
 
 class TestCurrentArcWeight:
+    """With no destination the session displays its current arc's weight."""
+
     def test_clean_arc(self, line_net):
         wnet, _ = weighted(line_net)
-        assert current_arc_weight(wnet, "a1") == 0.0
+        assert RoutingSession(wnet, "a1").display() == 0.0
 
     def test_matches_weighting(self, line_net):
         wnet, _ = weighted(line_net, [("a1", 2.0, 3.0)])
-        assert current_arc_weight(wnet, "a1") == 30.0
+        assert RoutingSession(wnet, "a1").display() == 30.0
 
     def test_reflects_mid_drive_ingest(self, line_net):
         wnet, reg = weighted(line_net)
-        assert current_arc_weight(wnet, "a1") == 0.0
+        session = RoutingSession(wnet, "a1")
+        assert session.display() == 0.0
         ingest(reg, "a1", 2.0, 3.0)
         apply_update(wnet, "a1", reg)
-        assert current_arc_weight(wnet, "a1") == 30.0
+        assert session.display() == 30.0
 
 
 class TestModifyDestination:
     def test_clearing_reverts_to_weight_display(self, triangle_net):
         wnet, _ = weighted(triangle_net, [("sd", 5.0, 1.0)])
-        session = RoutingSession(wnet, "v1", "sd")
+        session = RoutingSession(wnet, "sd")
         modify_destination(session, "d")
         out = modify_destination(session, None)
         assert out == wnet.weight("sd")
@@ -248,26 +230,26 @@ class TestModifyDestination:
     def test_change_at_node_equals_fresh_query(self, triangle_net):
         wnet, _ = weighted(triangle_net, [("sd", 5.0, 1.0)])
         # vehicle on sm, so its next upcoming node (the anchor) is m
-        session = RoutingSession(wnet, "v1", "sm")
+        session = RoutingSession(wnet, "sm")
         out = modify_destination(session, "d")
         assert out == route(wnet, "m", "d")
 
     def test_dest_equal_to_anchor_gives_empty_route(self, triangle_net):
         wnet, _ = weighted(triangle_net)
-        session = RoutingSession(wnet, "v1", "sm")
+        session = RoutingSession(wnet, "sm")
         out = modify_destination(session, "m")
         assert out.arcs == () and out.total_weight == 0.0
 
     def test_unchanged_destination_is_noop(self, triangle_net):
         wnet, _ = weighted(triangle_net)
-        session = RoutingSession(wnet, "v1", "sm")
+        session = RoutingSession(wnet, "sm")
         first = modify_destination(session, "d")
         again = modify_destination(session, "d")
         assert again == first
 
     def test_unknown_destination(self, triangle_net):
         wnet, _ = weighted(triangle_net)
-        session = RoutingSession(wnet, "v1", "sm")
+        session = RoutingSession(wnet, "sm")
         with pytest.raises(UnknownNodeError):
             modify_destination(session, "ghost")
 

@@ -183,3 +183,29 @@ def test_non_object_vehicle_rejected(net):
 def test_null_section_rejected(net, section):
     with pytest.raises(ScenarioError, match=f"'{section}' must be a list"):
         scenario_from_dict(variant(**{section: None}), net)
+
+
+@pytest.mark.parametrize("section, item, message", [
+    ("vehicles", dict(BASE["vehicles"][0], id=[1]), "vehicles[0].id must be a string, got [1]"),
+    ("vehicles", dict(BASE["vehicles"][0], id=7), "vehicles[0].id must be a string, got 7"),
+    ("access_points", dict(BASE["access_points"][0], id=[1]),
+     "access_points[0].id must be a string, got [1]"),
+    ("access_points", dict(BASE["access_points"][0], id=None),
+     "access_points[0].id must be a string, got None"),
+    ("events", dict(BASE["events"][0], vehicle=[1]),
+     "events[0].vehicle must be a string, got [1]"),
+    ("events", dict(BASE["events"][0], vehicle={"v": 1}),
+     "events[0].vehicle must be a string, got {'v': 1}"),
+], ids=["vehicle-list", "vehicle-number", "ap-list", "ap-null", "event-list", "event-object"])
+def test_ids_must_be_strings(net, section, item, message):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(variant(**{section: [item]}), net)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", ["no", "yes", 0, 1, None, [True]])
+def test_access_point_open_must_be_a_boolean(net, value):
+    bad = variant(access_points=[dict(BASE["access_points"][0], open=value)])
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(bad, net)
+    assert str(err.value) == f"access_points[0].open must be true or false, got {value!r}"
