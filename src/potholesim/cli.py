@@ -21,10 +21,10 @@ from pathlib import Path
 from . import maintenance, weighting
 from .comms import Simulation
 from .config import SimConfig
-from .network import NetworkError, UnknownArcError, UnknownNodeError, load_network
+from .network import load_network
 from .registry import PotholeRegistry, read_events_csv
 from .routing import UnreachableError, fmt_num, format_route_trace, route
-from .scenario import ScenarioError, load_scenario
+from .scenario import load_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,7 +110,7 @@ def cmd_route(args) -> int:
 
 def cmd_report(args) -> int:
     registry = PotholeRegistry.read_csv(args.registry)
-    events = read_events_csv(args.events)
+    events = read_events_csv(args.events, registry)
     entries = maintenance.priority_report(registry, events, args.at)
     csv.writer(sys.stdout, lineterminator="\n").writerows(
         maintenance.report_rows(entries))
@@ -133,8 +133,7 @@ def main(argv=None) -> int:
     except UnreachableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NetworkError, ScenarioError, UnknownNodeError, UnknownArcError,
-            OSError, ValueError, LookupError) as exc:
+    except (OSError, ValueError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

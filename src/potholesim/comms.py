@@ -378,9 +378,9 @@ class Simulation:
     def _schedule_arrival(self, vid: str, now_ms: int) -> None:
         v = self.world.vehicle(vid)
         arc = self.world.net.arcs[v.arc]
-        remaining = arc.length_m - v.offset_m
-        self._schedule(now_ms + int(round(remaining / v.speed_mps * 1000.0)),
-                       EventKind.MOVE, vid)
+        ms = (arc.length_m - v.offset_m) / v.speed_mps * 1000.0
+        if ms < self.duration_ms:  # a later arrival, inf included, never runs
+            self._schedule(now_ms + int(round(ms)), EventKind.MOVE, vid)
 
     def _emit(self, t_ms: int, kind: str, details: str) -> None:
         self.trace.append(f"t={t_ms} {kind} {details}")

@@ -1,0 +1,121 @@
+"""Field rules shared by the network, scenario and CSV readers.
+
+Every rule raises InputError, which the command line reports as exit 1
+with one `error: ...` line.  A field is named like `pits[0].arc`,
+`vehicles[0].waypoints[1]` or, at the top level, `seed`: each check reads
+`item[key]` and builds that name only when it fails.  JSON values and CSV
+text share each rule and differ only in the parse step: a JSON number is an
+int or float (never a bool or a string), while CSV text is read by
+`float()` or matched as a decimal integer.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import re
+from pathlib import Path
+from typing import NoReturn
+
+
+class InputError(ValueError):
+    """An input file, or one of its fields, breaks the rules."""
+
+
+def read_json(path: str | Path):
+    """The JSON document in the UTF-8 file at `path`."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an int
+        # literal past Python's digit limit; RecursionError, deep nesting
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
+
+
+def keys(obj, required: set[str], optional: set[str], where: str) -> None:
+    """Refuse `obj` unless it is an object with every required key and no
+    key outside `required | optional`."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{where} must be an object, got {obj!r}")
+    unknown = obj.keys() - required - optional
+    if unknown:
+        raise InputError(f"unknown keys {sorted(unknown)} in {where}")
+    missing = required - obj.keys()
+    if missing:
+        raise InputError(f"missing keys {sorted(missing)} in {where}")
+
+
+def section(raw: dict, name: str) -> list:
+    """The list `raw[name]`, empty when absent; each item then goes through
+    `keys`, which refuses one that is not an object."""
+    items = raw.get(name, [])
+    if not isinstance(items, list):
+        raise InputError(f"{name!r} must be a list, got {items!r}")
+    return items
+
+
+def _name(where: str, key: str | int) -> str:
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else key
+
+
+def fail(item, key: str | int, where: str, rule: str) -> NoReturn:
+    """Raise InputError: the field `item[key]` of `where` must be `rule`."""
+    raise InputError(f"{_name(where, key)} must be {rule}, got {item[key]!r}")
+
+
+def finite(item, key: str | int, where: str) -> float:
+    """`item[key]`, a JSON number, as a finite float."""
+    value = item[key]
+    return _finite(value if type(value) in (int, float) else None, item, key, where)
+
+
+def finite_text(row: dict[str, str], key: str) -> float:
+    """`row[key]`, CSV text that `float()` reads, as a finite float."""
+    try:
+        number = float(row[key])
+    except ValueError:
+        number = None
+    return _finite(number, row, key, "")
+
+
+def _finite(number: float | int | None, item, key: str | int, where: str) -> float:
+    try:
+        if number is not None and math.isfinite(number):
+            return float(number)
+    except OverflowError:  # an int too large for a float
+        pass
+    fail(item, key, where, "a finite number")
+
+
+def integer(item, key: str | int, where: str) -> int:
+    """`item[key]`, a JSON integer."""
+    if type(item[key]) is not int:
+        fail(item, key, where, "an integer")
+    return item[key]
+
+
+def integer_text(row: dict[str, str], key: str) -> int:
+    """`row[key]`, CSV text of a decimal integer."""
+    if not re.fullmatch(r"-?[0-9]+", row[key]):
+        fail(row, key, "", "an integer")
+    return int(row[key])
+
+
+def string(item, key: str | int, where: str) -> str:
+    """`item[key]`, a non-empty string."""
+    value = item[key]
+    if not isinstance(value, str) or not value:
+        fail(item, key, where, "a non-empty string")
+    return value
+
+
+def lookup(find, item, key: str | int, where: str, what: str):
+    """`find(item[key])`, where `item[key]` is the id of a `what` (an arc,
+    a node ...) and `find` raises LookupError for an unknown id."""
+    value = string(item, key, where)
+    try:
+        return find(value)
+    except LookupError:
+        raise InputError(f"{_name(where, key)}: unknown {what} {value!r}") from None

@@ -11,7 +11,9 @@ Networks are immutable after load.  Anything that changes arc weights lives
 in the weighting module; this module only knows topology and lengths.
 
 File format (JSON, strict -- unknown keys are rejected), read by
-`load_network`; the package never writes one:
+`load_network`; the package never writes one.  Ids are non-empty strings and
+coordinates and lengths finite numbers; every rejection raises InputError
+naming the field, e.g. `nodes[1].x must be a finite number, got nan`.
 
     {
       "nodes": [{"id": "A", "x": 0.0, "y": 0.0}, ...],
@@ -21,22 +23,11 @@ File format (JSON, strict -- unknown keys are rejected), read by
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-
-class NetworkError(ValueError):
-    """Base class for network file problems."""
-
-
-class NetworkFormatError(NetworkError):
-    """The file is not structurally valid (bad JSON, wrong shape, unknown keys)."""
-
-
-class NetworkValidationError(NetworkError):
-    """The file parsed but violates a semantic rule (dangling ref, bad length...)."""
+from .inputs import InputError, finite, keys, read_json, section, string
 
 
 class UnknownNodeError(LookupError):
@@ -75,24 +66,24 @@ class StreetNetwork:
         self.nodes: dict[str, Node] = {}
         for n in nodes:
             if n.id in self.nodes:
-                raise NetworkValidationError(f"duplicate node id {n.id!r}")
+                raise InputError(f"duplicate node id {n.id!r}")
             if not (math.isfinite(n.x) and math.isfinite(n.y)):
-                raise NetworkValidationError(f"node {n.id!r} has non-finite coordinates")
+                raise InputError(f"node {n.id!r} has non-finite coordinates")
             self.nodes[n.id] = n
 
         self.arcs: dict[str, Arc] = {}
         self._pairs: dict[tuple[str, str], list[str]] = {}
         for a in arcs:
             if a.id in self.arcs:
-                raise NetworkValidationError(f"duplicate arc id {a.id!r}")
+                raise InputError(f"duplicate arc id {a.id!r}")
             if a.tail not in self.nodes:
-                raise NetworkValidationError(f"arc {a.id!r} references missing node {a.tail!r}")
+                raise InputError(f"arc {a.id!r} references missing node {a.tail!r}")
             if a.head not in self.nodes:
-                raise NetworkValidationError(f"arc {a.id!r} references missing node {a.head!r}")
+                raise InputError(f"arc {a.id!r} references missing node {a.head!r}")
             if a.tail == a.head:
-                raise NetworkValidationError(f"arc {a.id!r} is a self-loop at {a.tail!r}")
+                raise InputError(f"arc {a.id!r} is a self-loop at {a.tail!r}")
             if not (math.isfinite(a.length_m) and a.length_m > 0):
-                raise NetworkValidationError(f"arc {a.id!r} has non-positive length {a.length_m!r}")
+                raise InputError(f"arc {a.id!r} has non-positive length {a.length_m!r}")
             self.arcs[a.id] = a
             self._pairs.setdefault((a.tail, a.head), []).append(a.id)
         for ids in self._pairs.values():
@@ -151,64 +142,27 @@ class StreetNetwork:
         return arcs
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise NetworkFormatError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = allowed - set(obj)
-    if missing:
-        raise NetworkFormatError(f"missing keys {sorted(missing)} in {where}")
-
-
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise NetworkFormatError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_str(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise NetworkFormatError(f"{where} must be a non-empty string, got {value!r}")
-    return value
-
-
 def load_network(path: str | Path) -> StreetNetwork:
     """Load and validate a network file.
 
-    Raises NetworkFormatError on malformed input and NetworkValidationError
-    on semantic problems (dangling node references, non-positive lengths,
-    duplicate ids, self-loops).
+    Raises InputError on malformed input and on semantic problems (dangling
+    node references, non-positive lengths, duplicate ids, self-loops).
     """
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return network_from_dict(raw)
+    return network_from_dict(read_json(path))
 
 
 def network_from_dict(raw) -> StreetNetwork:
-    if not isinstance(raw, dict):
-        raise NetworkFormatError("network file must contain a JSON object")
-    _require_keys(raw, {"nodes", "arcs"}, "network file")
-    if not isinstance(raw["nodes"], list) or not isinstance(raw["arcs"], list):
-        raise NetworkFormatError("'nodes' and 'arcs' must be lists")
-
+    keys(raw, {"nodes", "arcs"}, set(), "network file")
     nodes = []
-    for i, item in enumerate(raw["nodes"]):
-        if not isinstance(item, dict):
-            raise NetworkFormatError(f"nodes[{i}] must be an object")
-        _require_keys(item, {"id", "x", "y"}, f"nodes[{i}]")
-        nodes.append(Node(_as_str(item["id"], f"nodes[{i}].id"),
-                          _as_number(item["x"], f"nodes[{i}].x"),
-                          _as_number(item["y"], f"nodes[{i}].y")))
+    for i, item in enumerate(section(raw, "nodes")):
+        where = f"nodes[{i}]"
+        keys(item, {"id", "x", "y"}, set(), where)
+        nodes.append(Node(string(item, "id", where), finite(item, "x", where),
+                          finite(item, "y", where)))
     arcs = []
-    for i, item in enumerate(raw["arcs"]):
-        if not isinstance(item, dict):
-            raise NetworkFormatError(f"arcs[{i}] must be an object")
-        _require_keys(item, {"id", "tail", "head", "length_m"}, f"arcs[{i}]")
-        arcs.append(Arc(_as_str(item["id"], f"arcs[{i}].id"),
-                        _as_str(item["tail"], f"arcs[{i}].tail"),
-                        _as_str(item["head"], f"arcs[{i}].head"),
-                        _as_number(item["length_m"], f"arcs[{i}].length_m")))
+    for i, item in enumerate(section(raw, "arcs")):
+        where = f"arcs[{i}]"
+        keys(item, {"id", "tail", "head", "length_m"}, set(), where)
+        arcs.append(Arc(string(item, "id", where), string(item, "tail", where),
+                        string(item, "head", where), finite(item, "length_m", where)))
     return StreetNetwork(nodes, arcs)
-

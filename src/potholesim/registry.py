@@ -11,8 +11,10 @@ Dump format (CSV): pothole_id, arc_id, offset_m, depth_mm, intensity,
 first_seen_ms, last_seen_ms.  Update events: pothole_id, vehicle_id,
 timestamp_ms.  The readers refuse a row that breaks the rules an ingested
 report keeps (`check_record`), a pothole id that is not a decimal integer
-without a leading zero, a `*_ms` field that is not an integer and a number
-that is not finite, naming the file, the line and the field.
+without a leading zero, a `*_ms` field that is not an integer, a number
+that is not finite, an empty id, a `last_seen_ms` before `first_seen_ms` and
+an update event whose pothole the registry lacks, raising InputError that
+names the file, the line and the field.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from pathlib import Path
 
 from .config import SimConfig
 from .detection import PotholeDetection
-from .network import Arc, StreetNetwork, UnknownArcError
+from .inputs import InputError, fail, finite_text, integer_text, lookup, string
+from .network import Arc, StreetNetwork
 
 
 class UnknownPotholeError(LookupError):
@@ -159,20 +162,17 @@ class PotholeRegistry:
 
         def add(row: dict[str, str]) -> None:
             rec = PotholeRecord(
-                id=_pothole_id(row), arc=row["arc_id"],
-                offset_m=_finite(row, "offset_m"), depth_mm=_finite(row, "depth_mm"),
-                intensity=_finite(row, "intensity"),
-                first_seen_ms=_integer(row, "first_seen_ms"),
-                last_seen_ms=_integer(row, "last_seen_ms"))
-            arc = None
-            if net is not None:
-                try:
-                    arc = net.arc(rec.arc)
-                except UnknownArcError:
-                    raise ValueError(f"arc_id: unknown arc {rec.arc!r}") from None
-            check_record(rec.offset_m, rec.depth_mm, arc)
+                id=_pothole_id(row), arc=string(row, "arc_id", ""),
+                offset_m=finite_text(row, "offset_m"), depth_mm=finite_text(row, "depth_mm"),
+                intensity=finite_text(row, "intensity"),
+                first_seen_ms=integer_text(row, "first_seen_ms"),
+                last_seen_ms=integer_text(row, "last_seen_ms"))
+            if rec.last_seen_ms < rec.first_seen_ms:
+                fail(row, "last_seen_ms", "", f">= first_seen_ms ({rec.first_seen_ms})")
+            check_record(rec.offset_m, rec.depth_mm,
+                         None if net is None else lookup(net.arc, row, "arc_id", "", "arc"))
             if rec.id in reg.records:
-                raise ValueError(f"duplicate pothole id {rec.id!r}")
+                raise InputError(f"duplicate pothole id {rec.id!r}")
             reg.records[rec.id] = rec
             reg._by_arc.setdefault(rec.arc, []).append(rec.id)
             reg._next_id = max(reg._next_id, int(rec.id) + 1)
@@ -197,48 +197,35 @@ def check_record(offset_m: float, depth_mm: float, arc: Arc | None) -> None:
 def _read_rows(path: str | Path, fields: list[str],
                parse: Callable[[dict[str, str]], object]) -> list:
     """`parse(row)` for each data row of a CSV file whose header is exactly
-    `fields`.  A ValueError from a row is raised again naming the file and
-    the line."""
+    `fields`.  A ValueError from a row, or text the file cannot decode, is
+    raised again as InputError naming the file and the line."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != fields:
-            raise ValueError(f"{path}: expected columns {fields}, got {reader.fieldnames}")
-        for row in reader:
-            try:
+        try:
+            if reader.fieldnames != fields:
+                raise InputError(f"expected columns {fields}, got {reader.fieldnames}")
+            for row in reader:
                 if None in row or None in row.values():
-                    raise ValueError(f"expected {len(fields)} fields")
+                    raise InputError(f"expected {len(fields)} fields")
                 out.append(parse(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        except (ValueError, csv.Error) as exc:
+            raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
     return out
 
 
 def _pothole_id(row: dict[str, str]) -> str:
-    value = row["pothole_id"]
-    if not re.fullmatch(r"0|[1-9][0-9]*", value):
-        raise ValueError(f"pothole_id must be a decimal integer, got {value!r}")
-    return value
+    if not re.fullmatch(r"0|[1-9][0-9]*", row["pothole_id"]):
+        fail(row, "pothole_id", "", "a decimal integer")
+    return row["pothole_id"]
 
 
-def _integer(row: dict[str, str], key: str) -> int:
-    value = row[key]
-    if not re.fullmatch(r"-?[0-9]+", value):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def read_events_csv(path: str | Path, registry: PotholeRegistry) -> list[UpdateEvent]:
+    """The update events of an events CSV, each naming a pothole of `registry`."""
+    def parse(row: dict[str, str]) -> UpdateEvent:
+        _pothole_id(row)
+        lookup(registry.lookup, row, "pothole_id", "", "pothole")
+        return UpdateEvent(row["pothole_id"], string(row, "vehicle_id", ""),
+                           integer_text(row, "timestamp_ms"))
 
-
-def _finite(row: dict[str, str], key: str) -> float:
-    value = row[key]
-    try:
-        number = float(value)
-    except ValueError:
-        number = math.nan
-    if not math.isfinite(number):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return number
-
-
-def read_events_csv(path: str | Path) -> list[UpdateEvent]:
-    return _read_rows(path, PotholeRegistry.EVENT_FIELDS, lambda row: UpdateEvent(
-        _pothole_id(row), row["vehicle_id"], _integer(row, "timestamp_ms")))
+    return _read_rows(path, PotholeRegistry.EVENT_FIELDS, parse)

@@ -1,7 +1,15 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import enumerate_best_route, write_inputs
 from potholesim.cli import main
@@ -121,18 +129,31 @@ class TestSimulate:
          "vehicles[0].waypoints[1]: unknown node 'zz'"),
         ("events", [{"t_ms": 1000, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": "zz"}],
          "events[0].dest: unknown node 'zz'"),
-        ("vehicles", [dict(SCENARIO["vehicles"][0], id=[1])], "vehicles[0].id must be a string"),
+        ("vehicles", [dict(SCENARIO["vehicles"][0], id=[1])],
+         "vehicles[0].id must be a non-empty string"),
         ("access_points", [dict(SCENARIO["access_points"][0], id=[1])],
-         "access_points[0].id must be a string"),
+         "access_points[0].id must be a non-empty string"),
         ("events", [dict(SCENARIO["events"][0], vehicle=[1])],
-         "events[0].vehicle must be a string"),
+         "events[0].vehicle must be a non-empty string"),
         ("access_points", [dict(SCENARIO["access_points"][0], open="no")],
          "access_points[0].open must be true or false, got 'no'"),
+        ("vehicles", [dict(SCENARIO["vehicles"][0], speed_mps=10**400)],
+         "vehicles[0].speed_mps must be a finite number, got 1000"),
+        ("vehicles", [dict(SCENARIO["vehicles"][0], id="")],
+         "vehicles[0].id must be a non-empty string, got ''"),
+        ("access_points", [dict(SCENARIO["access_points"][0], id="")],
+         "access_points[0].id must be a non-empty string, got ''"),
+        ("pits", [dict(SCENARIO["pits"][0], depth_mm=-1)], "pits[0]: pit depth -1.0 < 0"),
+        ("pits", [dict(SCENARIO["pits"][0], reflectivity=1.5)],
+         "pits[0]: pit reflectivity 1.5 outside [0, 1]"),
+        ("pits", [SCENARIO["pits"][0], dict(SCENARIO["pits"][0], center_m=99.5)],
+         "pits[1]: pit at 99.5+-1.0 m outside arc 'ab'"),
     ], ids=["nan-ap-range", "inf-ap-x", "nan-speed", "non-object-vehicle", "null-events",
             "string-duration", "bool-seed", "null-t-ms", "null-start-offset", "number-waypoints",
             "nan-depth", "negative-half-length", "unknown-pit-arc", "unknown-start-arc",
             "unknown-waypoint", "unknown-dest", "list-vehicle-id", "list-ap-id",
-            "list-event-vehicle", "string-open"])
+            "list-event-vehicle", "string-open", "huge-speed", "empty-vehicle-id",
+            "empty-ap-id", "negative-depth", "reflectivity-above-one", "pit-past-arc-end"])
     def test_malformed_scenario_exits_one_naming_the_field(self, files, capsys,
                                                             section, value, named):
         net, _, tmp = files
@@ -144,6 +165,41 @@ class TestSimulate:
         assert rc == 1
         assert err.startswith("error: ") and named in err and "Traceback" not in err
         assert not (tmp / "nope").exists()
+
+    @pytest.mark.parametrize("which, content, named", [
+        ("network", json.dumps(dict(NETWORK, nodes=[NETWORK["nodes"][0],
+                                                    dict(NETWORK["nodes"][1], x=10**400)])),
+         "nodes[1].x must be a finite number, got 1000"),
+        ("network", json.dumps(dict(NETWORK, arcs=[dict(NETWORK["arcs"][0], id="")])),
+         "arcs[0].id must be a non-empty string, got ''"),
+        ("network", b"[" * 200_000, ": invalid JSON: maximum recursion depth exceeded"),
+        ("scenario", b"[" * 200_000, ": invalid JSON: maximum recursion depth exceeded"),
+        ("network", b'{"nodes": \xff}', ": invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+        ("scenario", b'{"seed": \xff}', ": invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["huge-x", "empty-arc-id", "deep-network", "deep-scenario", "latin1-network",
+            "latin1-scenario"])
+    def test_malformed_file_exits_one_with_one_line(self, files, capsys, which, content, named):
+        net, scen, tmp = files
+        bad = tmp / "bad.json"
+        bad.write_bytes(content.encode() if isinstance(content, str) else content)
+        paths = {"network": net, "scenario": scen, which: bad}
+        rc = main(["simulate", "--network", str(paths["network"]),
+                   "--scenario", str(paths["scenario"]), "--out-dir", str(tmp / "nope")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+        assert named in err and (named[0] != ":" or err.startswith(f"error: {bad}: "))
+        assert not (tmp / "nope").exists()
+
+    @pytest.mark.parametrize("speed", [1e-320, 5e-324])
+    def test_tiny_speed_never_arrives(self, files, speed):
+        net, _, tmp = files
+        scen = tmp / "slow.json"
+        scen.write_text(json.dumps(dict(
+            SCENARIO, vehicles=[dict(SCENARIO["vehicles"][0], speed_mps=speed)])))
+        out = tmp / "out"
+        assert main(["simulate", "--network", str(net), "--scenario", str(scen),
+                     "--out-dir", str(out)]) == 0
+        assert " MOVE " not in (out / "trace.txt").read_text()
 
     @pytest.mark.parametrize("option, value, named", [
         ("--cell-m", "0", "cell_m"), ("--cell-m", "-1", "cell_m"),
@@ -304,9 +360,11 @@ class TestCsvInputs:
                                      "on arc 'ab', got 120.0"),
         ("route", "arc_id", "zz", "arc_id: unknown arc 'zz'"),
         ("report", "last_seen_ms", "1.5", "last_seen_ms must be an integer, got '1.5'"),
+        ("report", "last_seen_ms", "50", "last_seen_ms must be >= first_seen_ms (1000), "
+                                         "got '50'"),
     ], ids=["route-inf-depth", "report-id", "preprocess-nan-offset", "preprocess-nan-depth",
             "report-nan-offset", "report-nan-depth", "route-offset-past-arc",
-            "route-unknown-arc", "report-float-ms"])
+            "route-unknown-arc", "report-float-ms", "report-seen-backwards"])
     def test_bad_registry_row_exits_one_naming_the_field(self, files, capsys,
                                                           command, field, value, named):
         rc, registry, _ = self.run(files, command, dict(self.ROW, **{field: value}))
@@ -317,8 +375,130 @@ class TestCsvInputs:
     @pytest.mark.parametrize("row, named", [
         ("p1,v1,1000", "pothole_id must be a decimal integer, got 'p1'"),
         ("1,v1,soon", "timestamp_ms must be an integer, got 'soon'"),
-    ], ids=["id", "time"])
+        ("99,v1,100", "pothole_id: unknown pothole '99'"),
+    ], ids=["id", "time", "unknown-pothole"])
     def test_bad_events_row_exits_one_naming_the_field(self, files, capsys, row, named):
         rc, _, events = self.run(files, "report", self.ROW, row)
         assert rc == 1
         assert capsys.readouterr().err == f"error: {events}, line 2: {named}\n"
+
+
+# -- fuzzing ---------------------------------------------------------------
+# One field of valid network, scenario, registry and events inputs is
+# mutated; the command line must still end in exit 0, 1 or 2 with one
+# `error: ...` line and no traceback.  `duration_ms` is never raised, since
+# a long valid run is not malformed.
+
+FUZZ_JSON = {
+    "network": NETWORK,
+    "scenario": dict(SCENARIO, events=SCENARIO["events"] + [
+        {"t_ms": 2000, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": "D"},
+        {"t_ms": 9000, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": None}]),
+}
+FUZZ_CSV = {
+    "registry": [list(TestCsvInputs.ROW), list(TestCsvInputs.ROW.values())],
+    "events": [["pothole_id", "vehicle_id", "timestamp_ms"], ["1", "v1", "1000"]],
+}
+COMMANDS = {"network": ["simulate", "route", "preprocess"], "scenario": ["simulate"],
+            "registry": ["route", "preprocess", "report"], "events": ["report"]}
+BIG = 10**400
+JSON_VALUES = [None, True, False, "", [], ["B"], {}, {"k": 1}, -1, BIG,
+               math.nan, math.inf, -math.inf, 1e-320]
+CSV_VALUES = ["", "nan", "1e400", "-1", "x"]
+
+
+def json_paths(doc, path=()):
+    """The path of every value inside `doc`, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, path + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutations(draw):
+    """(input, command, path, operation, value): `path` is a JSON path, or
+    (row, column) in a CSV file."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    command = draw(st.sampled_from(COMMANDS[name]))
+    if name in FUZZ_CSV:
+        op = draw(st.sampled_from(["set", "extra", "missing"]))
+        column = draw(st.integers(0, len(FUZZ_CSV[name][0]) - 1))
+        return name, command, (1, column), op, draw(st.sampled_from(CSV_VALUES))
+    doc = FUZZ_JSON[name]
+    op = draw(st.sampled_from(["set", "delete", "add"]))
+    if op == "add":
+        objects = [()] + [p for p in json_paths(doc) if isinstance(at(doc, p), dict)]
+        return name, command, draw(st.sampled_from(objects)), op, None
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    values = [v for v in JSON_VALUES if path != ("duration_ms",) or v is not BIG]
+    return name, command, path, op, draw(st.sampled_from(values))
+
+
+def mutated(name, path, op, value):
+    if name in FUZZ_CSV:
+        rows = copy.deepcopy(FUZZ_CSV[name])
+        row, column = path
+        if op == "set":
+            rows[row][column] = value
+        elif op == "extra":
+            rows[row].append(value)
+        else:
+            del rows[row][column]
+        return "".join(",".join(r) + "\n" for r in rows)
+    doc = copy.deepcopy(FUZZ_JSON[name])
+    if op == "add":
+        at(doc, path)["unexpected"] = 1
+    elif op == "delete":
+        del at(doc, path[:-1])[path[-1]]
+    else:
+        at(doc, path[:-1])[path[-1]] = value
+    return json.dumps(doc)
+
+
+def run_mutated(name, command, path, op, value):
+    """`main` on the inputs with one mutated: (exit code, standard error)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for other, ext in (("network", "json"), ("scenario", "json"),
+                           ("registry", "csv"), ("events", "csv")):
+            files[other] = Path(tmp) / f"{other}.{ext}"
+            if other == name:
+                files[other].write_text(mutated(name, path, op, value))
+            elif other in FUZZ_JSON:
+                files[other].write_text(json.dumps(FUZZ_JSON[other]))
+            else:
+                files[other].write_text(mutated(other, (1, 0), "set", "1"))
+        args = {
+            "simulate": ["--network", files["network"], "--scenario", files["scenario"],
+                         "--out-dir", Path(tmp) / "out"],
+            "route": ["--network", files["network"], "--registry", files["registry"],
+                      "--source", "A", "--dest", "D"],
+            "preprocess": ["--network", files["network"], "--registry", files["registry"]],
+            "report": ["--registry", files["registry"], "--events", files["events"],
+                       "--at", "2000"],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([command, *map(str, args)])
+    return rc, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations())
+@example(("network", "simulate", ("nodes", 1, "x"), "set", BIG))
+@example(("scenario", "simulate", ("vehicles", 0, "speed_mps"), "set", BIG))
+@example(("scenario", "simulate", ("vehicles", 0, "speed_mps"), "set", 1e-320))
+def test_one_mutated_field_never_ends_in_a_traceback(mutation):
+    rc, err = run_mutated(*mutation)
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err
+    if rc:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

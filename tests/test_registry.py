@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import build_net, ingest
+from potholesim.inputs import InputError
 from potholesim.network import UnknownArcError
 from potholesim.registry import PotholeRegistry, UnknownPotholeError, read_events_csv
 
@@ -185,6 +186,8 @@ BAD_FIELDS = [
     ("first_seen_ms", "1.5", "first_seen_ms must be an integer, got '1.5'"),
     ("last_seen_ms", "1e3", "last_seen_ms must be an integer, got '1e3'"),
     ("arc_id", "zz", "arc_id: unknown arc 'zz'"),
+    ("arc_id", "", "arc_id must be a non-empty string, got ''"),
+    ("last_seen_ms", "99", "last_seen_ms must be >= first_seen_ms (100), got '99'"),
 ]
 
 
@@ -194,7 +197,7 @@ def test_read_csv_names_file_line_and_field(tmp_path, line_net, field, value, me
     path = write_rows(tmp_path / "registry.csv",
                       [dict(GOOD_ROW, pothole_id="2", offset_m="7.0"),
                        dict(GOOD_ROW, **{field: value})])
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(InputError) as err:
         PotholeRegistry.read_csv(path, line_net)
     assert str(err.value) == f"{path}, line 3: {message}"
 
@@ -206,9 +209,16 @@ def test_read_csv_names_file_line_and_field(tmp_path, line_net, field, value, me
 ], ids=["short", "long", "duplicate"])
 def test_read_csv_refuses_ragged_and_duplicate_rows(tmp_path, line_net, row, message):
     path = write_rows(tmp_path / "registry.csv", [dict(GOOD_ROW, pothole_id="2"), row])
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(InputError) as err:
         PotholeRegistry.read_csv(path, line_net)
     assert str(err.value) == f"{path}, line 3: {message}"
+
+
+def test_read_csv_refuses_an_oversized_field(tmp_path, line_net):
+    path = write_rows(tmp_path / "registry.csv", [dict(GOOD_ROW, arc_id="a" * 200_000)])
+    with pytest.raises(InputError, match=r"field larger than field limit") as err:
+        PotholeRegistry.read_csv(path, line_net)
+    assert str(err.value).startswith(f"{path}, line ")
 
 
 def test_read_csv_without_network_checks_offsets_and_depths(tmp_path):
@@ -220,7 +230,7 @@ def test_read_csv_without_network_checks_offsets_and_depths(tmp_path):
             ("offset_m", "nan", "offset_m must be a finite number, got 'nan'"),
             ("depth_mm", "-inf", "depth_mm must be a finite number, got '-inf'")]:
         write_rows(path, [dict(GOOD_ROW, **{field: value})])
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(InputError) as err:
             PotholeRegistry.read_csv(path)
         assert str(err.value) == f"{path}, line 2: {message}"
 
@@ -241,11 +251,14 @@ def test_ingest_and_read_csv_share_the_record_rules(tmp_path, line_net):
     ("1,v1,1e3", "timestamp_ms must be an integer, got '1e3'"),
     ("1,v1,", "timestamp_ms must be an integer, got ''"),
     ("1,v1", "expected 3 fields"),
-], ids=["id", "float-time", "empty-time", "short"])
-def test_read_events_csv_names_file_line_and_field(tmp_path, row, message):
+    ("99,v1,100", "pothole_id: unknown pothole '99'"),
+    ("1,,100", "vehicle_id must be a non-empty string, got ''"),
+], ids=["id", "float-time", "empty-time", "short", "unknown-pothole", "empty-vehicle"])
+def test_read_events_csv_names_file_line_and_field(tmp_path, reg, row, message):
+    ingest(reg, "a1", 2.0, 20.0)
     path = write_rows(tmp_path / "events.csv", ["1,v1,50", row], PotholeRegistry.EVENT_FIELDS)
-    with pytest.raises(ValueError) as err:
-        read_events_csv(path)
+    with pytest.raises(InputError) as err:
+        read_events_csv(path, reg)
     assert str(err.value) == f"{path}, line 3: {message}"
 
 
@@ -255,4 +268,4 @@ def test_read_events_csv_round_trip(tmp_path, line_net):
     ingest(reg, "a1", 2.1, 25.0, vid="y", now=2)
     path = tmp_path / "events.csv"
     reg.write_events_csv(path)
-    assert read_events_csv(path) == reg.events
+    assert read_events_csv(path, reg) == reg.events

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from helpers import build_net
-from potholesim.scenario import ScenarioError, load_scenario, scenario_from_dict
+from potholesim.inputs import InputError
+from potholesim.scenario import load_scenario, scenario_from_dict
 
 
 @pytest.fixture
@@ -41,13 +42,13 @@ def test_valid_scenario_loads(tmp_path, net):
 
 
 def test_unknown_key_rejected(net):
-    with pytest.raises(ScenarioError):
+    with pytest.raises(InputError, match=r"^unknown keys \['extra'\] in scenario$"):
         scenario_from_dict(variant(extra=1), net)
 
 
 def test_unknown_arc_rejected(net):
     bad = variant(vehicles=[dict(BASE["vehicles"][0], start_arc="zz")])
-    with pytest.raises(ScenarioError, match=r"^vehicles\[0\]\.start_arc: unknown arc 'zz'$"):
+    with pytest.raises(InputError, match=r"^vehicles\[0\]\.start_arc: unknown arc 'zz'$"):
         scenario_from_dict(bad, net)
 
 
@@ -57,12 +58,12 @@ def test_unknown_arc_rejected(net):
      "vehicles[0].waypoints[0]: unknown node 'zz'"),
     ("events", {"t_ms": 10, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": "zz"},
      "events[0].dest: unknown node 'zz'"),
-    ("pits", dict(BASE["pits"][0], arc=5), "pits[0].arc must be a string, got 5"),
+    ("pits", dict(BASE["pits"][0], arc=5), "pits[0].arc must be a non-empty string, got 5"),
     ("vehicles", dict(BASE["vehicles"][0], start_arc=None),
-     "vehicles[0].start_arc must be a string, got None"),
+     "vehicles[0].start_arc must be a non-empty string, got None"),
 ], ids=["pit-arc", "waypoint", "dest", "pit-arc-number", "start-arc-null"])
 def test_lookup_error_names_its_field(net, section, item, message):
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         scenario_from_dict(variant(**{section: [item]}), net)
     assert str(err.value) == message
 
@@ -70,14 +71,14 @@ def test_lookup_error_names_its_field(net, section, item, message):
 @pytest.mark.parametrize("value", ["5000", True, None, 5000.0, [5000]])
 @pytest.mark.parametrize("key", ["duration_ms", "seed"])
 def test_non_integer_top_level_field_rejected(net, key, value):
-    with pytest.raises(ScenarioError, match=rf"^{key} must be an integer"):
+    with pytest.raises(InputError, match=rf"^{key} must be an integer"):
         scenario_from_dict(variant(**{key: value}), net)
 
 
 @pytest.mark.parametrize("value", ["100", False, None, 100.0])
 def test_non_integer_event_time_rejected(net, value):
     bad = variant(events=[dict(BASE["events"][0], t_ms=value)])
-    with pytest.raises(ScenarioError, match=r"^events\[0\]\.t_ms must be an integer"):
+    with pytest.raises(InputError, match=r"^events\[0\]\.t_ms must be an integer"):
         scenario_from_dict(bad, net)
 
 
@@ -85,13 +86,13 @@ def test_non_integer_event_time_rejected(net, value):
 @pytest.mark.parametrize("key", ["center_m", "half_length_m", "depth_mm", "reflectivity"])
 def test_non_finite_or_non_number_pit_field_rejected(net, key, value):
     bad = variant(pits=[dict(BASE["pits"][0], **{key: value})])
-    with pytest.raises(ScenarioError, match=rf"^pits\[0\]\.{key} must be a finite number"):
+    with pytest.raises(InputError, match=rf"^pits\[0\]\.{key} must be a finite number"):
         scenario_from_dict(bad, net)
 
 
 def test_negative_pit_half_length_rejected(net):
     bad = variant(pits=[dict(BASE["pits"][0], half_length_m=-1.0)])
-    with pytest.raises(ScenarioError, match=r"^pits\[0\]\.half_length_m must be >= 0"):
+    with pytest.raises(InputError, match=r"^pits\[0\]\.half_length_m must be >= 0"):
         scenario_from_dict(bad, net)
 
 
@@ -103,7 +104,7 @@ def test_zero_pit_half_length_accepted(net):
 @pytest.mark.parametrize("value", [math.nan, -math.inf, None, "0"])
 def test_non_finite_or_non_number_start_offset_rejected(net, value):
     bad = variant(vehicles=[dict(BASE["vehicles"][0], start_offset_m=value)])
-    with pytest.raises(ScenarioError,
+    with pytest.raises(InputError,
                        match=r"^vehicles\[0\]\.start_offset_m must be a finite number"):
         scenario_from_dict(bad, net)
 
@@ -112,43 +113,45 @@ def test_non_finite_or_non_number_start_offset_rejected(net, value):
     (5, "vehicles[0].waypoints must be a list, got 5"),
     ("B", "vehicles[0].waypoints must be a list, got 'B'"),
     (None, "vehicles[0].waypoints must be a list, got None"),
-    (["B", 5], "vehicles[0].waypoints[1] must be a string, got 5"),
+    (["B", 5], "vehicles[0].waypoints[1] must be a non-empty string, got 5"),
 ])
 def test_waypoints_must_be_a_list_of_strings(net, value, message):
     bad = variant(vehicles=[dict(BASE["vehicles"][0], waypoints=value)])
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         scenario_from_dict(bad, net)
     assert str(err.value) == message
 
 
 def test_event_after_duration_rejected(net):
     bad = variant(events=[{"t_ms": 5000, "kind": "DETECT", "vehicle": "v1"}])
-    with pytest.raises(ScenarioError):
+    with pytest.raises(InputError,
+                       match=r"^events\[0\]\.t_ms must be in \[0, duration_ms\), got 5000$"):
         scenario_from_dict(bad, net)
 
 
 def test_first_waypoint_must_match_start_arc_head(net):
     bad = variant(vehicles=[dict(BASE["vehicles"][0], waypoints=["A"])])
-    with pytest.raises(ScenarioError):
+    with pytest.raises(InputError, match=r"^vehicles\[0\]\.waypoints\[0\] must be 'B', "
+                                         r"the head of start arc 'ab', got 'A'$"):
         scenario_from_dict(bad, net)
 
 
 def test_disconnected_waypoints_rejected(net):
     bad = variant(vehicles=[dict(BASE["vehicles"][0], waypoints=["B", "A"])])
-    with pytest.raises(ScenarioError):
+    with pytest.raises(InputError, match=r"^vehicles\[0\]\.waypoints: no arc joins 'B' -> 'A'$"):
         scenario_from_dict(bad, net)
 
 
 def test_pit_outside_arc_rejected(net):
     bad = variant(pits=[{"arc": "ab", "center_m": 99.9, "half_length_m": 1.0,
                          "depth_mm": 30.0, "reflectivity": 0.5}])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match=r"^pits\[0\]: pit at 99\.9\+-1\.0 m outside arc 'ab'"):
         scenario_from_dict(bad, net)
 
 
 def test_event_for_unknown_vehicle_rejected(net):
     bad = variant(events=[{"t_ms": 10, "kind": "DETECT", "vehicle": "nope"}])
-    with pytest.raises(ScenarioError):
+    with pytest.raises(InputError, match=r"^events\[0\]\.vehicle: unknown vehicle 'nope'$"):
         scenario_from_dict(bad, net)
 
 
@@ -163,42 +166,44 @@ def test_dest_change_null_clears(net):
 @pytest.mark.parametrize("key", ["x", "y", "range_m"])
 def test_non_finite_or_non_number_access_point_field_rejected(net, key, value):
     bad = variant(access_points=[dict(BASE["access_points"][0], **{key: value})])
-    with pytest.raises(ScenarioError, match=rf"access_points\[0\]\.{key} must be a finite"):
+    with pytest.raises(InputError, match=rf"access_points\[0\]\.{key} must be a finite"):
         scenario_from_dict(bad, net)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, None])
 def test_non_finite_or_non_number_speed_rejected(net, value):
     bad = variant(vehicles=[dict(BASE["vehicles"][0], speed_mps=value)])
-    with pytest.raises(ScenarioError, match=r"vehicles\[0\]\.speed_mps must be a finite"):
+    with pytest.raises(InputError, match=r"vehicles\[0\]\.speed_mps must be a finite"):
         scenario_from_dict(bad, net)
 
 
 def test_non_object_vehicle_rejected(net):
-    with pytest.raises(ScenarioError, match=r"vehicles\[0\] must be an object"):
+    with pytest.raises(InputError, match=r"vehicles\[0\] must be an object"):
         scenario_from_dict(variant(vehicles=[1]), net)
 
 
 @pytest.mark.parametrize("section", ["vehicles", "pits", "access_points", "events"])
 def test_null_section_rejected(net, section):
-    with pytest.raises(ScenarioError, match=f"'{section}' must be a list"):
+    with pytest.raises(InputError, match=f"'{section}' must be a list"):
         scenario_from_dict(variant(**{section: None}), net)
 
 
 @pytest.mark.parametrize("section, item, message", [
-    ("vehicles", dict(BASE["vehicles"][0], id=[1]), "vehicles[0].id must be a string, got [1]"),
-    ("vehicles", dict(BASE["vehicles"][0], id=7), "vehicles[0].id must be a string, got 7"),
+    ("vehicles", dict(BASE["vehicles"][0], id=[1]),
+     "vehicles[0].id must be a non-empty string, got [1]"),
+    ("vehicles", dict(BASE["vehicles"][0], id=7),
+     "vehicles[0].id must be a non-empty string, got 7"),
     ("access_points", dict(BASE["access_points"][0], id=[1]),
-     "access_points[0].id must be a string, got [1]"),
+     "access_points[0].id must be a non-empty string, got [1]"),
     ("access_points", dict(BASE["access_points"][0], id=None),
-     "access_points[0].id must be a string, got None"),
+     "access_points[0].id must be a non-empty string, got None"),
     ("events", dict(BASE["events"][0], vehicle=[1]),
-     "events[0].vehicle must be a string, got [1]"),
+     "events[0].vehicle must be a non-empty string, got [1]"),
     ("events", dict(BASE["events"][0], vehicle={"v": 1}),
-     "events[0].vehicle must be a string, got {'v': 1}"),
+     "events[0].vehicle must be a non-empty string, got {'v': 1}"),
 ], ids=["vehicle-list", "vehicle-number", "ap-list", "ap-null", "event-list", "event-object"])
 def test_ids_must_be_strings(net, section, item, message):
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         scenario_from_dict(variant(**{section: [item]}), net)
     assert str(err.value) == message
 
@@ -206,6 +211,53 @@ def test_ids_must_be_strings(net, section, item, message):
 @pytest.mark.parametrize("value", ["no", "yes", 0, 1, None, [True]])
 def test_access_point_open_must_be_a_boolean(net, value):
     bad = variant(access_points=[dict(BASE["access_points"][0], open=value)])
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         scenario_from_dict(bad, net)
     assert str(err.value) == f"access_points[0].open must be true or false, got {value!r}"
+
+
+@pytest.mark.parametrize("section, item, message", [
+    ("vehicles", dict(BASE["vehicles"][0], id=""),
+     "vehicles[0].id must be a non-empty string, got ''"),
+    ("vehicles", dict(BASE["vehicles"][0], speed_mps=10**400),
+     "vehicles[0].speed_mps must be a finite number, got 1" + "0" * 400),
+    ("vehicles", dict(BASE["vehicles"][0], speed_mps=-1),
+     "vehicles[0].speed_mps must be >= 0, got -1"),
+    ("vehicles", dict(BASE["vehicles"][0], start_offset_m=100.0),
+     "vehicles[0].start_offset_m must be in [0, 100.0) on arc 'ab', got 100.0"),
+    ("vehicles", dict(BASE["vehicles"][0], waypoints=[""]),
+     "vehicles[0].waypoints[0] must be a non-empty string, got ''"),
+    ("pits", dict(BASE["pits"][0], depth_mm=-1), "pits[0]: pit depth -1.0 < 0"),
+    ("pits", dict(BASE["pits"][0], reflectivity=1.5),
+     "pits[0]: pit reflectivity 1.5 outside [0, 1]"),
+    ("pits", dict(BASE["pits"][0], center_m=0.5),
+     "pits[0]: pit at 0.5+-1.0 m outside arc 'ab' of length 100.0 m"),
+    ("access_points", dict(BASE["access_points"][0], id=""),
+     "access_points[0].id must be a non-empty string, got ''"),
+    ("access_points", dict(BASE["access_points"][0], range_m=0),
+     "access_points[0].range_m must be > 0, got 0"),
+    ("events", dict(BASE["events"][0], kind="STOP"),
+     "events[0].kind must be DETECT or DEST_CHANGE, got 'STOP'"),
+    ("events", dict(BASE["events"][0], vehicle=""),
+     "events[0].vehicle must be a non-empty string, got ''"),
+], ids=["empty-vehicle-id", "huge-speed", "negative-speed", "offset-at-arc-end",
+        "empty-waypoint", "negative-depth", "reflectivity-above-one", "pit-before-arc-start",
+        "empty-ap-id", "zero-range", "unknown-kind", "empty-event-vehicle"])
+def test_rule_names_its_field(net, section, item, message):
+    with pytest.raises(InputError) as err:
+        scenario_from_dict(variant(**{section: [item]}), net)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("section", ["vehicles", "access_points"])
+def test_duplicate_id_names_the_second(net, section):
+    with pytest.raises(InputError) as err:
+        scenario_from_dict(variant(**{section: BASE[section] * 2}), net)
+    kind = {"vehicles": "vehicle", "access_points": "access point"}[section]
+    assert str(err.value) == f"{section}[1].id: duplicate {kind} id '{BASE[section][0]['id']}'"
+
+
+def test_negative_duration_rejected(net):
+    with pytest.raises(InputError, match=r"^duration_ms must be >= 0, got -1$"):
+        scenario_from_dict(variant(duration_ms=-1, events=[]), net)
+
