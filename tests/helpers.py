@@ -8,7 +8,9 @@ they check.
 from __future__ import annotations
 
 import functools
+import hashlib
 import heapq
+import hmac
 import importlib.util
 import json
 import math
@@ -20,7 +22,10 @@ from potholesim.comms import Phase, World, p2p_broadcast, step_connection, uplin
 from potholesim.config import SimConfig
 from potholesim.detection import (DepthMap, GroundTruthSurface, IntensityImage,
                                   PotholeDetection, cell_count, extract_potholes, sweep)
-from potholesim.geocrypto import PlainReport, encrypt
+from potholesim.geocrypto import (LEN_FIELD, NONCE_LEN, TAG_LEN, EnvelopeFormatError,
+                                  IntegrityError, LocationMismatchError, PlainReport,
+                                  ReportEnvelope, _grid_to_dict, _report_from_dict,
+                                  encrypt)
 from potholesim.network import Arc, Node, StreetNetwork
 from potholesim.registry import PotholeRegistry
 from potholesim.routing import UnreachableError, fmt_num, modify_destination
@@ -593,3 +598,81 @@ class SingleHeapSimulation:
             elif s.pending_arcs and self.world.net.arc(s.pending_arcs[0]).tail == resting:
                 self._enter_arc(v, s.pending_arcs.pop(0), now_ms)
         self._emit(now_ms, "DEST_CHANGE", f"vehicle={vehicle} dest={dest or '-'}")
+
+
+# -- envelope oracle ---------------------------------------------------------
+# The envelope construction as first written: every subkey derived afresh on
+# each call and the payload XORed one byte at a time.  `geocrypto` must give
+# the same bytes, the same reports and the same error classes.
+
+def _oracle_subkey(key: bytes, purpose: bytes) -> bytes:
+    return hashlib.blake2b(purpose, key=key, digest_size=32).digest()
+
+
+def _oracle_location_bytes(location) -> bytes:
+    arc, offset = location
+    return json.dumps([arc, float(offset)], separators=(",", ":")).encode()
+
+
+def _oracle_location_tag(key: bytes, location) -> bytes:
+    return hashlib.blake2b(_oracle_location_bytes(location),
+                           key=_oracle_subkey(key, b"location-tag"),
+                           digest_size=TAG_LEN).digest()
+
+
+def _oracle_keystream(key: bytes, nonce: bytes, location, n: int) -> bytes:
+    sub = _oracle_subkey(key, b"keystream")
+    seed = nonce + _oracle_location_bytes(location)
+    out = bytearray()
+    counter = 0
+    while len(out) < n:
+        out += hashlib.blake2b(seed + counter.to_bytes(8, "big"),
+                               key=sub, digest_size=64).digest()
+        counter += 1
+    return bytes(out[:n])
+
+
+def _oracle_integrity_tag(key: bytes, nonce: bytes, loc_tag: bytes,
+                          ciphertext: bytes) -> bytes:
+    mac = hashlib.blake2b(key=_oracle_subkey(key, b"integrity"), digest_size=TAG_LEN)
+    mac.update(nonce)
+    mac.update(loc_tag)
+    mac.update(len(ciphertext).to_bytes(LEN_FIELD, "big"))
+    mac.update(ciphertext)
+    return mac.digest()
+
+
+def oracle_encrypt(report: PlainReport, key: bytes, rng: random.Random) -> ReportEnvelope:
+    """Reference for `geocrypto.encrypt`."""
+    if len(key) != 32:
+        raise ValueError("shared key must be 32 bytes")
+    nonce = rng.randbytes(NONCE_LEN)
+    payload = json.dumps(_grid_to_dict(report), sort_keys=True,
+                         separators=(",", ":")).encode()
+    stream = _oracle_keystream(key, nonce, report.location, len(payload))
+    ciphertext = bytes(p ^ s for p, s in zip(payload, stream))
+    loc_tag = _oracle_location_tag(key, report.location)
+    return ReportEnvelope(nonce, loc_tag, ciphertext,
+                          _oracle_integrity_tag(key, nonce, loc_tag, ciphertext))
+
+
+def oracle_decrypt(env: ReportEnvelope, key: bytes, claimed_location) -> PlainReport:
+    """Reference for `geocrypto.decrypt`: field lengths, then the location
+    tag, then integrity, then the keystream."""
+    if len(key) != 32:
+        raise ValueError("shared key must be 32 bytes")
+    if len(env.nonce) != NONCE_LEN or len(env.location_tag) != TAG_LEN \
+            or len(env.integrity_tag) != TAG_LEN:
+        raise EnvelopeFormatError("envelope field lengths invalid")
+    if not hmac.compare_digest(env.location_tag,
+                               _oracle_location_tag(key, claimed_location)):
+        raise LocationMismatchError("location tag check failed")
+    expected = _oracle_integrity_tag(key, env.nonce, env.location_tag, env.ciphertext)
+    if not hmac.compare_digest(env.integrity_tag, expected):
+        raise IntegrityError("integrity tag check failed")
+    stream = _oracle_keystream(key, env.nonce, claimed_location, len(env.ciphertext))
+    payload = bytes(c ^ s for c, s in zip(env.ciphertext, stream))
+    try:
+        return _report_from_dict(json.loads(payload.decode()))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"payload did not decode: {exc}") from exc

@@ -1,7 +1,12 @@
+import hashlib
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import oracle_decrypt, oracle_encrypt
 from potholesim.detection import DepthMap, IntensityImage
 from potholesim.geocrypto import (EnvelopeFormatError, GeocryptoError,
                                   IntegrityError, LocationMismatchError,
@@ -115,3 +120,108 @@ def test_nonces_distinct_and_no_leakage():
         back = decrypt(env, KEY, report.location)
         assert not hasattr(back, "nonce")
     assert len(nonces) == 500
+
+
+@pytest.mark.parametrize("key", [b"", bytes(31), bytes(33)])
+def test_key_must_be_32_bytes(key):
+    report = make_report()
+    env = encrypt(report, KEY, random.Random(11))
+    with pytest.raises(ValueError, match="32 bytes"):
+        encrypt(report, key, random.Random(11))
+    with pytest.raises(ValueError, match="32 bytes"):
+        decrypt(env, key, report.location)
+
+
+def test_switching_keys_refuses_the_wrong_key_every_time():
+    report = make_report()
+    env = {key: encrypt(report, key, random.Random(12)) for key in (KEY, OTHER_KEY)}
+    for _ in range(3):
+        for key, other in ((KEY, OTHER_KEY), (OTHER_KEY, KEY)):
+            assert env[key] == oracle_encrypt(report, key, random.Random(12))
+            assert decrypt(env[key], key, report.location) == report
+            with pytest.raises(LocationMismatchError):
+                decrypt(env[key], other, report.location)
+
+
+# -- golden envelopes --------------------------------------------------------
+# SHA-256 of `encrypt(...).to_bytes()` for seeded reports, recorded once from
+# the byte-at-a-time construction in `helpers.oracle_encrypt` and never
+# regenerated: a faster envelope must keep every wire byte.
+
+def seeded_report(seed: int, rows: int, cols: int, arc: str = "ab",
+                  offset: float = 5.25) -> PlainReport:
+    rng = random.Random(seed)
+    n = rows * cols
+    return PlainReport(
+        depth_map=DepthMap(rows, cols, 0.05, [rng.uniform(0.0, 80.0) for _ in range(n)]),
+        intensity_image=IntensityImage(rows, cols, [rng.random() for _ in range(n)]),
+        arc=arc, offset_m=offset, vehicle_id=f"v{seed}",
+        timestamp_ms=rng.randrange(10**9))
+
+
+GOLDEN_ENVELOPES = {
+    "1-cell": ((21, 1, 1),
+        "57ce393f17b07babb7de8aa66c1e885e487557956f90bd9ea417971c5ef9ea3b"),
+    "4-cell": ((22, 1, 4),
+        "78fb4d2f3eea673ee444802484d83abff62ed841a0c8ec8a921d6d0ff1282bec"),
+    "400-cell": ((23, 20, 20),
+        "88440bf2f25d45c95c8b7caa0f54bdd78cc2327aaee569b4a35a845f971fc5af"),
+    "non-ascii-arc": ((24, 2, 3, "straße-東西-ü"),
+        "02397a4055683ac7e944ef9ae09dbae74b036d79fed5b42eba1ab9a1e4c06f90"),
+    "long-repr-offset": ((25, 1, 4, "ab", math.pi * 1e-6),
+        "21b3fa89cb4c1e7e7fa76426563e06755d9a004672fbd0ebd2cd059278391605"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_ENVELOPES)
+def test_envelope_bytes_match_golden_digests(name):
+    args, digest = GOLDEN_ENVELOPES[name]
+    report = seeded_report(*args)
+    wire = encrypt(report, KEY, random.Random(args[0])).to_bytes()
+    assert hashlib.sha256(wire).hexdigest() == digest
+    assert decrypt(ReportEnvelope.from_bytes(wire), KEY, report.location) == report
+
+
+# -- against the oracle ------------------------------------------------------
+
+@st.composite
+def envelope_cases(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    n = rows * cols
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    report = PlainReport(
+        depth_map=DepthMap(rows, cols, draw(st.floats(1e-3, 10.0)),
+                           draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))),
+        intensity_image=IntensityImage(rows, cols,
+                                       draw(st.lists(finite, min_size=n, max_size=n))),
+        arc=draw(st.text(min_size=1, max_size=12)), offset_m=draw(st.floats(0.0, 1e5)),
+        vehicle_id=draw(st.text(max_size=8)), timestamp_ms=draw(st.integers(0, 2**40)))
+    return (report, draw(st.binary(min_size=32, max_size=32)), draw(st.integers(0, 2**32)),
+            draw(st.integers(0, 2**20)), draw(st.integers(1, 255)))
+
+
+def opened(open_envelope, wire: bytes, key: bytes, location):
+    """The report, or the GeocryptoError subclass that refused the wire bytes."""
+    try:
+        return open_envelope(ReportEnvelope.from_bytes(wire), key, location)
+    except GeocryptoError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(envelope_cases())
+def test_envelopes_match_the_byte_at_a_time_oracle(case):
+    report, key, seed, at, mask = case
+    env = encrypt(report, key, random.Random(seed))
+    assert env == oracle_encrypt(report, key, random.Random(seed))
+    assert decrypt(env, key, report.location) == report
+    assert oracle_decrypt(env, key, report.location) == report
+
+    wire = bytearray(env.to_bytes())
+    wire[at % len(wire)] ^= mask
+    refused = opened(decrypt, bytes(wire), key, report.location)
+    assert refused == opened(oracle_decrypt, bytes(wire), key, report.location)
+    assert isinstance(refused, type) and issubclass(refused, GeocryptoError)
+
+    elsewhere = (report.arc + "x", report.offset_m)
+    assert opened(decrypt, env.to_bytes(), key, elsewhere) is LocationMismatchError
