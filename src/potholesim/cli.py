@@ -21,6 +21,7 @@ from pathlib import Path
 from . import maintenance, weighting
 from .comms import Simulation
 from .config import SimConfig
+from .inputs import lookup
 from .network import load_network
 from .registry import PotholeRegistry, read_events_csv
 from .routing import UnreachableError, fmt_num, format_route_trace, route
@@ -101,6 +102,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_route(args) -> int:
     net = load_network(args.network)
+    options = {"--source": args.source, "--dest": args.dest}
+    for option in options:
+        lookup(net.node, options, option, "", "node")
     registry = _load_registry(args, net)
     wnet = weighting.preprocess(net, registry)
     rt = route(wnet, args.source, args.dest)

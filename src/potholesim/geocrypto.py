@@ -11,13 +11,17 @@ Wire layout:
     length || ciphertext || 32-byte integrity tag
 
 All primitives are keyed BLAKE2b with domain-separated subkeys derived
-from the 256-bit shared secret.  This is a deliberately small reference
-construction for a simulator with a pre-shared key; it is NOT a reviewed,
-production-grade cipher and must not be used to protect real data.
+from the 256-bit shared secret.  The three keyed states are built once per
+key and copied for each use; the keystream is XORed over the whole buffer
+as one integer.  Neither changes the construction or a byte on the wire.
+This is a deliberately small reference construction for a simulator with
+a pre-shared key; it is NOT a reviewed, production-grade cipher and must
+not be used to protect real data.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import json
@@ -89,8 +93,16 @@ class ReportEnvelope:
         return cls(nonce, loc_tag, raw[head:head + length], raw[head + length:])
 
 
-def _subkey(key: bytes, purpose: bytes) -> bytes:
-    return hashlib.blake2b(purpose, key=key, digest_size=32).digest()
+@functools.lru_cache(maxsize=16)
+def _keyed_states(key: bytes) -> tuple:
+    """BLAKE2b states for the location tag, the keystream and the integrity
+    tag, each keyed by its domain-separated subkey of `key`.  Every use
+    updates a `.copy()`, so the states themselves never change."""
+    return tuple(
+        hashlib.blake2b(key=hashlib.blake2b(purpose, key=key, digest_size=32).digest(),
+                        digest_size=size)
+        for purpose, size in ((b"location-tag", TAG_LEN), (b"keystream", 64),
+                              (b"integrity", TAG_LEN)))
 
 
 def _location_bytes(location: Location) -> bytes:
@@ -98,26 +110,30 @@ def _location_bytes(location: Location) -> bytes:
     return json.dumps([arc, float(offset)], separators=(",", ":")).encode()
 
 
-def _location_tag(key: bytes, location: Location) -> bytes:
-    return hashlib.blake2b(_location_bytes(location),
-                           key=_subkey(key, b"location-tag"),
-                           digest_size=TAG_LEN).digest()
+def _location_tag(states: tuple, loc: bytes) -> bytes:
+    mac = states[0].copy()
+    mac.update(loc)
+    return mac.digest()
 
 
-def _keystream(key: bytes, nonce: bytes, location: Location, n: int) -> bytes:
-    sub = _subkey(key, b"keystream")
-    seed = nonce + _location_bytes(location)
-    out = bytearray()
-    counter = 0
-    while len(out) < n:
-        out += hashlib.blake2b(seed + counter.to_bytes(8, "big"),
-                               key=sub, digest_size=64).digest()
-        counter += 1
-    return bytes(out[:n])
+def _xor_keystream(states: tuple, nonce: bytes, loc: bytes, data: bytes) -> bytes:
+    """`data` XORed with the keystream of (nonce, location): 64-byte blocks
+    BLAKE2b(nonce || location || 8-byte big-endian counter)."""
+    seeded = states[1].copy()
+    seeded.update(nonce)
+    seeded.update(loc)
+    blocks = []
+    for counter in range((len(data) + 63) // 64):
+        block = seeded.copy()
+        block.update(counter.to_bytes(8, "big"))
+        blocks.append(block.digest())
+    stream = b"".join(blocks)[:len(data)]
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(
+        len(data), "big")
 
 
-def _integrity_tag(key: bytes, nonce: bytes, loc_tag: bytes, ciphertext: bytes) -> bytes:
-    mac = hashlib.blake2b(key=_subkey(key, b"integrity"), digest_size=TAG_LEN)
+def _integrity_tag(states: tuple, nonce: bytes, loc_tag: bytes, ciphertext: bytes) -> bytes:
+    mac = states[2].copy()
     mac.update(nonce)
     mac.update(loc_tag)
     mac.update(len(ciphertext).to_bytes(LEN_FIELD, "big"))
@@ -154,15 +170,15 @@ def encrypt(report: PlainReport, key: bytes, rng: random.Random) -> ReportEnvelo
     """Seal a report into an envelope bound to its own location."""
     if len(key) != 32:
         raise ValueError("shared key must be 32 bytes")
+    states = _keyed_states(bytes(key))
     nonce = rng.randbytes(NONCE_LEN)
-    location = report.location
+    loc = _location_bytes(report.location)
     payload = json.dumps(_grid_to_dict(report), sort_keys=True,
                          separators=(",", ":")).encode()
-    stream = _keystream(key, nonce, location, len(payload))
-    ciphertext = bytes(p ^ s for p, s in zip(payload, stream))
-    loc_tag = _location_tag(key, location)
+    ciphertext = _xor_keystream(states, nonce, loc, payload)
+    loc_tag = _location_tag(states, loc)
     return ReportEnvelope(nonce, loc_tag, ciphertext,
-                          _integrity_tag(key, nonce, loc_tag, ciphertext))
+                          _integrity_tag(states, nonce, loc_tag, ciphertext))
 
 
 def decrypt(env: ReportEnvelope, key: bytes, claimed_location: Location) -> PlainReport:
@@ -177,13 +193,14 @@ def decrypt(env: ReportEnvelope, key: bytes, claimed_location: Location) -> Plai
     if len(env.nonce) != NONCE_LEN or len(env.location_tag) != TAG_LEN \
             or len(env.integrity_tag) != TAG_LEN:
         raise EnvelopeFormatError("envelope field lengths invalid")
-    if not hmac.compare_digest(env.location_tag, _location_tag(key, claimed_location)):
+    states = _keyed_states(bytes(key))
+    loc = _location_bytes(claimed_location)
+    if not hmac.compare_digest(env.location_tag, _location_tag(states, loc)):
         raise LocationMismatchError("location tag check failed")
-    expected = _integrity_tag(key, env.nonce, env.location_tag, env.ciphertext)
+    expected = _integrity_tag(states, env.nonce, env.location_tag, env.ciphertext)
     if not hmac.compare_digest(env.integrity_tag, expected):
         raise IntegrityError("integrity tag check failed")
-    stream = _keystream(key, env.nonce, claimed_location, len(env.ciphertext))
-    payload = bytes(c ^ s for c, s in zip(env.ciphertext, stream))
+    payload = _xor_keystream(states, env.nonce, loc, env.ciphertext)
     try:
         raw = json.loads(payload.decode())
         report = _report_from_dict(raw)

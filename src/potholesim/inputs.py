@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from pathlib import Path
 from typing import NoReturn
 
@@ -100,7 +101,10 @@ def integer_text(row: dict[str, str], key: str) -> int:
     """`row[key]`, CSV text of a decimal integer."""
     if not re.fullmatch(r"-?[0-9]+", row[key]):
         fail(row, key, "", "an integer")
-    return int(row[key])
+    try:
+        return int(row[key])
+    except ValueError:  # more digits than Python converts
+        fail(row, key, "", f"an integer of at most {sys.get_int_max_str_digits()} digits")
 
 
 def string(item, key: str | int, where: str) -> str:

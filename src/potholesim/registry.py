@@ -198,19 +198,27 @@ def _read_rows(path: str | Path, fields: list[str],
                parse: Callable[[dict[str, str]], object]) -> list:
     """`parse(row)` for each data row of a CSV file whose header is exactly
     `fields`.  A ValueError from a row, or text the file cannot decode, is
-    raised again as InputError naming the file and the line."""
+    raised again as InputError naming the file and the line on which the
+    failing record starts."""
     out = []
+    start = 1
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames != fields:
-                raise InputError(f"expected columns {fields}, got {reader.fieldnames}")
+            header = next(reader, None)
+            if header != fields:
+                raise InputError(f"expected columns {fields}, got {header}")
+            # the reader counts the lines of whole records only, so the next
+            # record starts after the last line it has counted
+            start = reader.line_num + 1
             for row in reader:
-                if None in row or None in row.values():
-                    raise InputError(f"expected {len(fields)} fields")
-                out.append(parse(row))
+                if row:  # not a blank line
+                    if len(row) != len(fields):
+                        raise InputError(f"expected {len(fields)} fields")
+                    out.append(parse(dict(zip(fields, row))))
+                start = reader.line_num + 1
         except (ValueError, csv.Error) as exc:
-            raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
+            raise InputError(f"{path}, line {start}: {exc}") from None
     return out
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -295,6 +296,17 @@ class TestRouteOnce:
         assert main(["route", "--network", str(net),
                      "--source", "A", "--dest", "ZZ"]) == 1
 
+    @pytest.mark.parametrize("source, dest, named", [
+        ("ZZ", "D", "--source: unknown node 'ZZ'"),
+        ("A", "ZZ", "--dest: unknown node 'ZZ'"),
+    ], ids=["source", "dest"])
+    def test_unknown_node_names_the_option(self, files, capsys, source, dest, named):
+        net, _, _ = files
+        assert main(["route", "--network", str(net),
+                     "--source", source, "--dest", dest]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {named}\n"
+
     def test_unreachable_exit_code(self, files, capsys):
         net, _, _ = files
         assert main(["route", "--network", str(net),
@@ -362,9 +374,13 @@ class TestCsvInputs:
         ("report", "last_seen_ms", "1.5", "last_seen_ms must be an integer, got '1.5'"),
         ("report", "last_seen_ms", "50", "last_seen_ms must be >= first_seen_ms (1000), "
                                          "got '50'"),
+        ("report", "first_seen_ms", "9" * 5000,
+         f"first_seen_ms must be an integer of at most {sys.get_int_max_str_digits()} "
+         f"digits, got '{'9' * 5000}'"),
     ], ids=["route-inf-depth", "report-id", "preprocess-nan-offset", "preprocess-nan-depth",
             "report-nan-offset", "report-nan-depth", "route-offset-past-arc",
-            "route-unknown-arc", "report-float-ms", "report-seen-backwards"])
+            "route-unknown-arc", "report-float-ms", "report-seen-backwards",
+            "report-5000-digit-ms"])
     def test_bad_registry_row_exits_one_naming_the_field(self, files, capsys,
                                                           command, field, value, named):
         rc, registry, _ = self.run(files, command, dict(self.ROW, **{field: value}))

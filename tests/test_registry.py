@@ -218,7 +218,20 @@ def test_read_csv_refuses_an_oversized_field(tmp_path, line_net):
     path = write_rows(tmp_path / "registry.csv", [dict(GOOD_ROW, arc_id="a" * 200_000)])
     with pytest.raises(InputError, match=r"field larger than field limit") as err:
         PotholeRegistry.read_csv(path, line_net)
-    assert str(err.value).startswith(f"{path}, line ")
+    assert str(err.value).startswith(f"{path}, line 2: ")
+
+
+@pytest.mark.parametrize("rows, line", [
+    ([dict(GOOD_ROW, pothole_id="2"), dict(GOOD_ROW, arc_id="a" * 200_000)], 3),
+    (["", dict(GOOD_ROW, arc_id="a" * 200_000)], 3),
+    ([dict(GOOD_ROW, pothole_id="2"), '3,"a\nb' + "a" * 200_000 + '",2.5,20.0,0.5,100,200'], 3),
+], ids=["after-a-row", "after-a-blank-line", "quoted-over-two-lines"])
+def test_read_csv_names_the_line_an_oversized_record_starts_on(tmp_path, line_net,
+                                                                rows, line):
+    path = write_rows(tmp_path / "registry.csv", rows)
+    with pytest.raises(InputError, match=r"field larger than field limit") as err:
+        PotholeRegistry.read_csv(path, line_net)
+    assert str(err.value).startswith(f"{path}, line {line}: ")
 
 
 def test_read_csv_without_network_checks_offsets_and_depths(tmp_path):
