@@ -94,7 +94,7 @@ class ReportEnvelope:
 
 
 @functools.lru_cache(maxsize=16)
-def _keyed_states(key: bytes) -> tuple:
+def _keyed_states(key: bytes) -> tuple[hashlib.blake2b, hashlib.blake2b, hashlib.blake2b]:
     """BLAKE2b states for the location tag, the keystream and the integrity
     tag, each keyed by its domain-separated subkey of `key`.  Every use
     updates a `.copy()`, so the states themselves never change."""
@@ -110,18 +110,20 @@ def _location_bytes(location: Location) -> bytes:
     return json.dumps([arc, float(offset)], separators=(",", ":")).encode()
 
 
-def _location_tag(states: tuple, loc: bytes) -> bytes:
-    mac = states[0].copy()
-    mac.update(loc)
+def _digest(state: hashlib.blake2b, *parts: bytes) -> bytes:
+    """The digest of a copy of `state` updated with `parts`."""
+    mac = state.copy()
+    for part in parts:
+        mac.update(part)
     return mac.digest()
 
 
-def _xor_keystream(states: tuple, nonce: bytes, loc: bytes, data: bytes) -> bytes:
-    """`data` XORed with the keystream of (nonce, location): 64-byte blocks
-    BLAKE2b(nonce || location || 8-byte big-endian counter)."""
-    seeded = states[1].copy()
-    seeded.update(nonce)
-    seeded.update(loc)
+def _xor_keystream(stream_state: hashlib.blake2b, nonce: bytes, loc: bytes,
+                   data: bytes) -> bytes:
+    """`data` XORed with the keystream of (nonce, location): the 64-byte
+    blocks BLAKE2b(nonce || location || 8-byte big-endian counter)."""
+    seeded = stream_state.copy()
+    seeded.update(nonce + loc)
     blocks = []
     for counter in range((len(data) + 63) // 64):
         block = seeded.copy()
@@ -132,13 +134,10 @@ def _xor_keystream(states: tuple, nonce: bytes, loc: bytes, data: bytes) -> byte
         len(data), "big")
 
 
-def _integrity_tag(states: tuple, nonce: bytes, loc_tag: bytes, ciphertext: bytes) -> bytes:
-    mac = states[2].copy()
-    mac.update(nonce)
-    mac.update(loc_tag)
-    mac.update(len(ciphertext).to_bytes(LEN_FIELD, "big"))
-    mac.update(ciphertext)
-    return mac.digest()
+def _integrity_tag(mac_state: hashlib.blake2b, nonce: bytes, loc_tag: bytes,
+                   ciphertext: bytes) -> bytes:
+    return _digest(mac_state, nonce, loc_tag,
+                   len(ciphertext).to_bytes(LEN_FIELD, "big"), ciphertext)
 
 
 def _grid_to_dict(report: PlainReport) -> dict:
@@ -170,15 +169,15 @@ def encrypt(report: PlainReport, key: bytes, rng: random.Random) -> ReportEnvelo
     """Seal a report into an envelope bound to its own location."""
     if len(key) != 32:
         raise ValueError("shared key must be 32 bytes")
-    states = _keyed_states(bytes(key))
+    tag_state, stream_state, mac_state = _keyed_states(bytes(key))
     nonce = rng.randbytes(NONCE_LEN)
     loc = _location_bytes(report.location)
     payload = json.dumps(_grid_to_dict(report), sort_keys=True,
                          separators=(",", ":")).encode()
-    ciphertext = _xor_keystream(states, nonce, loc, payload)
-    loc_tag = _location_tag(states, loc)
+    ciphertext = _xor_keystream(stream_state, nonce, loc, payload)
+    loc_tag = _digest(tag_state, loc)
     return ReportEnvelope(nonce, loc_tag, ciphertext,
-                          _integrity_tag(states, nonce, loc_tag, ciphertext))
+                          _integrity_tag(mac_state, nonce, loc_tag, ciphertext))
 
 
 def decrypt(env: ReportEnvelope, key: bytes, claimed_location: Location) -> PlainReport:
@@ -193,14 +192,14 @@ def decrypt(env: ReportEnvelope, key: bytes, claimed_location: Location) -> Plai
     if len(env.nonce) != NONCE_LEN or len(env.location_tag) != TAG_LEN \
             or len(env.integrity_tag) != TAG_LEN:
         raise EnvelopeFormatError("envelope field lengths invalid")
-    states = _keyed_states(bytes(key))
+    tag_state, stream_state, mac_state = _keyed_states(bytes(key))
     loc = _location_bytes(claimed_location)
-    if not hmac.compare_digest(env.location_tag, _location_tag(states, loc)):
+    if not hmac.compare_digest(env.location_tag, _digest(tag_state, loc)):
         raise LocationMismatchError("location tag check failed")
-    expected = _integrity_tag(states, env.nonce, env.location_tag, env.ciphertext)
+    expected = _integrity_tag(mac_state, env.nonce, env.location_tag, env.ciphertext)
     if not hmac.compare_digest(env.integrity_tag, expected):
         raise IntegrityError("integrity tag check failed")
-    payload = _xor_keystream(states, env.nonce, loc, env.ciphertext)
+    payload = _xor_keystream(stream_state, env.nonce, loc, env.ciphertext)
     try:
         raw = json.loads(payload.decode())
         report = _report_from_dict(raw)

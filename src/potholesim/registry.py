@@ -208,8 +208,8 @@ def _read_rows(path: str | Path, fields: list[str],
             header = next(reader, None)
             if header != fields:
                 raise InputError(f"expected columns {fields}, got {header}")
-            # the reader counts the lines of whole records only, so the next
-            # record starts after the last line it has counted
+            # `line_num` is exact only between records (a record that fails
+            # midway has not advanced it), so note where each record starts
             start = reader.line_num + 1
             for row in reader:
                 if row:  # not a blank line

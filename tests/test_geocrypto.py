@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_decrypt, oracle_encrypt
+from potholesim import geocrypto
 from potholesim.detection import DepthMap, IntensityImage
 from potholesim.geocrypto import (EnvelopeFormatError, GeocryptoError,
                                   IntegrityError, LocationMismatchError,
@@ -126,10 +127,12 @@ def test_nonces_distinct_and_no_leakage():
 def test_key_must_be_32_bytes(key):
     report = make_report()
     env = encrypt(report, KEY, random.Random(11))
+    cached = geocrypto._keyed_states.cache_info()
     with pytest.raises(ValueError, match="32 bytes"):
         encrypt(report, key, random.Random(11))
     with pytest.raises(ValueError, match="32 bytes"):
         decrypt(env, key, report.location)
+    assert geocrypto._keyed_states.cache_info() == cached  # refused before the cache
 
 
 def test_switching_keys_refuses_the_wrong_key_every_time():
