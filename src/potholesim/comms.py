@@ -44,12 +44,23 @@ Modelled behaviors:
     `SimConfig.transfer_budget` (4) per exchange.  A phase is the plain
     word that the PHASE_TIMEOUT trace line prints.
 
-Open access points are indexed once, when the world is built, on a
-uniform grid (a spatial hash in the manner of Teschner et al. 2003).  The
-cell is a little wider than the largest open range, and each open access
-point is listed in the 3x3 block of cells around its own, so the one
-bucket of a vehicle's cell lists every open access point that can reach
-it.  Closed access points are never indexed.
+Open access points are indexed per arc, lazily, the first time a vehicle
+on the arc looks for one.  Each arc lists its *candidates*: the open access
+points whose disc comes within `range_m` + a margin of the arc's segment,
+by the closest point on a segment (Ericson, *Real-Time Collision
+Detection*, 2005, 5.1.2) after a bounding-box reject.  The margin covers
+rounding.  A vehicle's position `x + dx*frac`, with `frac` in [0, 1], lies
+within a few ulps of the segment's extent off the segment; the range test
+`hypot(ap.x - x, ap.y - y) <= range_m` accepts only points within a few ulps
+of `range_m`; and the closest-point arithmetic errs by fewer than 100 ulps
+of (range + extent).  The margin is 2**-40 of (range + extent), far more
+than all three together, so every access point that the range test accepts
+anywhere on the arc is a candidate.  The closest point is found in
+coordinates scaled by a power of two that puts the segment and the range
+below 1, so no square overflows, and an overflow anywhere else keeps the
+access point.  Closed access points are never candidates.  A tick on an arc
+with no candidate computes no position, and while SCANNING it does not step
+the connection either, since nothing could change.
 
 Trace format: one line per processed event, `t=<ms> <EVENT_KIND> <details>`
 with a fixed field order per kind.  A DEST_CHANGE whose destination is
@@ -61,9 +72,9 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
-from math import floor, hypot
+from dataclasses import dataclass, field
+from math import frexp, hypot, ldexp
+from typing import NamedTuple
 
 from . import weighting
 from .config import SimConfig
@@ -91,8 +102,7 @@ class Phase:
     LOST = "LOST"
 
 
-@dataclass(frozen=True)
-class ConnectionState:
+class ConnectionState(NamedTuple):
     phase: str = Phase.SCANNING
     last_activity_ms: int = 0
     peer: str | None = None
@@ -160,38 +170,39 @@ class EventKind:
     DEST_CHANGE = "DEST_CHANGE"
 
 
-# one bucket entry of the access point grid: (x, y, range_m, id)
+# one open access point: (x, y, range_m, id)
 APEntry = tuple[float, float, float, str]
 
+# the candidate margin, relative to the range plus the segment's extent
+_MARGIN = 2.0 ** -40
 
-def _grid_open_aps(aps: Iterable[AccessPoint], net: StreetNetwork
-                   ) -> tuple[float, dict[tuple[int, int], list[APEntry]]]:
-    """Cell width and buckets of the uniform grid over the open `aps`.
 
-    Each open access point is listed in the 3x3 cells around its own cell
-    (floor(x / cell), floor(y / cell)).  A point that passes the range test
-    `hypot(ap.x - x, ap.y - y) <= range_m` lies less than one cell from the
-    access point on each axis, so the bucket of the point's own cell lists
-    that access point.  The cell is strictly
-    wider than the largest open range, by 2**-50 of (that range + twice
-    the largest coordinate magnitude of any node or open access point):
-    several times the worst rounding of `ap.x - x` and of the two
-    `floor(x / cell)` divisions, and enough to keep every quotient far
-    from overflow.
-    """
-    open_aps = [ap for ap in aps if ap.open]
-    reach = max((ap.range_m for ap in open_aps), default=1.0)
-    extent = max([abs(c) for n in net.nodes.values() for c in (n.x, n.y)]
-                 + [abs(c) for ap in open_aps for c in (ap.x, ap.y)], default=0.0)
-    cell = reach + (reach + 2.0 * extent) * 2.0 ** -50
-    buckets: dict[tuple[int, int], list[APEntry]] = {}
+def _arc_candidates(open_aps: list[APEntry], x0: float, y0: float, x1: float,
+                    y1: float) -> tuple[APEntry, ...]:
+    """The `open_aps` whose disc comes within its range + margin of the
+    segment from (x0, y0) to (x1, y1), in the order of `open_aps` (see the
+    module docstring for the margin)."""
+    extent = max(abs(x0), abs(y0), abs(x1), abs(y1))
+    pad = extent * _MARGIN
+    lo_x, hi_x = min(x0, x1) - pad, max(x0, x1) + pad
+    lo_y, hi_y = min(y0, y1) - pad, max(y0, y1) + pad
+    found = []
     for ap in open_aps:
-        i, j = floor(ap.x / cell), floor(ap.y / cell)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                buckets.setdefault((i + di, j + dj), []).append(
-                    (ap.x, ap.y, ap.range_m, ap.id))
-    return cell, buckets
+        ax, ay, range_m, _ = ap
+        reach = range_m + range_m * _MARGIN
+        if ax + reach < lo_x or ax - reach > hi_x or ay + reach < lo_y or ay - reach > hi_y:
+            continue
+        # scaled, the segment and the range lie below 1 and the access point,
+        # which passed the box, below 3
+        e = frexp(max(extent, range_m))[1]
+        sx, sy = ldexp(x0, -e), ldexp(y0, -e)
+        dx, dy = ldexp(x1, -e) - sx, ldexp(y1, -e) - sy
+        ax, ay = ldexp(ax, -e) - sx, ldexp(ay, -e) - sy
+        len2 = dx * dx + dy * dy
+        t = min(max((ax * dx + ay * dy) / len2, 0.0), 1.0) if len2 else 0.0
+        if not hypot(ax - t * dx, ay - t * dy) > ldexp(reach + pad, -e):
+            found.append(ap)
+    return tuple(found)
 
 
 class World:
@@ -220,7 +231,12 @@ class World:
         self.aps: dict[str, AccessPoint] = {
             ap.id: AccessPoint(ap.id, ap.x, ap.y, ap.range_m, ap.open)
             for ap in scenario.access_points}
-        self.ap_cell_m, self._ap_buckets = _grid_open_aps(self.aps.values(), net)
+        # in id order, so the first of equally near access points has the least id
+        self._open_aps: list[APEntry] = sorted(
+            ((ap.x, ap.y, ap.range_m, ap.id) for ap in self.aps.values() if ap.open),
+            key=lambda ap: ap[3])
+        # filled on first use: arc id -> its candidates (see `ap_candidates`)
+        self._ap_candidates: dict[str, tuple[APEntry, ...]] = {}
 
         # filled on first use: arc id -> (tail x, tail y, dx, dy, length)
         self._arc_lines: dict[str, tuple[float, float, float, float, float]] = {}
@@ -247,30 +263,43 @@ class World:
                                              head.y - tail.y, arc.length_m)
         x, y, dx, dy, length = line
         speed = 0.0 if v.stopped else v.speed_mps
-        frac = min(v.offset_m + speed * (now_ms - v.at_ms) / 1000.0, length) / length
+        offset = v.offset_m + speed * (now_ms - v.at_ms) / 1000.0
+        # min(offset, length) without the cost of a builtin call on this hot path
+        frac = (length if length < offset else offset) / length
         return (x + dx * frac, y + dy * frac)
+
+    def ap_candidates(self, arc_id: str) -> tuple[APEntry, ...]:
+        """The open access points that can be in range of a vehicle on the
+        arc, in id order; built on the arc's first use and kept."""
+        found = self._ap_candidates.get(arc_id)
+        if found is None:
+            arc = self.net.arcs[arc_id]
+            tail = self.net.nodes[arc.tail]
+            head = self.net.nodes[arc.head]
+            found = self._ap_candidates[arc_id] = _arc_candidates(
+                self._open_aps, tail.x, tail.y, head.x, head.y)
+        return found
 
     def visible_ap(self, vid: str, now_ms: int) -> str | None:
         """Open access point in radio range; the current handshake peer wins
         while still visible, otherwise the nearest (ties by ap id).  Reads
-        only the grid bucket of the vehicle's cell."""
+        only the candidates of the vehicle's arc."""
         v = self.vehicle(vid)
-        x, y = self._position(v, now_ms)
-        cell = self.ap_cell_m
-        bucket = self._ap_buckets.get((floor(x / cell), floor(y / cell)))
-        if bucket is None:
+        candidates = self.ap_candidates(v.arc)
+        if not candidates:
             return None
-        in_range = []
-        for ap_x, ap_y, range_m, ap_id in bucket:
+        x, y = self._position(v, now_ms)
+        peer = v.conn.peer
+        best_id = None
+        best_dist = 0.0
+        for ap_x, ap_y, range_m, ap_id in candidates:
             dist = hypot(ap_x - x, ap_y - y)
             if dist <= range_m:
-                in_range.append((dist, ap_id))
-        if not in_range:
-            return None
-        peer = v.conn.peer
-        if peer is not None and any(ap_id == peer for _, ap_id in in_range):
-            return peer
-        return min(in_range)[1]
+                if ap_id == peer:
+                    return peer
+                if best_id is None or dist < best_dist:
+                    best_id, best_dist = ap_id, dist
+        return best_id
 
     def sense(self, arc_id: str) -> list[PotholeDetection]:
         """The potholes that a sweep of the whole arc extracts.
@@ -300,13 +329,16 @@ def p2p_broadcast(world: World, sender: str, pothole_key: str, now_ms: int) -> l
     Returns the receiving vehicle ids, sorted.
     """
     sx, sy = world.vehicle_position(sender, now_ms)
+    vehicles, position = world.vehicles, world._position
+    radius = world.config.p2p_range_m
     receivers = []
     for vid in world.vehicle_ids:
         if vid == sender:
             continue
-        x, y = world.vehicle_position(vid, now_ms)
-        if hypot(x - sx, y - sy) <= world.config.p2p_range_m:
-            world.vehicles[vid].warning_cache.add(pothole_key)
+        v = vehicles[vid]
+        x, y = position(v, now_ms)
+        if hypot(x - sx, y - sy) <= radius:
+            v.warning_cache.add(pothole_key)
             receivers.append(vid)
     return receivers
 
@@ -332,7 +364,7 @@ def uplink(world: World, vid: str, now_ms: int) -> int:
         world.server.receive_envelope(env, location, vid, now_ms)
         delivered += 1
     if delivered:
-        v.conn = replace(v.conn, last_activity_ms=now_ms)
+        v.conn = v.conn._replace(last_activity_ms=now_ms)
     return delivered
 
 
@@ -471,9 +503,14 @@ class Simulation:
                    f"receivers={','.join(receivers) or '-'}")
 
     def _on_phase_timeout(self, now_ms: int, vehicle: str) -> None:
-        v = self.world.vehicles[vehicle]  # ticks exist only for known vehicles
-        visible = self.world.visible_ap(vehicle, now_ms)
-        conn = v.conn = step_connection(v.conn, visible, now_ms, self.config.loss_timeout_ms)
+        world = self.world
+        v = world.vehicles[vehicle]  # ticks exist only for known vehicles
+        conn = v.conn
+        visible = world.visible_ap(vehicle, now_ms) if world.ap_candidates(v.arc) else None
+        if visible is not None or conn.phase != Phase.SCANNING:
+            # SCANNING with nothing visible stays as it is
+            conn = v.conn = step_connection(conn, visible, now_ms,
+                                            self.config.loss_timeout_ms)
         self.trace.append(f"t={now_ms} PHASE_TIMEOUT vehicle={vehicle} "
                           f"phase={conn.phase} ap={conn.peer or '-'}")
         if conn.phase == Phase.CONNECTED and visible == conn.peer and v.queue:

@@ -84,6 +84,10 @@ class StreetNetwork:
                 raise InputError(f"arc {a.id!r} is a self-loop at {a.tail!r}")
             if not (math.isfinite(a.length_m) and a.length_m > 0):
                 raise InputError(f"arc {a.id!r} has non-positive length {a.length_m!r}")
+            tail, head = self.nodes[a.tail], self.nodes[a.head]
+            if not (math.isfinite(head.x - tail.x) and math.isfinite(head.y - tail.y)):
+                raise InputError(f"arc {a.id!r} from {a.tail!r} to {a.head!r} has a "
+                                 f"coordinate difference too large for a float")
             self.arcs[a.id] = a
             self._pairs.setdefault((a.tail, a.head), []).append(a.id)
         for ids in self._pairs.values():
@@ -146,7 +150,8 @@ def load_network(path: str | Path) -> StreetNetwork:
     """Load and validate a network file.
 
     Raises InputError on malformed input and on semantic problems (dangling
-    node references, non-positive lengths, duplicate ids, self-loops).
+    node references, non-positive lengths, duplicate ids, self-loops, and
+    arcs whose head minus tail coordinates overflow a float).
     """
     return network_from_dict(read_json(path))
 

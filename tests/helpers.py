@@ -445,7 +445,8 @@ class SingleHeapSimulation:
     through one heap of (t_ms, insertion seq, kind, payload) entries, and
     every DETECT sweeps its whole arc.
 
-    The world is the production `World`, but its vehicle positions come from
+    The world is the production `World`, but its vehicle positions (those
+    that `p2p_broadcast` reads included) come from
     `vehicle_position_by_formula` and its access point lookups from
     `visible_ap_by_scan`, so this reference shares no caching or indexing
     with the code it checks.
@@ -455,6 +456,8 @@ class SingleHeapSimulation:
         self.world = World(net, scenario, config)
         self.world.vehicle_position = functools.partial(vehicle_position_by_formula,
                                                         self.world)
+        self.world._position = lambda v, now_ms: vehicle_position_by_formula(
+            self.world, v.id, now_ms)
         self.world.visible_ap = functools.partial(visible_ap_by_scan, self.world)
         self.config = config
         self.duration_ms = scenario.duration_ms

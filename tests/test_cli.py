@@ -215,6 +215,20 @@ class TestSimulate:
         assert err.startswith(f"error: {named} must be a finite number > 0")
         assert not (tmp / "nope").exists()
 
+    def test_overflowing_arc_geometry_exits_one_naming_the_arc(self, files, capsys):
+        # x = +-1.7e308 are finite, but B.x - A.x is inf, and inf * 0 is NaN
+        net, scen, tmp = files
+        wide = copy.deepcopy(NETWORK)
+        wide["nodes"][0]["x"] = -1.7e308
+        wide["nodes"][1]["x"] = 1.7e308
+        net.write_text(json.dumps(wide))
+        rc = main(["simulate", "--network", str(net), "--scenario", str(scen),
+                   "--out-dir", str(tmp / "nope")])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: arc 'ab' from 'A' to 'B' has a coordinate "
+                                           "difference too large for a float\n")
+        assert not (tmp / "nope").exists()
+
     OUTPUTS = {"trace.txt", "registry.csv", "events.csv", "weighted_network.csv",
                "maintenance_report.csv", "route_v1.txt"}
 

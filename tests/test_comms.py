@@ -152,25 +152,26 @@ class TestUplink:
         assert uplink(world, "v1", 100) == 0
 
 
-# Oracle worlds: the vehicle's arc P -> Q lies within +-BOUND / 2; two
-# anchor nodes at +-BOUND fix the coordinate extent, and an anchor access
-# point at (BOUND, BOUND) with the largest range, when open, fixes the
-# grid cell to ORACLE_CELL, so positions can be put on cell edges.
-BOUND = 1000.0
+# Oracle worlds: one vehicle on the arc P -> Q, whose length is 1 m unless
+# a case draws another, so an offset is also the vehicle's fraction of the
+# way from P to Q.
 MAX_RANGE = 80.0
 
 
-def oracle_world(p, q, length_m, aps, anchor_open=True):
-    net = build_net([("P", *p), ("Q", *q), ("lo", -BOUND, -BOUND), ("hi", BOUND, BOUND)],
-                    [("pq", "P", "Q", length_m), ("anchor", "lo", "hi", 1.0)])
-    anchor = AccessPointSpec("zz-anchor", BOUND, BOUND, MAX_RANGE, anchor_open)
+def oracle_world(p, q, aps, length_m=1.0):
+    net = build_net([("P", *p), ("Q", *q)], [("pq", "P", "Q", length_m)])
     scenario = Scenario(duration_ms=0, seed=0,
                         vehicles=[VehicleSpec("v", "pq", 0.0, 0.0, ())],
-                        access_points=[anchor, *aps])
+                        access_points=list(aps))
     return World(net, scenario, SimConfig())
 
 
-ORACLE_CELL = oracle_world((0.0, 0.0), (1.0, 0.0), 1.0, []).ap_cell_m
+def in_range(world, now_ms):
+    """Ids of the open access points that the range test accepts."""
+    x, y = world.vehicle_position("v", now_ms)
+    return {ap.id for ap in world.aps.values()
+            if ap.open and math.hypot(ap.x - x, ap.y - y) <= ap.range_m}
+
 
 coord = st.one_of(st.integers(-400, 400).map(float),
                   st.floats(-400.0, 400.0, allow_nan=False, allow_infinity=False))
@@ -179,14 +180,46 @@ ranges = st.one_of(st.sampled_from([40.0, 50.0, 60.0, MAX_RANGE]),
 
 
 @st.composite
+def boundary_aps(draw, p, q, frac, scale):
+    """Open access points whose range ends at, or one ulp either side of, the
+    vehicle's position at `frac` on P -> Q: straight out from an endpoint or
+    off the segment's side, where the range is tangent to the segment."""
+    x = p[0] + (q[0] - p[0]) * frac  # the position, as `World._position` computes it
+    y = p[1] + (q[1] - p[1]) * frac
+    ux, uy = q[0] - p[0], q[1] - p[1]
+    length = math.hypot(ux, uy)
+    if length == 0.0:  # tail and head share coordinates
+        ux, uy, length = 3.0, 4.0, 5.0
+    ux, uy = ux / length, uy / length
+    aps = []
+    for i in range(draw(st.integers(1, 3))):
+        ox, oy = draw(st.sampled_from([(-uy, ux), (uy, -ux), (-ux, -uy), (ux, uy)]))
+        d = draw(ranges) * scale
+        ax, ay = x + d * ox, y + d * oy
+        reach = math.hypot(ax - x, ay - y)
+        range_m = draw(st.sampled_from([math.nextafter(reach, 0.0), reach,
+                                        math.nextafter(reach, math.inf)]))
+        aps.append(AccessPointSpec(f"edge{i}", ax, ay, range_m, True))
+    return aps
+
+
+@st.composite
 def oracle_cases(draw):
     """A world, the vehicle's state and query times for `visible_ap`."""
     mode = draw(st.sampled_from(["node", "edge", "moving"]))
-    if mode == "edge":  # on, or one ulp either side of, a grid line
-        p = tuple(math.nextafter(k * ORACLE_CELL, draw(st.sampled_from([-BOUND, BOUND])))
-                  if draw(st.booleans()) else k * ORACLE_CELL
-                  for k in draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5))))
-    elif mode == "node":
+    if mode == "edge":  # on the candidate boundary, at any scale up to 1e300
+        scale = draw(st.sampled_from([1.0, 1e154, 1e300]))
+        p = (draw(coord) * scale, draw(coord) * scale)
+        q = p if draw(st.booleans()) else (draw(coord) * scale, draw(coord) * scale)
+        frac = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        aps = draw(boundary_aps(p, q, frac, scale))
+        world = oracle_world(p, q, aps)
+        v = world.vehicles["v"]
+        v.offset_m = frac
+        v.conn = ConnectionState(Phase.ASSOCIATING, 0,
+                                 draw(st.sampled_from([None, *(ap.id for ap in aps)])))
+        return world, [0]
+    if mode == "node":
         p = draw(st.tuples(st.integers(-400, 400), st.integers(-400, 400)).map(
             lambda t: (float(t[0]), float(t[1]))))
     else:
@@ -210,9 +243,9 @@ def oracle_cases(draw):
         aps += [AccessPointSpec(ids[0], px + d, py, r, True),
                 AccessPointSpec(ids[1], px - d, py, r, True)]
 
-    world = oracle_world(p, q, length, aps, anchor_open=draw(st.booleans()))
+    world = oracle_world(p, q, aps, length)
     v = world.vehicles["v"]
-    peer = draw(st.sampled_from([None, "nowhere", "zz-anchor", *(ap.id for ap in aps)]))
+    peer = draw(st.sampled_from([None, "nowhere", *(ap.id for ap in aps)]))
     v.conn = ConnectionState(Phase.ASSOCIATING, 0, peer)
     if mode == "moving":
         v.offset_m = draw(st.floats(0.0, length, exclude_max=True))
@@ -224,50 +257,71 @@ def oracle_cases(draw):
 
 
 class TestVisibleAp:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(oracle_cases())
     def test_matches_full_scan(self, case):
         world, times = case
+        candidates = {ap[3] for ap in world.ap_candidates("pq")}
         for now_ms in times:
+            assert in_range(world, now_ms) <= candidates
             assert world.visible_ap("v", now_ms) == visible_ap_by_scan(world, "v", now_ms)
 
-    def test_oracle_cell_is_fixed_by_the_anchors(self):
-        # edge positions above are only on grid lines while this holds
-        world = oracle_world((3.0, 4.0), (-5.0, 7.0), 9.0,
-                             [AccessPointSpec("a", 100.0, -50.0, 60.0, True)])
-        assert world.ap_cell_m == ORACLE_CELL > MAX_RANGE
-
-    @pytest.mark.parametrize("p, aps, anchor_open, peer, expected", [
-        ((2 * ORACLE_CELL, -ORACLE_CELL), [("a", 2 * ORACLE_CELL - 30.0, 40.0 - ORACLE_CELL,
-                                            50.0, True)], True, None, "a"),
-        # 128 - nextafter(64, 0) rounds to 64.0, within the 64 m range, while
-        # x / 64 and 128 / 64 floor to cells 0 and 2: a cell of exactly the
-        # largest range would miss this access point
-        ((math.nextafter(64.0, 0.0), 0.0), [("a", 128.0, 0.0, 64.0, True)], False, None, "a"),
-        ((0.0, 0.0), [("a", 1.0, 1.0, 50.0, False)], False, None, None),
-        ((0.0, 0.0), [("a", 1.0, 1.0, 50.0, False), ("b", 2.0, 1.0, 50.0, True)],
-         False, "a", "b"),
-        ((0.0, 0.0), [("near", 5.0, 0.0, 50.0, True), ("far", -40.0, 0.0, 50.0, True)],
-         False, None, "near"),
-        ((0.0, 0.0), [("near", 5.0, 0.0, 50.0, True), ("far", -40.0, 0.0, 50.0, True)],
-         False, "far", "far"),
-        ((0.0, 0.0), [("b", 30.0, 0.0, 50.0, True), ("a", -30.0, 0.0, 50.0, True)],
-         False, None, "a"),
-    ], ids=["exact-range-on-grid-lines", "in-range-by-rounding", "no-open-ap", "closed-ignored",
-            "nearest", "peer-wins", "tie-by-id"])
-    def test_named_cases_match_full_scan(self, p, aps, anchor_open, peer, expected):
-        world = oracle_world(p, (p[0] + 10.0, p[1]), 10.0,
-                             [AccessPointSpec(*ap) for ap in aps], anchor_open)
-        world.vehicles["v"].conn = ConnectionState(Phase.ASSOCIATING, 0, peer)
+    @pytest.mark.parametrize("p, q, frac, aps, peer, expected", [
+        ((0.0, 0.0), (-10.0, 0.0), 0.0, [("a", 30.0, 40.0, 50.0, True)], None, "a"),
+        # 128 - nextafter(64, 0) rounds to 64.0, within the 64 m range, though
+        # the access point lies farther than 64 m from the segment: only the
+        # margin makes it a candidate
+        ((math.nextafter(64.0, 0.0), 0.0), (-10.0, 0.0), 0.0,
+         [("a", 128.0, 0.0, 64.0, True)], None, "a"),
+        ((0.0, 0.0), (100.0, 0.0), 0.5, [("a", 50.0, 30.0, 30.0, True)], None, "a"),
+        ((0.0, 0.0), (100.0, 0.0), 0.5,
+         [("a", 50.0, 30.0, math.nextafter(30.0, 0.0), True)], None, None),
+        # the squared length, 1e310, overflows; the offset along the arc, 1e153
+        # away from P, does not
+        ((0.0, 0.0), (1e155, 0.0), 0.01, [("a", 1e155 * 0.01, 1.0, 1.0, True)], None, "a"),
+        ((1e300, -1e300), (-1e300, 1e300), 0.5, [("a", 3e299, 4e299, 5e299, True)],
+         None, "a"),
+        ((5.0, 5.0), (5.0, 5.0), 1.0, [("a", 8.0, 9.0, 5.0, True)], None, "a"),
+        ((0.0, 0.0), (10.0, 0.0), 0.0, [("a", 1.0, 1.0, 50.0, False)], None, None),
+        ((0.0, 0.0), (10.0, 0.0), 0.0, [("a", 1.0, 1.0, 50.0, False),
+                                        ("b", 2.0, 1.0, 50.0, True)], "a", "b"),
+        ((0.0, 0.0), (10.0, 0.0), 0.0, [("near", 5.0, 0.0, 50.0, True),
+                                        ("far", -40.0, 0.0, 50.0, True)], None, "near"),
+        ((0.0, 0.0), (10.0, 0.0), 0.0, [("near", 5.0, 0.0, 50.0, True),
+                                        ("far", -40.0, 0.0, 50.0, True)], "far", "far"),
+        ((0.0, 0.0), (10.0, 0.0), 0.0, [("b", 30.0, 0.0, 50.0, True),
+                                        ("a", -30.0, 0.0, 50.0, True)], None, "a"),
+    ], ids=["exact-range-at-an-endpoint", "in-range-by-rounding", "tangent-range",
+            "one-ulp-short-of-tangent", "squares-overflow", "coordinates-near-1e300",
+            "tail-and-head-share-coordinates", "no-open-ap", "closed-ignored", "nearest",
+            "peer-wins", "tie-by-id"])
+    def test_named_cases_match_full_scan(self, p, q, frac, aps, peer, expected):
+        world = oracle_world(p, q, [AccessPointSpec(*ap) for ap in aps])
+        v = world.vehicles["v"]
+        v.offset_m = frac
+        v.conn = ConnectionState(Phase.ASSOCIATING, 0, peer)
         assert visible_ap_by_scan(world, "v", 0) == expected
         assert world.visible_ap("v", 0) == expected
 
-    def test_closed_access_points_are_not_indexed(self):
-        world = oracle_world((0.0, 0.0), (10.0, 0.0), 10.0,
+    def test_candidates_are_the_open_aps_that_reach_the_segment(self):
+        world = oracle_world((0.0, 0.0), (100.0, 0.0), [
+            AccessPointSpec("tail", -30.0, 40.0, 50.0, True),  # reaches P exactly
+            AccessPointSpec("side", 50.0, 20.0, 20.0, True),  # tangent at (50, 0)
+            AccessPointSpec("head", 130.0, 0.0, 30.0, True),  # reaches Q exactly
+            AccessPointSpec("short", 50.0, 21.0, 20.0, True),
+            AccessPointSpec("beyond", 130.0, 0.0, 29.0, True),
+            AccessPointSpec("off-axis", 200.0, 200.0, 80.0, True),
+        ])
+        assert world.ap_candidates("pq") == ((130.0, 0.0, 30.0, "head"),
+                                             (50.0, 20.0, 20.0, "side"),
+                                             (-30.0, 40.0, 50.0, "tail"))
+
+    def test_closed_access_points_are_never_candidates(self):
+        world = oracle_world((0.0, 0.0), (10.0, 0.0),
                              [AccessPointSpec("a", 1.0, 1.0, 50.0, False),
-                              AccessPointSpec("b", 2.0, 1.0, 50.0, True)])
-        indexed = {entry[3] for bucket in world._ap_buckets.values() for entry in bucket}
-        assert indexed == {"b", "zz-anchor"}
+                              AccessPointSpec("b", 2.0, 1.0, 50.0, True),
+                              AccessPointSpec("c", 5.0, 0.0, 50.0, False)])
+        assert [ap[3] for ap in world.ap_candidates("pq")] == ["b"]
 
 
 MINIMAL_SCENARIO = {
@@ -523,6 +577,40 @@ class TestEventOrder:
                 assert world.vehicle_position(vid, now_ms) \
                     == vehicle_position_by_formula(world, vid, now_ms)
 
+    def test_connected_vehicle_loses_the_link_on_an_arc_without_candidates(self):
+        # ap1 reaches the first 55 m of ab only: the vehicle, CONNECTED there
+        # until t=5500, drives onto bc at t=6000, where no open access point
+        # reaches, and the 500 ms silence still ends in LOST
+        net = build_net([("A", 0.0, 0.0), ("B", 60.0, 0.0), ("C", 160.0, 0.0)],
+                        [("ab", "A", "B", 60.0), ("bc", "B", "C", 100.0)])
+        scenario = scenario_from_dict({
+            "duration_ms": 7000, "seed": 1,
+            "vehicles": [{"id": "v", "start_arc": "ab", "start_offset_m": 0.0,
+                          "speed_mps": 10.0, "waypoints": ["B", "C"]}],
+            "access_points": [{"id": "ap1", "x": 0.0, "y": 0.0, "range_m": 55.0,
+                               "open": True},
+                              {"id": "shut", "x": 110.0, "y": 0.0, "range_m": 50.0,
+                               "open": False}],
+        }, net)
+        reference = SingleHeapSimulation(net, scenario)
+        want = final_state(reference.run())
+        sim = Simulation(net, scenario)
+        got = final_state(sim.run())
+        assert sim.world.ap_candidates("bc") == ()
+        assert sim.trace == reference.trace
+        assert got == want
+        ticks = [line for line in sim.trace if line.split()[0] in
+                 ("t=5500", "t=6000", "t=6100", "t=6200", "t=6300")]
+        assert ticks == [
+            "t=5500 PHASE_TIMEOUT vehicle=v phase=CONNECTED ap=ap1",
+            "t=6000 MOVE vehicle=v node=B arc=bc",
+            "t=6000 PHASE_TIMEOUT vehicle=v phase=CONNECTED ap=ap1",
+            "t=6100 PHASE_TIMEOUT vehicle=v phase=LOST ap=ap1",
+            "t=6200 PHASE_TIMEOUT vehicle=v phase=SCANNING ap=-",
+            "t=6300 PHASE_TIMEOUT vehicle=v phase=SCANNING ap=-",
+        ]
+        assert sim.world.vehicles["v"].conn == ConnectionState(Phase.SCANNING, 6200, None)
+
     def test_grid_scenarios_tie_events_with_ticks(self):
         # the generators behind tick_tie_cases put every kind of event on a
         # millisecond that also runs PHASE_TIMEOUTs
@@ -624,3 +712,50 @@ class TestSensing:
         nonces = [env.nonce for q in queues.values() for env, _ in q]
         assert len(set(nonces)) == len(nonces) == 12
         assert not any(world.vehicles[vid].queue for vid in ("v3", "v4", "v5"))
+
+
+def lap_net():
+    """A 100 m square, A -> B -> C -> D -> A, each arc with its own geometry."""
+    return build_net([("A", 0.0, 0.0), ("B", 100.0, 0.0), ("C", 100.0, 100.0),
+                      ("D", 0.0, 100.0)],
+                     [("ab", "A", "B", 100.0), ("bc", "B", "C", 100.0),
+                      ("cd", "C", "D", 100.0), ("da", "D", "A", 100.0)])
+
+
+LAP_SCENARIO = {
+    "duration_ms": 45_000, "seed": 4,
+    "vehicles": [{"id": "v1", "start_arc": "ab", "start_offset_m": 0.0,
+                  "speed_mps": 20.0, "waypoints": ["B", "C", "D", "A"] * 2},
+                 {"id": "v2", "start_arc": "ab", "start_offset_m": 50.0,
+                  "speed_mps": 0.0, "waypoints": []}],
+    "access_points": [{"id": "near", "x": 50.0, "y": -10.0, "range_m": 30.0, "open": True},
+                      {"id": "shut", "x": 100.0, "y": 100.0, "range_m": 80.0,
+                       "open": False}],
+}
+
+
+class TestApCandidates:
+    def test_each_arc_is_indexed_once_per_world(self, monkeypatch):
+        # two laps: v1 enters every arc twice and v2 ticks on ab 449 times,
+        # yet each World builds each arc's candidates once, on first use
+        net = lap_net()
+        arc_of = {(net.nodes[a.tail].x, net.nodes[a.tail].y,
+                   net.nodes[a.head].x, net.nodes[a.head].y): a.id for a in net.arcs.values()}
+        built = []
+
+        def counting_candidates(open_aps, x0, y0, x1, y1):
+            arc = arc_of[(x0, y0, x1, y1)]
+            built[-1][arc] = built[-1].get(arc, 0) + 1
+            return arc_candidates(open_aps, x0, y0, x1, y1)
+
+        arc_candidates = comms._arc_candidates
+        monkeypatch.setattr(comms, "_arc_candidates", counting_candidates)
+        scenario = scenario_from_dict(LAP_SCENARIO, net)
+        for _ in range(2):
+            built.append({})
+            sim = Simulation(net, scenario)
+            sim.run()
+            assert sum(" MOVE vehicle=v1 node=A arc=ab" in line for line in sim.trace) == 1
+            assert sim.world.ap_candidates("ab") == ((50.0, -10.0, 30.0, "near"),)
+            assert sim.world.ap_candidates("cd") == ()
+        assert built == [{"ab": 1, "bc": 1, "cd": 1, "da": 1}] * 2

@@ -69,6 +69,17 @@ class TestLoadNetwork:
         with pytest.raises(InputError, match=r"^arc 'a1' is a self-loop at 'u'$"):
             load_network(write_net(tmp_path, bad))
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_overflowing_coordinate_difference_rejected(self, tmp_path, axis):
+        # both coordinates are finite, but head - tail overflows to inf
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["nodes"][0][axis] = -1.7e308
+        bad["nodes"][1][axis] = 1.7e308
+        with pytest.raises(InputError) as err:
+            load_network(write_net(tmp_path, bad))
+        assert str(err.value) == ("arc 'a1' from 'u' to 'v' has a coordinate difference "
+                                  "too large for a float")
+
     @pytest.mark.parametrize("section, index, key, value, message", [
         ("nodes", 1, "x", 10**400, "nodes[1].x must be a finite number, got 1" + "0" * 400),
         ("nodes", 1, "x", float("nan"), "nodes[1].x must be a finite number, got nan"),
