@@ -23,13 +23,14 @@ from potholesim.config import SimConfig
 from potholesim.detection import (DepthMap, GroundTruthSurface, IntensityImage,
                                   PotholeDetection, cell_count, extract_potholes, sweep)
 from potholesim.geocrypto import (LEN_FIELD, NONCE_LEN, TAG_LEN, EnvelopeFormatError,
-                                  IntegrityError, LocationMismatchError, PlainReport,
-                                  ReportEnvelope, _grid_to_dict, _report_from_dict,
-                                  encrypt)
+                                  GeocryptoError, IntegrityError, LocationMismatchError,
+                                  PlainReport, ReportEnvelope, _grid_to_dict,
+                                  _report_from_dict, encrypt)
 from potholesim.network import Arc, Node, StreetNetwork
 from potholesim.registry import PotholeRegistry
 from potholesim.routing import UnreachableError, fmt_num, modify_destination
-from potholesim.weighting import WeightedNetwork
+from potholesim.server import ServerStats
+from potholesim.weighting import WeightedNetwork, preprocess
 
 
 def build_net(nodes, arcs) -> StreetNetwork:
@@ -679,3 +680,32 @@ def oracle_decrypt(env: ReportEnvelope, key: bytes, claimed_location) -> PlainRe
         return _report_from_dict(json.loads(payload.decode()))
     except (ValueError, KeyError, TypeError) as exc:
         raise IntegrityError(f"payload did not decode: {exc}") from exc
+
+
+# -- intake oracle -----------------------------------------------------------
+
+class OracleIntake:
+    """Reference for `Server.receive_envelope`: `oracle_decrypt`, then
+    `ingest_report`, then a full `preprocess` of the whole network."""
+
+    def __init__(self, net: StreetNetwork, key: bytes):
+        self.net, self.key = net, key
+        self.registry = PotholeRegistry(net)
+        self.wnet = preprocess(net, self.registry)
+        self.stats = ServerStats()
+        self.snapshot_seq = 0
+
+    def receive(self, env: ReportEnvelope, claimed_location, vehicle_id: str, now_ms: int):
+        try:
+            report = oracle_decrypt(env, self.key, claimed_location)
+        except GeocryptoError:
+            self.stats.envelopes_rejected += 1
+            return None
+        values = report.intensity_image.values
+        detection = PotholeDetection(report.arc, report.offset_m,
+                                     max(report.depth_map.depths), sum(values) / len(values))
+        outcome = self.registry.ingest_report(detection, vehicle_id, now_ms)
+        self.wnet = preprocess(self.net, self.registry)
+        self.stats.envelopes_accepted += 1
+        self.snapshot_seq += 1
+        return outcome

@@ -1,9 +1,10 @@
 import hashlib
+import json
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_decrypt, oracle_encrypt
@@ -228,3 +229,26 @@ def test_envelopes_match_the_byte_at_a_time_oracle(case):
 
     elsewhere = (report.arc + "x", report.offset_m)
     assert opened(decrypt, env.to_bytes(), key, elsewhere) is LocationMismatchError
+
+
+# -- the location encoding ---------------------------------------------------
+# `encrypt` and `decrypt` both key on these bytes, so they must stay the
+# compact JSON of `[arc, float(offset)]` for every arc and offset.
+
+# any text: lone surrogates and control characters are drawn on purpose,
+# since the JSON encoder escapes both
+arcs = st.text(st.one_of(st.characters(exclude_categories=()),
+                         st.characters(categories=["Cs"]), st.characters(categories=["Cc"])),
+               max_size=12)
+offsets = st.one_of(
+    st.integers(-(2**1000), 2**1000), st.booleans(), st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                     math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=500)
+@given(arcs, offsets)
+@example("", 0)
+def test_location_bytes_are_compact_json(arc, offset):
+    assert geocrypto._location_bytes((arc, offset)) == json.dumps(
+        [arc, float(offset)], separators=(",", ":")).encode()

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import close, enumerate_min_weight
+from helpers import OracleIntake, close, enumerate_min_weight, oracle_encrypt, random_network
 from potholesim.detection import DepthMap, IntensityImage
 from potholesim.geocrypto import PlainReport, ReportEnvelope, encrypt
 from potholesim.registry import PotholeRegistry
@@ -109,3 +111,52 @@ class TestQuery:
         server = Server(diamond_net, registry, wnet, KEY)
         resp = server.query(RouteRequest("D", "A"))  # diamond arcs all point away from A
         assert isinstance(resp, ErrorResponse)
+
+
+# -- against the reference intake --------------------------------------------
+
+def intake_stream(rng: random.Random, net, n: int):
+    """`n` receive_envelope argument tuples: mostly intact reports, some of
+    them near an earlier one so that they merge, the rest tampered with (a
+    flipped byte or a truncated field) or claiming another location."""
+    arcs = sorted(net.arcs)
+    for now in range(0, 10 * n, 10):
+        arc = rng.choice(arcs)
+        length = net.arcs[arc].length_m
+        offset = min(length, rng.choice([0.0, 0.6, 1.0, 2.1, round(rng.uniform(0, length), 2)]))
+        cols = rng.randint(1, 4)
+        report = PlainReport(
+            DepthMap(1, cols, 0.5, [round(rng.uniform(0, 80), 2) for _ in range(cols)]),
+            IntensityImage(1, cols, [round(rng.random(), 3) for _ in range(cols)]),
+            arc, offset, f"v{rng.randrange(3)}", now)
+        env = oracle_encrypt(report, KEY, rng)
+        claimed = report.location
+        fault = rng.choice(["intact"] * 5 + ["flipped", "truncated", "misplaced"])
+        fields = [env.nonce, env.location_tag, env.ciphertext, env.integrity_tag]
+        i = rng.randrange(4)
+        if fault == "flipped":
+            at = rng.randrange(len(fields[i]))
+            fields[i] = fields[i][:at] + bytes([fields[i][at] ^ 0x10]) + fields[i][at + 1:]
+        elif fault == "truncated":
+            fields[i] = fields[i][:-1]
+        elif fault == "misplaced":
+            claimed = rng.choice([(arc, offset + 2.5), (rng.choice(arcs) + "x", offset)])
+        yield ReportEnvelope(*fields), claimed, report.vehicle_id, now
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_intake_matches_the_reference_after_every_envelope(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=5)
+    registry = PotholeRegistry(net)
+    server = Server(net, registry, preprocess(net, registry), KEY)
+    reference = OracleIntake(net, KEY)
+    for args in intake_stream(rng, net, rng.randint(1, 30)):
+        assert server.receive_envelope(*args) == reference.receive(*args)
+        assert registry.records == reference.registry.records
+        assert registry.events == reference.registry.events
+        assert server.wnet.arc_weights == reference.wnet.arc_weights
+        assert server.wnet.min_weights == reference.wnet.min_weights
+        assert server.stats == reference.stats
+        assert server.snapshot_seq == reference.snapshot_seq
