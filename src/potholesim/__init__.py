@@ -16,7 +16,7 @@ from .registry import PotholeRegistry
 from .routing import Route, RoutingSession, modify_destination, route
 from .scenario import Scenario, load_scenario
 from .server import Server
-from .weighting import WeightedNetwork, apply_update, arc_damage, preprocess
+from .weighting import WeightedNetwork, apply_update, preprocess
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,5 @@ __all__ = [
     "PlainReport", "ReportEnvelope", "decrypt", "encrypt", "priority_report",
     "traffic_intensity", "StreetNetwork", "load_network", "PotholeRegistry",
     "Route", "RoutingSession", "modify_destination", "route", "Scenario",
-    "load_scenario", "Server", "WeightedNetwork", "apply_update", "arc_damage",
-    "preprocess",
+    "load_scenario", "Server", "WeightedNetwork", "apply_update", "preprocess",
 ]

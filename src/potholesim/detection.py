@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,7 @@ class IntensityImage:
         return self.values[r * self.cols + c]
 
 
-@dataclass(frozen=True)
-class PotholeDetection:
+class PotholeDetection(NamedTuple):
     """One extracted pothole report: (arc id, offset m, depth mm, intensity).
 
     The raw run cells ride along so a transmitted report can embed the

@@ -13,7 +13,8 @@ Wire layout:
 All primitives are keyed BLAKE2b with domain-separated subkeys derived
 from the 256-bit shared secret.  The three keyed states are built once per
 key and copied for each use; the keystream is XORed over the whole buffer
-as one integer.  Neither changes the construction or a byte on the wire.
+as one integer; the location's compact JSON is written directly.  None of
+these changes the construction or a byte on the wire.
 This is a deliberately small reference construction for a simulator with
 a pre-shared key; it is NOT a reviewed, production-grade cipher and must
 not be used to protect real data.
@@ -27,6 +28,8 @@ import hmac
 import json
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .detection import DepthMap, IntensityImage
 
@@ -53,8 +56,7 @@ class IntegrityError(GeocryptoError):
     """Ciphertext or integrity tag fails verification."""
 
 
-@dataclass(frozen=True)
-class PlainReport:
+class PlainReport(NamedTuple):
     depth_map: DepthMap
     intensity_image: IntensityImage
     arc: str
@@ -105,9 +107,16 @@ def _keyed_states(key: bytes) -> tuple[hashlib.blake2b, hashlib.blake2b, hashlib
                               (b"integrity", TAG_LEN)))
 
 
+# the float reprs that JSON spells differently
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _location_bytes(location: Location) -> bytes:
+    """The compact JSON of `[arc, float(offset)]`, written directly: the
+    encoder's own string escaping and float repr, without building one."""
     arc, offset = location
-    return json.dumps([arc, float(offset)], separators=(",", ":")).encode()
+    number = repr(float(offset))
+    return f"[{encode_basestring_ascii(arc)},{_JSON_FLOATS.get(number, number)}]".encode()
 
 
 def _digest(state: hashlib.blake2b, *parts: bytes) -> bytes:
@@ -157,12 +166,9 @@ def _report_from_dict(raw: dict) -> PlainReport:
     dm = raw["depth_map"]
     ii = raw["intensity_image"]
     return PlainReport(
-        depth_map=DepthMap(dm["rows"], dm["cols"], dm["cell_m"],
-                           [float(d) for d in dm["depths"]]),
-        intensity_image=IntensityImage(ii["rows"], ii["cols"],
-                                       [float(v) for v in ii["values"]]),
-        arc=raw["arc"], offset_m=float(raw["offset_m"]),
-        vehicle_id=raw["vehicle_id"], timestamp_ms=int(raw["timestamp_ms"]))
+        DepthMap(dm["rows"], dm["cols"], dm["cell_m"], [float(d) for d in dm["depths"]]),
+        IntensityImage(ii["rows"], ii["cols"], [float(v) for v in ii["values"]]),
+        raw["arc"], float(raw["offset_m"]), raw["vehicle_id"], int(raw["timestamp_ms"]))
 
 
 def encrypt(report: PlainReport, key: bytes, rng: random.Random) -> ReportEnvelope:

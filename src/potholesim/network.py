@@ -72,6 +72,7 @@ class StreetNetwork:
             self.nodes[n.id] = n
 
         self.arcs: dict[str, Arc] = {}
+        # (tail, head) -> its arc ids, sorted; weighting reads it too
         self._pairs: dict[tuple[str, str], list[str]] = {}
         for a in arcs:
             if a.id in self.arcs:

@@ -14,7 +14,9 @@ report keeps (`check_record`), a pothole id that is not a decimal integer
 without a leading zero, a `*_ms` field that is not an integer, a number
 that is not finite, an empty id, a `last_seen_ms` before `first_seen_ms` and
 an update event whose pothole the registry lacks, raising InputError that
-names the file, the line and the field.
+names the file, the line and the field.  `ingest_report` refuses a report
+that breaks `check_record` with RecordError and one on an arc the network
+lacks with UnknownArcError, before it changes anything.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import SimConfig
 from .detection import PotholeDetection
@@ -34,6 +37,10 @@ from .network import Arc, StreetNetwork
 
 class UnknownPotholeError(LookupError):
     pass
+
+
+class RecordError(ValueError):
+    """A pothole breaks the rules every stored record keeps (`check_record`)."""
 
 
 @dataclass
@@ -51,8 +58,7 @@ class PotholeRecord:
         return (self.depth_mm, (self.arc, self.offset_m), self.intensity)
 
 
-@dataclass(frozen=True)
-class UpdateEvent:
+class UpdateEvent(NamedTuple):
     pothole_id: str
     vehicle_id: str
     timestamp_ms: int
@@ -72,6 +78,7 @@ class PotholeRegistry:
         self.dedup_radius_m = dedup_radius_m
         self.records: dict[str, PotholeRecord] = {}
         self.events: list[UpdateEvent] = []
+        # arc id -> its pothole ids in minting order; weighting reads it too
         self._by_arc: dict[str, list[str]] = {}
         self._next_id = 1
 
@@ -189,9 +196,9 @@ def check_record(offset_m: float, depth_mm: float, arc: Arc | None) -> None:
     if not (math.isfinite(offset_m) and 0.0 <= offset_m
             and (arc is None or offset_m <= arc.length_m)):
         rule = ">= 0" if arc is None else f"in [0, {arc.length_m!r}] on arc {arc.id!r}"
-        raise ValueError(f"offset_m must be a finite number {rule}, got {offset_m!r}")
+        raise RecordError(f"offset_m must be a finite number {rule}, got {offset_m!r}")
     if not (math.isfinite(depth_mm) and depth_mm >= 0.0):
-        raise ValueError(f"depth_mm must be a finite number >= 0, got {depth_mm!r}")
+        raise RecordError(f"depth_mm must be a finite number >= 0, got {depth_mm!r}")
 
 
 def _read_rows(path: str | Path, fields: list[str],

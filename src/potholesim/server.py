@@ -2,7 +2,10 @@
 
 Each accepted envelope follows the fixed path decrypt -> ingest -> re-weight
 the affected arc, so the weighted network is always consistent with the
-registry.  Commands are processed one at a time (the simulator's event
+registry.  An envelope is refused, changing nothing but `ServerStats`, when
+decryption fails (format, location or integrity, one counter each) or when
+its authentic report breaks the registry's rules (an unknown arc, or an
+offset or depth `check_record` refuses: the report counter).  Commands are processed one at a time (the simulator's event
 loop serializes them), which makes every query response a view of exactly
 one registry/weights snapshot; responses carry that snapshot's sequence
 number.  Query dispatch is a fixed request-kind -> handler mapping; there
@@ -15,18 +18,30 @@ from dataclasses import dataclass
 
 from . import geocrypto, routing, weighting
 from .detection import PotholeDetection
-from .geocrypto import GeocryptoError, Location, ReportEnvelope
+from .geocrypto import (EnvelopeFormatError, GeocryptoError, IntegrityError, Location,
+                        LocationMismatchError, ReportEnvelope)
 from .network import StreetNetwork, UnknownArcError, UnknownNodeError
-from .registry import PotholeRegistry
+from .registry import PotholeRegistry, RecordError
 from .routing import Route, UnreachableError
 
 
 @dataclass
 class ServerStats:
+    """Counters since start-up.  `envelopes_rejected` is the total of the
+    four `rejected_*` reasons."""
+
     envelopes_accepted: int = 0
     envelopes_rejected: int = 0
+    rejected_format: int = 0      # EnvelopeFormatError
+    rejected_location: int = 0    # LocationMismatchError
+    rejected_integrity: int = 0   # IntegrityError
+    rejected_report: int = 0      # opened, but the report breaks the registry's rules
     queries_answered: int = 0
     queries_failed: int = 0
+
+
+_REJECTED = {EnvelopeFormatError: "rejected_format", LocationMismatchError: "rejected_location",
+             IntegrityError: "rejected_integrity"}
 
 
 @dataclass(frozen=True)
@@ -73,24 +88,29 @@ class Server:
     def receive_envelope(self, env: ReportEnvelope, claimed_location: Location,
                          vehicle_id: str, now_ms: int) -> tuple[str, bool] | None:
         """Decrypt, ingest and re-weight.  Returns (pothole id, is_new), or
-        None when the envelope fails decryption and is dropped."""
+        None when the envelope is refused: it fails decryption, or its
+        report names an arc the network lacks or breaks `check_record`.  A
+        refused envelope changes nothing but its counters."""
         try:
             report = geocrypto.decrypt(env, self.shared_key, claimed_location)
-        except GeocryptoError:
-            self.stats.envelopes_rejected += 1
-            return None
-        detection = PotholeDetection(
-            arc=report.arc,
-            offset_m=report.offset_m,
-            depth_mm=max(report.depth_map.depths, default=0.0),
-            intensity=(sum(report.intensity_image.values) / len(report.intensity_image.values)
-                       if report.intensity_image.values else 1.0),
-        )
-        outcome = self.registry.ingest_report(detection, vehicle_id, now_ms)
+        except GeocryptoError as exc:
+            return self._reject(_REJECTED[type(exc)])
+        intensities = report.intensity_image.values
+        detection = PotholeDetection(report.arc, report.offset_m, max(report.depth_map.depths),
+                                     sum(intensities) / len(intensities))
+        try:
+            outcome = self.registry.ingest_report(detection, vehicle_id, now_ms)
+        except (UnknownArcError, RecordError):
+            return self._reject("rejected_report")
         weighting.apply_update(self.wnet, report.arc, self.registry)
         self.stats.envelopes_accepted += 1
         self.snapshot_seq += 1
         return outcome
+
+    def _reject(self, reason: str) -> None:
+        stats = self.stats
+        setattr(stats, reason, getattr(stats, reason) + 1)
+        stats.envelopes_rejected += 1
 
     def query(self, request: RouteRequest | ConditionRequest):
         """Answer a route or condition query against the current snapshot."""

@@ -10,7 +10,11 @@ potholes, and 0 for a clean arc (the formula's division is undefined at
 a = 0; defining d = 0 there gives clean arcs weight 0 and leaves the
 zero-weight tie-breaking to the routing layer).  Weights are therefore in
 mm*m and are recomputed per arc whenever the registry ingests a report for
-that arc, which keeps the incremental state identical to a full rebuild.
+that arc, which keeps the incremental state identical to a full rebuild:
+`preprocess` re-weights every arc through the same per-arc step as
+`apply_update`.  That step sums the arc's depths in minting order from the
+registry's per-arc index and takes its pair's minimum from the network's
+pair index, looking the arc up once.
 
 Dump format (CSV): arc_id, tail, head, length_m, pothole_count,
 avg_damage_mm, weight.
@@ -21,26 +25,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
-from .network import StreetNetwork
+from .network import Arc, StreetNetwork
 from .registry import PotholeRegistry
-
-
-class ArcDamage(NamedTuple):
-    damage_sum: float
-    count: int
-    average: float
-
-
-def arc_damage(arc_id: str, registry: PotholeRegistry) -> ArcDamage:
-    """Sum, count and average of pothole depths on one arc (0 when clean)."""
-    records = registry.potholes_on_arc(arc_id)
-    total = 0.0
-    for rec in records:
-        total += rec.depth_mm
-    count = len(records)
-    return ArcDamage(total, count, total / count if count else 0.0)
 
 
 @dataclass
@@ -62,19 +49,38 @@ class WeightedNetwork:
         return self.arc_weights[arc_id]
 
 
-def _set_pair_min(wnet: WeightedNetwork, u: str, v: str) -> None:
-    wnet.min_weights[(u, v)] = min((wnet.arc_weights[a.id], a.length_m, a.id)
-                                   for a in wnet.base.arcs_between(u, v))
+def _damage(arc_id: str, registry: PotholeRegistry) -> tuple[int, float]:
+    """Count and mean depth of the potholes on one arc (0, 0.0 when clean),
+    summed in minting order straight from the registry's per-arc index."""
+    pids = registry._by_arc.get(arc_id, ())
+    records = registry.records
+    total = 0.0
+    for pid in pids:
+        total += records[pid].depth_mm
+    count = len(pids)
+    return count, (total / count if count else 0.0)
+
+
+def _reweigh(wnet: WeightedNetwork, arc: Arc, registry: PotholeRegistry) -> None:
+    """Set one arc's weight, then its pair's least (weight, length, arc id)
+    from the network's pair index."""
+    weights, arcs = wnet.arc_weights, wnet.base.arcs
+    weights[arc.id] = _damage(arc.id, registry)[1] * arc.length_m
+    pair = (arc.tail, arc.head)
+    wnet.min_weights[pair] = min((weights[a], arcs[a].length_m, a)
+                                 for a in wnet.base._pairs[pair])
 
 
 def preprocess(net: StreetNetwork, registry: PotholeRegistry) -> WeightedNetwork:
-    """Weight every arc from the current registry and set each pair minimum."""
-    wnet = WeightedNetwork(net, {}, {})
-    for arc_id in net.arcs:
-        arc = net.arcs[arc_id]
-        wnet.arc_weights[arc_id] = arc_damage(arc_id, registry).average * arc.length_m
-    for u, v in net.pairs():
-        _set_pair_min(wnet, u, v)
+    """Weight every arc from the current registry and set each pair minimum.
+
+    Each arc is re-weighted as `apply_update` does it.  The last arc of a
+    pair to be re-weighted sees every weight of that pair final, so the
+    pair minima come out as if they were taken after all the weights.
+    """
+    wnet = WeightedNetwork(net, dict.fromkeys(net.arcs, 0.0), {})
+    for arc in net.arcs.values():
+        _reweigh(wnet, arc, registry)
     return wnet
 
 
@@ -84,9 +90,7 @@ def apply_update(wnet: WeightedNetwork, arc_id: str, registry: PotholeRegistry) 
     Leaves the WeightedNetwork state-identical to a full preprocess over
     the same registry.
     """
-    arc = wnet.base.arc(arc_id)
-    wnet.arc_weights[arc_id] = arc_damage(arc_id, registry).average * arc.length_m
-    _set_pair_min(wnet, arc.tail, arc.head)
+    _reweigh(wnet, wnet.base.arc(arc_id), registry)
     return wnet
 
 
@@ -98,9 +102,9 @@ def csv_rows(wnet: WeightedNetwork, registry: PotholeRegistry) -> list[list]:
     rows = [CSV_FIELDS]
     for arc_id in sorted(wnet.base.arcs):
         arc = wnet.base.arcs[arc_id]
-        dmg = arc_damage(arc_id, registry)
+        count, average = _damage(arc_id, registry)
         rows.append([arc.id, arc.tail, arc.head, arc.length_m,
-                     dmg.count, dmg.average, wnet.arc_weights[arc_id]])
+                     count, average, wnet.arc_weights[arc_id]])
     return rows
 
 

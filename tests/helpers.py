@@ -23,10 +23,10 @@ from potholesim.config import SimConfig
 from potholesim.detection import (DepthMap, GroundTruthSurface, IntensityImage,
                                   PotholeDetection, cell_count, extract_potholes, sweep)
 from potholesim.geocrypto import (LEN_FIELD, NONCE_LEN, TAG_LEN, EnvelopeFormatError,
-                                  GeocryptoError, IntegrityError, LocationMismatchError,
-                                  PlainReport, ReportEnvelope, _grid_to_dict,
-                                  _report_from_dict, encrypt)
-from potholesim.network import Arc, Node, StreetNetwork
+                                  IntegrityError, LocationMismatchError, PlainReport,
+                                  ReportEnvelope, _grid_to_dict, _report_from_dict,
+                                  encrypt)
+from potholesim.network import Arc, Node, StreetNetwork, UnknownArcError
 from potholesim.registry import PotholeRegistry
 from potholesim.routing import UnreachableError, fmt_num, modify_destination
 from potholesim.server import ServerStats
@@ -698,14 +698,25 @@ class OracleIntake:
     def receive(self, env: ReportEnvelope, claimed_location, vehicle_id: str, now_ms: int):
         try:
             report = oracle_decrypt(env, self.key, claimed_location)
-        except GeocryptoError:
-            self.stats.envelopes_rejected += 1
-            return None
+        except EnvelopeFormatError:
+            return self._reject("format")
+        except LocationMismatchError:
+            return self._reject("location")
+        except IntegrityError:
+            return self._reject("integrity")
         values = report.intensity_image.values
         detection = PotholeDetection(report.arc, report.offset_m,
                                      max(report.depth_map.depths), sum(values) / len(values))
-        outcome = self.registry.ingest_report(detection, vehicle_id, now_ms)
+        try:
+            outcome = self.registry.ingest_report(detection, vehicle_id, now_ms)
+        except (UnknownArcError, ValueError):
+            return self._reject("report")
         self.wnet = preprocess(self.net, self.registry)
         self.stats.envelopes_accepted += 1
         self.snapshot_seq += 1
         return outcome
+
+    def _reject(self, reason: str) -> None:
+        name = f"rejected_{reason}"
+        setattr(self.stats, name, getattr(self.stats, name) + 1)
+        self.stats.envelopes_rejected += 1

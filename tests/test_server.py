@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from potholesim.detection import DepthMap, IntensityImage
 from potholesim.geocrypto import PlainReport, ReportEnvelope, encrypt
 from potholesim.registry import PotholeRegistry
 from potholesim.server import (ConditionRequest, ConditionResponse, ErrorResponse,
-                               RouteRequest, RouteResponse, Server)
+                               RouteRequest, RouteResponse, Server, ServerStats)
 from potholesim.weighting import preprocess
 
 KEY = bytes(range(32))
@@ -67,6 +68,65 @@ class TestReceiveEnvelope:
         assert server.stats.envelopes_rejected == 1
 
 
+def assert_refused_report(server, env, loc):
+    weights = dict(server.wnet.arc_weights)
+    assert server.receive_envelope(env, loc, "v1", 100) is None
+    assert len(server.registry) == 0 and server.registry.events == []
+    assert server.wnet.arc_weights == weights
+    assert server.snapshot_seq == 0
+    assert server.stats == ServerStats(envelopes_rejected=1, rejected_report=1)
+
+
+class TestReportRules:
+    """An authentic envelope whose report the registry may not store is
+    refused like one that fails decryption."""
+
+    def test_unknown_arc_refused(self, server):
+        assert_refused_report(server, *sealed_report("zz", 20.0, 30.0))
+
+    def test_offset_past_arc_end_refused(self, server):
+        assert_refused_report(server, *sealed_report("ab", 150.0, 30.0))
+
+    @pytest.mark.parametrize("depth", [math.nan, math.inf])
+    def test_non_finite_depth_refused(self, server, depth):
+        assert_refused_report(server, *sealed_report("ab", 20.0, depth))
+
+    def test_nan_offset_refused(self, server):
+        assert_refused_report(server, *sealed_report("ab", math.nan, 30.0))
+
+
+class TestRejectionReasons:
+    def refuse(self, server, fault):
+        env, loc = sealed_report("ab", 20.0, 30.0)
+        if fault == "format":
+            env = ReportEnvelope(env.nonce[:-1], env.location_tag, env.ciphertext,
+                                 env.integrity_tag)
+        elif fault == "location":
+            loc = ("ab", 21.0)
+        elif fault == "integrity":
+            env = ReportEnvelope(env.nonce, env.location_tag, env.ciphertext,
+                                 bytes(32))
+        else:
+            env, loc = sealed_report("ab", 150.0, 30.0)
+        assert server.receive_envelope(env, loc, "v1", 100) is None
+
+    @pytest.mark.parametrize("reason", ["format", "location", "integrity", "report"])
+    def test_each_reason_counts_alone(self, server, reason):
+        self.refuse(server, reason)
+        assert server.stats == ServerStats(envelopes_rejected=1,
+                                           **{f"rejected_{reason}": 1})
+
+    def test_reasons_sum_to_the_total(self, server):
+        for reason, times in [("format", 1), ("location", 2), ("integrity", 3), ("report", 4)]:
+            for _ in range(times):
+                self.refuse(server, reason)
+        server.receive_envelope(*sealed_report("ab", 20.0, 30.0), "v1", 100)
+        stats = server.stats
+        assert (stats.rejected_format, stats.rejected_location, stats.rejected_integrity,
+                stats.rejected_report) == (1, 2, 3, 4)
+        assert stats.envelopes_rejected == 10 and stats.envelopes_accepted == 1
+
+
 class TestQuery:
     def test_condition_on_clean_arc(self, server):
         resp = server.query(ConditionRequest("ab"))
@@ -118,20 +178,30 @@ class TestQuery:
 def intake_stream(rng: random.Random, net, n: int):
     """`n` receive_envelope argument tuples: mostly intact reports, some of
     them near an earlier one so that they merge, the rest tampered with (a
-    flipped byte or a truncated field) or claiming another location."""
+    flipped byte or a truncated field), claiming another location, or
+    sealed intact around a report that breaks the registry's rules."""
     arcs = sorted(net.arcs)
     for now in range(0, 10 * n, 10):
         arc = rng.choice(arcs)
         length = net.arcs[arc].length_m
         offset = min(length, rng.choice([0.0, 0.6, 1.0, 2.1, round(rng.uniform(0, length), 2)]))
         cols = rng.randint(1, 4)
+        depths = [round(rng.uniform(0, 80), 2) for _ in range(cols)]
+        fault = rng.choice(["intact"] * 5 + ["flipped", "truncated", "misplaced", "rule"])
+        if fault == "rule":
+            broken = rng.choice(["arc", "offset", "depth"])
+            if broken == "arc":
+                arc = "zz"
+            elif broken == "offset":
+                offset = rng.choice([length + 50.0, -1.0, math.nan, math.inf])
+            else:
+                depths[0] = rng.choice([math.nan, math.inf])
         report = PlainReport(
-            DepthMap(1, cols, 0.5, [round(rng.uniform(0, 80), 2) for _ in range(cols)]),
+            DepthMap(1, cols, 0.5, depths),
             IntensityImage(1, cols, [round(rng.random(), 3) for _ in range(cols)]),
             arc, offset, f"v{rng.randrange(3)}", now)
         env = oracle_encrypt(report, KEY, rng)
         claimed = report.location
-        fault = rng.choice(["intact"] * 5 + ["flipped", "truncated", "misplaced"])
         fields = [env.nonce, env.location_tag, env.ciphertext, env.integrity_tag]
         i = rng.randrange(4)
         if fault == "flipped":
