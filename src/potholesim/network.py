@@ -122,10 +122,6 @@ class StreetNetwork:
             raise UnknownNodeError(v)
         return [self.arcs[a] for a in self._pairs.get((u, v), [])]
 
-    def pairs(self) -> list[tuple[str, str]]:
-        """All ordered node pairs that have at least one arc, sorted."""
-        return sorted(self._pairs)
-
     def successors(self, u: str) -> list[str]:
         """Head nodes reachable from u over a single arc, sorted."""
         if u not in self.nodes:

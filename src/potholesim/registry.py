@@ -27,7 +27,6 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 from .config import SimConfig
 from .detection import PotholeDetection
@@ -58,7 +57,8 @@ class PotholeRecord:
         return (self.depth_mm, (self.arc, self.offset_m), self.intensity)
 
 
-class UpdateEvent(NamedTuple):
+@dataclass(frozen=True)
+class UpdateEvent:
     pothole_id: str
     vehicle_id: str
     timestamp_ms: int
