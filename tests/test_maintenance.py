@@ -1,13 +1,15 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ingest
 from potholesim.maintenance import (IntensityWindow, priority_report,
                                     traffic_intensity)
-from potholesim.registry import PotholeRegistry, UnknownPotholeError, UpdateEvent
+from potholesim.registry import PotholeRecord, PotholeRegistry, UnknownPotholeError, UpdateEvent
 
 
 def ev(pid, t, vid="v"):
@@ -103,3 +105,65 @@ def test_extra_update_never_lowers_rank(line_net):
         after = {e.pothole_id: e.rank
                  for e in priority_report(reg, boosted, 50_000)}
         assert after[pid] <= before[pid]
+
+
+def pairwise_ranking(records, events, at):
+    """The report's rows by brute force: each record's rank is one more than
+    the number of records that must come before it, decided pair by pair."""
+    count = {r.id: sum(1 for e in events
+                       if e.pothole_id == r.id and at - 60_000 < e.timestamp_ms <= at)
+             for r in records}
+
+    def before(s, r):
+        if count[s.id] != count[r.id]:
+            return count[s.id] > count[r.id]
+        if s.depth_mm != r.depth_mm:
+            return s.depth_mm > r.depth_mm
+        return int(s.id) < int(r.id)
+
+    return sorted((1 + sum(before(s, r) for s in records), r.id, r.arc, r.offset_m,
+                   r.depth_mm, count[r.id]) for r in records)
+
+
+def report_rows(entries):
+    return [(e.rank, e.pothole_id, e.arc, e.offset_m, e.depth_mm, e.intensity_per_min)
+            for e in entries]
+
+
+@st.composite
+def report_inputs(draw):
+    """Records with ids up to 40 (so string order is not id order), few
+    distinct depths, and events on few instants that include both edges of
+    the window (at - 60 000, at]."""
+    at = draw(st.integers(60_000, 200_000))
+    ids = draw(st.lists(st.integers(0, 40), unique=True, max_size=14))
+    records = [PotholeRecord(str(i), draw(st.sampled_from(["a1", "a2"])), float(k),
+                             draw(st.sampled_from([0.0, 10.0, 12.5, 40.0])), 0.5, k, k + 1)
+               for k, i in enumerate(ids)]
+    instants = st.sampled_from([at - 60_001, at - 60_000, at - 59_999, at - 30_000,
+                                at - 1, at, at + 1])
+    events = [] if not ids else [
+        UpdateEvent(str(draw(st.sampled_from(ids))), "v", draw(instants))
+        for _ in range(draw(st.integers(0, 40)))]
+    return records, events, at
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_inputs(), st.randoms(use_true_random=False))
+def test_report_matches_a_pairwise_ranking(inputs, rnd):
+    records, events, at = inputs
+    reg = PotholeRegistry(None)
+    for rec in records:  # drawn order, not id order
+        reg.records[rec.id] = rec
+    want = pairwise_ranking(records, events, at)
+    assert report_rows(priority_report(reg, events, at)) == want
+    # `potholesim report` reads the registry back in file order
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "registry.csv"
+        reg.write_csv(path)
+        header, *body = path.read_text().splitlines()
+        rnd.shuffle(body)
+        path.write_text("\n".join([header, *body]) + "\n")
+        again = PotholeRegistry.read_csv(path)
+    assert list(again.records) == [line.split(",")[0] for line in body]
+    assert report_rows(priority_report(again, events, at)) == want
