@@ -3,9 +3,15 @@
 Traffic intensity for a pothole is the number of update events it received
 in the trailing minute -- the half-open window (at - 60 000 ms, at], so an
 event landing exactly on the window's trailing edge counts once and never
-twice across back-to-back evaluations.  The priority report ranks every
-registered pothole by intensity descending, ties by depth descending, then
-by pothole id ascending (ids are minted as increasing integers).
+twice across back-to-back evaluations.  `window_counts` counts every
+pothole's events in that window in one pass over the update log.
+
+The priority report ranks every registered pothole by intensity descending,
+ties by depth descending, then by pothole id ascending as an integer (ids
+are minted as increasing integers, but a registry read back from a CSV
+holds its records in file order).  It sorts three times, on one scalar key
+each, least significant first; Python's sort is stable, also with
+`reverse=True`, so each pass keeps the previous order among its ties.
 
 Report format (CSV): rank, pothole_id, arc_id, offset_m, depth_mm,
 intensity_per_min.
@@ -14,42 +20,31 @@ intensity_per_min.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from collections import Counter
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .registry import PotholeRegistry, UnknownPotholeError, UpdateEvent
 
 WINDOW_MS = 60_000
 
 
-@dataclass
-class IntensityWindow:
-    """Per-pothole update counts in the trailing window ending at `at_ms`."""
-
-    at_ms: int
-    window_ms: int = WINDOW_MS
-    counts: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, events: list[UpdateEvent], at_ms: int,
-              window_ms: int = WINDOW_MS) -> "IntensityWindow":
-        win = cls(at_ms, window_ms)
-        lo = at_ms - window_ms
-        for e in events:
-            if lo < e.timestamp_ms <= at_ms:
-                win.counts[e.pothole_id] = win.counts.get(e.pothole_id, 0) + 1
-        return win
+def window_counts(events: list[UpdateEvent], at_ms: int,
+                  window_ms: int = WINDOW_MS) -> Counter[str]:
+    """Update events per pothole id in the window (at_ms - window_ms, at_ms]."""
+    lo = at_ms - window_ms
+    return Counter([e.pothole_id for e in events if lo < e.timestamp_ms <= at_ms])
 
 
 def traffic_intensity(events: list[UpdateEvent], pothole_id: str, at_ms: int) -> int:
     """Updates per minute for one pothole at the evaluation instant."""
     if not any(e.pothole_id == pothole_id for e in events):
         raise UnknownPotholeError(pothole_id)
-    return IntensityWindow.build(events, at_ms).counts.get(pothole_id, 0)
+    return window_counts(events, at_ms)[pothole_id]
 
 
-@dataclass(frozen=True)
-class PriorityEntry:
+class PriorityEntry(NamedTuple):
     rank: int
     pothole_id: str
     arc: str
@@ -61,14 +56,12 @@ class PriorityEntry:
 def priority_report(registry: PotholeRegistry, events: list[UpdateEvent],
                     at_ms: int) -> list[PriorityEntry]:
     """All registered potholes, ranked for repair."""
-    window = IntensityWindow.build(events, at_ms)
-    keyed = []
-    for rec in registry.records.values():
-        intensity = window.counts.get(rec.id, 0)
-        keyed.append(((-intensity, -rec.depth_mm, int(rec.id)), rec, intensity))
-    keyed.sort(key=lambda item: item[0])
-    return [PriorityEntry(rank, rec.id, rec.arc, rec.offset_m, rec.depth_mm, intensity)
-            for rank, (_, rec, intensity) in enumerate(keyed, start=1)]
+    count = window_counts(events, at_ms).get
+    ranked = sorted(registry.records.values(), key=lambda rec: int(rec.id))
+    ranked.sort(key=attrgetter("depth_mm"), reverse=True)
+    ranked.sort(key=lambda rec: count(rec.id, 0), reverse=True)
+    return [PriorityEntry(rank, rec.id, rec.arc, rec.offset_m, rec.depth_mm, count(rec.id, 0))
+            for rank, rec in enumerate(ranked, start=1)]
 
 
 CSV_FIELDS = ["rank", "pothole_id", "arc_id", "offset_m", "depth_mm", "intensity_per_min"]

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ingest
-from potholesim.maintenance import (IntensityWindow, priority_report,
-                                    traffic_intensity)
+from potholesim.maintenance import priority_report, traffic_intensity, window_counts
 from potholesim.registry import PotholeRecord, PotholeRegistry, UnknownPotholeError, UpdateEvent
 
 
@@ -69,16 +68,25 @@ class TestPriorityReport:
         entries = priority_report(reg, [ev(str(i), 100) for i in range(1, 11)], 1_000)
         assert [e.pothole_id for e in entries] == [str(i) for i in range(1, 11)]
 
+    def test_entries_are_immutable_hashable_and_named(self, line_net):
+        entry, = priority_report(self.make_registry(line_net, [(2.0, 10.0)]),
+                                 [ev("1", 500)], 1_000)
+        assert repr(entry) == ("PriorityEntry(rank=1, pothole_id='1', arc='a1', "
+                               "offset_m=2.0, depth_mm=10.0, intensity_per_min=1)")
+        with pytest.raises(AttributeError):
+            entry.rank = 2
+        assert len({entry, entry._replace()}) == 1
+
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 200_000)), max_size=60),
        st.integers(0, 200_000))
 def test_window_counts_match_brute_force(raw, at):
     events = [ev(str(pid), t) for pid, t in raw]
-    window = IntensityWindow.build(events, at)
+    counts = window_counts(events, at)
     for pid in {e.pothole_id for e in events}:
         brute = sum(1 for e in events
                     if e.pothole_id == pid and at - 60_000 < e.timestamp_ms <= at)
-        assert window.counts.get(pid, 0) == brute
+        assert counts[pid] == brute
         assert traffic_intensity(events, pid, at) == brute
 
 
