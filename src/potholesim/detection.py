@@ -146,16 +146,6 @@ def sweep(surface: GroundTruthSurface, window: tuple[float, float],
     return dm, ii
 
 
-def grid_to_csv(grid: DepthMap | IntensityImage) -> str:
-    """Debug dump: one CSV row per grid row."""
-    values = grid.depths if isinstance(grid, DepthMap) else grid.values
-    lines = []
-    for r in range(grid.rows):
-        row = values[r * grid.cols:(r + 1) * grid.cols]
-        lines.append(",".join(repr(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def extract_potholes(dm: DepthMap, ii: IntensityImage, threshold_mm: float,
                      arc: str, window_start_m: float) -> list[PotholeDetection]:
     """Threshold + longitudinal connected components over the depth map."""

@@ -52,10 +52,6 @@ class PotholeRecord:
     first_seen_ms: int
     last_seen_ms: int
 
-    def as_tuple(self) -> tuple[float, tuple[str, float], float]:
-        """The stored (Depth, Location, Intensity) tuple."""
-        return (self.depth_mm, (self.arc, self.offset_m), self.intensity)
-
 
 @dataclass(frozen=True)
 class UpdateEvent:

@@ -110,11 +110,6 @@ class TestExtract:
         with pytest.raises(ValueError):
             extract_potholes(dm, ii, 10.0, "a1", 0.0)
 
-    def test_grid_csv_dump(self):
-        from potholesim.detection import grid_to_csv
-        dm = DepthMap(2, 3, 0.5, [0.0, 1.5, 0.0, 2.0, 0.0, 0.0])
-        assert grid_to_csv(dm) == "0.0,1.5,0.0\n2.0,0.0,0.0\n"
-
     def test_run_cells_ride_along(self):
         surf = surface([Pit(5.0, 1.0, 50.0, 0.4)])
         dm, ii = sweep(surf, (0.0, 10.0), 0.5)

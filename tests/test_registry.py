@@ -87,7 +87,6 @@ class TestQueries:
         pid, _ = ingest(reg, "a1", 2.0, 20.0, vid="v9", now=7, intensity=0.3)
         rec = reg.lookup(pid)
         assert (rec.arc, rec.offset_m, rec.depth_mm, rec.intensity) == ("a1", 2.0, 20.0, 0.3)
-        assert rec.as_tuple() == (20.0, ("a1", 2.0), 0.3)
 
     def test_lookup_unknown(self, reg):
         with pytest.raises(UnknownPotholeError):
