@@ -15,14 +15,29 @@ adjacent supra-threshold cells into one report per connected run:
     intensity = mean intensity over the run
 
 Grids default to a single lateral row; multi-row grids are collapsed
-per-column (max depth, mean intensity) before run finding.
+per-column (max depth, mean intensity) before run finding.  A grid refuses
+any cell no scanner reads -- a depth that is not a finite number >= 0, an
+intensity outside [0, 1], NaN included -- with SensorValueError, wherever
+the cell sits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+
+class SensorValueError(ValueError):
+    """A grid cell holds a value no scanner reads."""
+
+
+def _check_cells(cells: list[float], lo: float, hi: float, rule: str) -> None:
+    # one pass; NaN fails both comparisons
+    if not all(lo <= v <= hi for v in cells):
+        bad = next(v for v in cells if not lo <= v <= hi)
+        raise SensorValueError(f"{rule}, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +83,8 @@ class DepthMap:
             raise ValueError("grid dimensions must be positive")
         if len(self.depths) != self.rows * self.cols:
             raise ValueError("depth grid size mismatch")
-        if any(d < 0 for d in self.depths):
-            raise ValueError("depths must be >= 0")
+        _check_cells(self.depths, 0.0, sys.float_info.max,
+                     "depth cells must be finite numbers >= 0")
 
     def at(self, r: int, c: int) -> float:
         return self.depths[r * self.cols + c]
@@ -86,6 +101,7 @@ class IntensityImage:
             raise ValueError("grid dimensions must be positive")
         if len(self.values) != self.rows * self.cols:
             raise ValueError("intensity grid size mismatch")
+        _check_cells(self.values, 0.0, 1.0, "intensity cells must be numbers in [0, 1]")
 
     def at(self, r: int, c: int) -> float:
         return self.values[r * self.cols + c]

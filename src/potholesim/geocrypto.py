@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .detection import DepthMap, IntensityImage
+from .detection import DepthMap, IntensityImage, SensorValueError
 
 NONCE_LEN = 16
 TAG_LEN = 32
@@ -191,7 +191,8 @@ def decrypt(env: ReportEnvelope, key: bytes, claimed_location: Location) -> Plai
 
     The location tag is checked first, then payload integrity; the nonce
     never appears in the returned report.  A wrong shared key surfaces as
-    a location-tag mismatch because the tag is keyed.
+    a location-tag mismatch because the tag is keyed.  An authentic report
+    whose grid holds a cell no scanner reads raises SensorValueError.
     """
     if len(key) != 32:
         raise ValueError("shared key must be 32 bytes")
@@ -209,6 +210,8 @@ def decrypt(env: ReportEnvelope, key: bytes, claimed_location: Location) -> Plai
     try:
         raw = json.loads(payload.decode())
         report = _report_from_dict(raw)
+    except SensorValueError:
+        raise
     except (ValueError, KeyError, TypeError) as exc:
         raise IntegrityError(f"payload did not decode: {exc}") from exc
     return report

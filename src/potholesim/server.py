@@ -4,12 +4,13 @@ Each accepted envelope follows the fixed path decrypt -> ingest -> re-weight
 the affected arc, so the weighted network is always consistent with the
 registry.  An envelope is refused, changing nothing but `ServerStats`, when
 decryption fails (format, location or integrity, one counter each) or when
-its authentic report breaks the registry's rules (an unknown arc, or an
-offset or depth `check_record` refuses: the report counter).  Commands are processed one at a time (the simulator's event
-loop serializes them), which makes every query response a view of exactly
-one registry/weights snapshot; responses carry that snapshot's sequence
-number.  Query dispatch is a fixed request-kind -> handler mapping; there
-is no cost-based planning.
+its authentic report breaks the sensor's or the registry's rules (a grid
+cell no scanner reads, an unknown arc, or an offset or depth `check_record`
+refuses: the report counter).  Commands are processed one at a time (the
+simulator's event loop serializes them), which makes every query response
+a view of exactly one registry/weights snapshot; responses carry that
+snapshot's sequence number.  Query dispatch is a fixed request-kind ->
+handler mapping; there is no cost-based planning.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import geocrypto, routing, weighting
-from .detection import PotholeDetection
+from .detection import PotholeDetection, SensorValueError
 from .geocrypto import (EnvelopeFormatError, GeocryptoError, IntegrityError, Location,
                         LocationMismatchError, ReportEnvelope)
 from .network import StreetNetwork, UnknownArcError, UnknownNodeError
@@ -35,7 +36,7 @@ class ServerStats:
     rejected_format: int = 0      # EnvelopeFormatError
     rejected_location: int = 0    # LocationMismatchError
     rejected_integrity: int = 0   # IntegrityError
-    rejected_report: int = 0      # opened, but the report breaks the registry's rules
+    rejected_report: int = 0      # opened, but the report breaks the sensor's or registry's rules
     queries_answered: int = 0
     queries_failed: int = 0
 
@@ -89,12 +90,15 @@ class Server:
                          vehicle_id: str, now_ms: int) -> tuple[str, bool] | None:
         """Decrypt, ingest and re-weight.  Returns (pothole id, is_new), or
         None when the envelope is refused: it fails decryption, or its
-        report names an arc the network lacks or breaks `check_record`.  A
-        refused envelope changes nothing but its counters."""
+        report holds a cell no scanner reads, names an arc the
+        network lacks or breaks `check_record`.  A refused envelope changes
+        nothing but its counters."""
         try:
             report = geocrypto.decrypt(env, self.shared_key, claimed_location)
         except GeocryptoError as exc:
             return self._reject(_REJECTED[type(exc)])
+        except SensorValueError:
+            return self._reject("rejected_report")
         intensities = report.intensity_image.values
         detection = PotholeDetection(report.arc, report.offset_m, max(report.depth_map.depths),
                                      sum(intensities) / len(intensities))

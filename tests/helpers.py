@@ -21,7 +21,8 @@ from pathlib import Path
 from potholesim.comms import Phase, World, p2p_broadcast, step_connection, uplink
 from potholesim.config import SimConfig
 from potholesim.detection import (DepthMap, GroundTruthSurface, IntensityImage,
-                                  PotholeDetection, cell_count, extract_potholes, sweep)
+                                  PotholeDetection, SensorValueError, cell_count,
+                                  extract_potholes, sweep)
 from potholesim.geocrypto import (LEN_FIELD, NONCE_LEN, TAG_LEN, EnvelopeFormatError,
                                   IntegrityError, LocationMismatchError, PlainReport,
                                   ReportEnvelope, _grid_to_dict, _report_from_dict,
@@ -660,6 +661,15 @@ def oracle_encrypt(report: PlainReport, key: bytes, rng: random.Random) -> Repor
                           _oracle_integrity_tag(key, nonce, loc_tag, ciphertext))
 
 
+def unchecked_grids(depths, intensities, cell_m: float = 0.5):
+    """A one-row depth map and intensity image built without their cell
+    checks: the grids a faulty or forged sender could seal."""
+    dm, ii = object.__new__(DepthMap), object.__new__(IntensityImage)
+    dm.__dict__.update(rows=1, cols=len(depths), cell_m=cell_m, depths=list(depths))
+    ii.__dict__.update(rows=1, cols=len(intensities), values=list(intensities))
+    return dm, ii
+
+
 def oracle_decrypt(env: ReportEnvelope, key: bytes, claimed_location) -> PlainReport:
     """Reference for `geocrypto.decrypt`: field lengths, then the location
     tag, then integrity, then the keystream."""
@@ -678,6 +688,8 @@ def oracle_decrypt(env: ReportEnvelope, key: bytes, claimed_location) -> PlainRe
     payload = bytes(c ^ s for c, s in zip(env.ciphertext, stream))
     try:
         return _report_from_dict(json.loads(payload.decode()))
+    except SensorValueError:
+        raise
     except (ValueError, KeyError, TypeError) as exc:
         raise IntegrityError(f"payload did not decode: {exc}") from exc
 
@@ -704,6 +716,8 @@ class OracleIntake:
             return self._reject("location")
         except IntegrityError:
             return self._reject("integrity")
+        except SensorValueError:
+            return self._reject("report")
         values = report.intensity_image.values
         detection = PotholeDetection(report.arc, report.offset_m,
                                      max(report.depth_map.depths), sum(values) / len(values))

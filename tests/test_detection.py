@@ -1,9 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from potholesim.detection import (DepthMap, GroundTruthSurface, IntensityImage,
-                                  Pit, extract_potholes, sweep)
+                                  Pit, SensorValueError, extract_potholes, sweep)
 
 
 def surface(pits, length=10.0, arc="a1"):
@@ -74,6 +76,30 @@ class TestSweep:
         dm, ii = sweep(surf, (0.0, 10.0), 0.5, rows=3)
         assert dm.rows == 3 and len(dm.depths) == 60
         assert dm.at(0, 9) == dm.at(2, 9) == 50.0
+
+
+class TestGridCells:
+    """A grid refuses a cell no scanner reads, wherever it sits."""
+
+    @pytest.mark.parametrize("at", range(3))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_depth_cell_refused(self, bad, at):
+        cells = [20.0, 0.0, 35.5]
+        cells[at] = bad
+        with pytest.raises(SensorValueError, match="depth cells"):
+            DepthMap(1, 3, 0.5, cells)
+
+    @pytest.mark.parametrize("at", range(3))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 1.5, 7.0])
+    def test_intensity_cell_refused(self, bad, at):
+        cells = [0.0, 0.5, 1.0]
+        cells[at] = bad
+        with pytest.raises(SensorValueError, match="intensity cells"):
+            IntensityImage(1, 3, cells)
+
+    def test_bounds_accepted(self):
+        assert DepthMap(1, 2, 0.5, [0.0, 1.7e308]).depths == [0.0, 1.7e308]
+        assert IntensityImage(1, 2, [0.0, 1.0]).values == [0.0, 1.0]
 
 
 class TestExtract:

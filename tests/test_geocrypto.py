@@ -192,12 +192,12 @@ def test_envelope_bytes_match_golden_digests(name):
 def envelope_cases(draw):
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 12))
     n = rows * cols
-    finite = st.floats(allow_nan=False, allow_infinity=False)
     report = PlainReport(
         depth_map=DepthMap(rows, cols, draw(st.floats(1e-3, 10.0)),
                            draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))),
         intensity_image=IntensityImage(rows, cols,
-                                       draw(st.lists(finite, min_size=n, max_size=n))),
+                                       draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                                     max_size=n))),
         arc=draw(st.text(min_size=1, max_size=12)), offset_m=draw(st.floats(0.0, 1e5)),
         vehicle_id=draw(st.text(max_size=8)), timestamp_ms=draw(st.integers(0, 2**40)))
     return (report, draw(st.binary(min_size=32, max_size=32)), draw(st.integers(0, 2**32)),

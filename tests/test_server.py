@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OracleIntake, close, enumerate_min_weight, oracle_encrypt, random_network
-from potholesim.detection import DepthMap, IntensityImage
+from helpers import (OracleIntake, close, enumerate_min_weight, oracle_encrypt, random_network,
+                     unchecked_grids)
 from potholesim.geocrypto import PlainReport, ReportEnvelope, encrypt
 from potholesim.registry import PotholeRegistry
 from potholesim.server import (ConditionRequest, ConditionResponse, ErrorResponse,
@@ -23,11 +23,13 @@ def server(diamond_net):
     return Server(diamond_net, registry, wnet, KEY)
 
 
-def sealed_report(arc, offset, depth, vid="v1", ts=100, key=KEY, rng=None):
+def sealed_report(arc, offset, depth, vid="v1", ts=100, key=KEY, rng=None,
+                  depths=None, intensities=(0.4, 0.6)):
+    """An envelope of depth cells `[depth, depth / 2]` (or `depths`), sealed
+    whatever its cells hold, and the location it claims."""
     rng = rng or random.Random(1)
-    report = PlainReport(DepthMap(1, 2, 0.5, [depth, depth / 2]),
-                         IntensityImage(1, 2, [0.4, 0.6]),
-                         arc, offset, vid, ts)
+    grids = unchecked_grids([depth, depth / 2] if depths is None else depths, intensities)
+    report = PlainReport(*grids, arc, offset, vid, ts)
     return encrypt(report, key, rng), (arc, offset)
 
 
@@ -93,6 +95,21 @@ class TestReportRules:
 
     def test_nan_offset_refused(self, server):
         assert_refused_report(server, *sealed_report("ab", math.nan, 30.0))
+
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_depth_cell_refused_wherever_it_sits(self, server, bad, at):
+        depths = [20.0, 20.0]
+        depths[at] = bad
+        assert_refused_report(server, *sealed_report("ab", 20.0, 0.0, depths=depths))
+
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+    def test_bad_intensity_cell_refused_wherever_it_sits(self, server, bad, at):
+        intensities = [0.5, 0.5]
+        intensities[at] = bad
+        assert_refused_report(server, *sealed_report("ab", 20.0, 30.0,
+                                                     intensities=intensities))
 
 
 class TestRejectionReasons:
@@ -179,7 +196,8 @@ def intake_stream(rng: random.Random, net, n: int):
     """`n` receive_envelope argument tuples: mostly intact reports, some of
     them near an earlier one so that they merge, the rest tampered with (a
     flipped byte or a truncated field), claiming another location, or
-    sealed intact around a report that breaks the registry's rules."""
+    sealed intact around a report that breaks the sensor's or the
+    registry's rules (a bad cell may sit at any position)."""
     arcs = sorted(net.arcs)
     for now in range(0, 10 * n, 10):
         arc = rng.choice(arcs)
@@ -187,19 +205,21 @@ def intake_stream(rng: random.Random, net, n: int):
         offset = min(length, rng.choice([0.0, 0.6, 1.0, 2.1, round(rng.uniform(0, length), 2)]))
         cols = rng.randint(1, 4)
         depths = [round(rng.uniform(0, 80), 2) for _ in range(cols)]
+        intensities = [round(rng.random(), 3) for _ in range(cols)]
         fault = rng.choice(["intact"] * 5 + ["flipped", "truncated", "misplaced", "rule"])
         if fault == "rule":
-            broken = rng.choice(["arc", "offset", "depth"])
+            broken = rng.choice(["arc", "offset", "depth", "intensity"])
             if broken == "arc":
                 arc = "zz"
             elif broken == "offset":
                 offset = rng.choice([length + 50.0, -1.0, math.nan, math.inf])
+            elif broken == "depth":
+                depths[rng.randrange(cols)] = rng.choice([math.nan, math.inf, -math.inf])
             else:
-                depths[0] = rng.choice([math.nan, math.inf])
-        report = PlainReport(
-            DepthMap(1, cols, 0.5, depths),
-            IntensityImage(1, cols, [round(rng.random(), 3) for _ in range(cols)]),
-            arc, offset, f"v{rng.randrange(3)}", now)
+                intensities[rng.randrange(cols)] = rng.choice(
+                    [math.nan, math.inf, -math.inf, 1.5])
+        report = PlainReport(*unchecked_grids(depths, intensities),
+                             arc, offset, f"v{rng.randrange(3)}", now)
         env = oracle_encrypt(report, KEY, rng)
         claimed = report.location
         fields = [env.nonce, env.location_tag, env.ciphertext, env.integrity_tag]
