@@ -1,5 +1,7 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from helpers import (OracleIntake, close, enumerate_min_weight, oracle_encrypt, random_network,
                      unchecked_grids)
+from potholesim.detection import DepthMap, IntensityImage
 from potholesim.geocrypto import PlainReport, ReportEnvelope, encrypt
-from potholesim.registry import PotholeRegistry
+from potholesim.registry import PotholeRegistry, read_events_csv
 from potholesim.server import (ConditionRequest, ConditionResponse, ErrorResponse,
                                RouteRequest, RouteResponse, Server, ServerStats)
 from potholesim.weighting import preprocess
@@ -250,3 +253,42 @@ def test_intake_matches_the_reference_after_every_envelope(seed):
         assert server.wnet.min_weights == reference.wnet.min_weights
         assert server.stats == reference.stats
         assert server.snapshot_seq == reference.snapshot_seq
+
+
+# -- every accepted report can be read back ------------------------------------
+
+sensed_reports = st.lists(st.tuples(
+    st.integers(0, 99),                                    # arc, by index
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),  # along the arc
+    st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    st.text(min_size=1, max_size=6),                       # vehicle id
+    st.integers(0, 10**6)), max_size=20)                   # ms since the previous report
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), sensed_reports)
+def test_accepted_reports_read_back_from_csv(seed, reports):
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=5)
+    arcs = sorted(net.arcs)
+    registry = PotholeRegistry(net)
+    server = Server(net, registry, preprocess(net, registry), KEY)
+    stream = list(intake_stream(rng, net, rng.randint(0, 10)))  # refusals among them
+    now = 10 * len(stream)
+    for arc_at, along, cells, vid, step in reports:
+        arc = arcs[arc_at % len(arcs)]
+        depths, intensities = zip(*cells)
+        now += step
+        report = PlainReport(DepthMap(1, len(cells), 0.5, list(depths)),
+                             IntensityImage(1, len(cells), list(intensities)),
+                             arc, along * net.arcs[arc].length_m, vid, now)
+        stream.append((encrypt(report, KEY, rng), report.location, vid, now))
+    for args in stream:
+        server.receive_envelope(*args)
+    with tempfile.TemporaryDirectory() as tmp:
+        records, events = Path(tmp) / "registry.csv", Path(tmp) / "events.csv"
+        registry.write_csv(records)
+        registry.write_events_csv(events)
+        again = PotholeRegistry.read_csv(records, net)
+        assert again.records == registry.records
+        assert read_events_csv(events, again) == registry.events
