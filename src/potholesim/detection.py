@@ -16,9 +16,7 @@ adjacent supra-threshold cells into one report per connected run:
 
 Grids default to a single lateral row; multi-row grids are collapsed
 per-column (max depth, mean intensity) before run finding.  A grid refuses
-any cell no scanner reads -- a depth that is not a finite number >= 0, an
-intensity outside [0, 1], NaN included -- with SensorValueError, wherever
-the cell sits.
+a depth that is not a finite number >= 0 or an intensity outside [0, 1].
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ class SensorValueError(ValueError):
 
 
 def _check_cells(cells: list[float], lo: float, hi: float, rule: str) -> None:
-    # one pass; NaN fails both comparisons
+    """One pass over the cells, whatever their position; NaN fails both bounds."""
     if not all(lo <= v <= hi for v in cells):
         bad = next(v for v in cells if not lo <= v <= hi)
         raise SensorValueError(f"{rule}, got {bad!r}")
@@ -86,9 +84,6 @@ class DepthMap:
         _check_cells(self.depths, 0.0, sys.float_info.max,
                      "depth cells must be finite numbers >= 0")
 
-    def at(self, r: int, c: int) -> float:
-        return self.depths[r * self.cols + c]
-
 
 @dataclass
 class IntensityImage:
@@ -102,9 +97,6 @@ class IntensityImage:
         if len(self.values) != self.rows * self.cols:
             raise ValueError("intensity grid size mismatch")
         _check_cells(self.values, 0.0, 1.0, "intensity cells must be numbers in [0, 1]")
-
-    def at(self, r: int, c: int) -> float:
-        return self.values[r * self.cols + c]
 
 
 class PotholeDetection(NamedTuple):

@@ -4,14 +4,11 @@ Traffic intensity for a pothole is the number of update events it received
 in the trailing minute -- the half-open window (at - 60 000 ms, at], so an
 event landing exactly on the window's trailing edge counts once and never
 twice across back-to-back evaluations.  `window_counts` counts every
-pothole's events in that window in one pass over the update log.
-
-The priority report ranks every registered pothole by intensity descending,
-ties by depth descending, then by pothole id ascending as an integer (ids
-are minted as increasing integers, but a registry read back from a CSV
-holds its records in file order).  It sorts three times, on one scalar key
-each, least significant first; Python's sort is stable, also with
-`reverse=True`, so each pass keeps the previous order among its ties.
+pothole in one pass over the update log.  The priority report ranks every
+registered pothole by intensity descending, ties by depth descending, then
+by pothole id ascending as an integer (a registry read back from a CSV
+keeps file order), with three stable sorts on one key each, least
+significant first.
 
 Report format (CSV): rank, pothole_id, arc_id, offset_m, depth_mm,
 intensity_per_min.
@@ -30,10 +27,9 @@ from .registry import PotholeRegistry, UnknownPotholeError, UpdateEvent
 WINDOW_MS = 60_000
 
 
-def window_counts(events: list[UpdateEvent], at_ms: int,
-                  window_ms: int = WINDOW_MS) -> Counter[str]:
-    """Update events per pothole id in the window (at_ms - window_ms, at_ms]."""
-    lo = at_ms - window_ms
+def window_counts(events: list[UpdateEvent], at_ms: int) -> Counter[str]:
+    """Update events per pothole id in the trailing window ending at `at_ms`."""
+    lo = at_ms - WINDOW_MS
     return Counter([e.pothole_id for e in events if lo < e.timestamp_ms <= at_ms])
 
 

@@ -90,9 +90,9 @@ class Server:
                          vehicle_id: str, now_ms: int) -> tuple[str, bool] | None:
         """Decrypt, ingest and re-weight.  Returns (pothole id, is_new), or
         None when the envelope is refused: it fails decryption, or its
-        report holds a cell no scanner reads, names an arc the
-        network lacks or breaks `check_record`.  A refused envelope changes
-        nothing but its counters."""
+        report holds a cell no scanner reads, names an arc the network lacks
+        or breaks `check_record`.  A refused envelope changes nothing but
+        its counters."""
         try:
             report = geocrypto.decrypt(env, self.shared_key, claimed_location)
         except GeocryptoError as exc:

@@ -75,7 +75,7 @@ class TestSweep:
         surf = surface([Pit(5.0, 1.0, 50.0, 0.4)])
         dm, ii = sweep(surf, (0.0, 10.0), 0.5, rows=3)
         assert dm.rows == 3 and len(dm.depths) == 60
-        assert dm.at(0, 9) == dm.at(2, 9) == 50.0
+        assert dm.depths[9] == dm.depths[2 * dm.cols + 9] == 50.0
 
 
 class TestGridCells:
