@@ -63,12 +63,9 @@ def priority_report(registry: PotholeRegistry, events: list[UpdateEvent],
 CSV_FIELDS = ["rank", "pothole_id", "arc_id", "offset_m", "depth_mm", "intensity_per_min"]
 
 
-def report_rows(entries: list[PriorityEntry]) -> list[list]:
-    rows = [CSV_FIELDS]
-    for e in entries:
-        rows.append([e.rank, e.pothole_id, e.arc, e.offset_m, e.depth_mm,
-                     e.intensity_per_min])
-    return rows
+def report_rows(entries: list[PriorityEntry]) -> list:
+    """The header, then one row per entry: its fields are in column order."""
+    return [CSV_FIELDS, *entries]
 
 
 def write_csv(entries: list[PriorityEntry], path: str | Path) -> None:

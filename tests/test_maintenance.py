@@ -133,7 +133,7 @@ def pairwise_ranking(records, events, at):
                    r.depth_mm, count[r.id]) for r in records)
 
 
-def report_rows(entries):
+def entry_fields(entries):
     return [(e.rank, e.pothole_id, e.arc, e.offset_m, e.depth_mm, e.intensity_per_min)
             for e in entries]
 
@@ -164,7 +164,7 @@ def test_report_matches_a_pairwise_ranking(inputs, rnd):
     for rec in records:  # drawn order, not id order
         reg.records[rec.id] = rec
     want = pairwise_ranking(records, events, at)
-    assert report_rows(priority_report(reg, events, at)) == want
+    assert entry_fields(priority_report(reg, events, at)) == want
     # `potholesim report` reads the registry back in file order
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "registry.csv"
@@ -174,4 +174,4 @@ def test_report_matches_a_pairwise_ranking(inputs, rnd):
         path.write_text("\n".join([header, *body]) + "\n")
         again = PotholeRegistry.read_csv(path)
     assert list(again.records) == [line.split(",")[0] for line in body]
-    assert report_rows(priority_report(again, events, at)) == want
+    assert entry_fields(priority_report(again, events, at)) == want
