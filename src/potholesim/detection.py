@@ -31,11 +31,12 @@ class SensorValueError(ValueError):
     """A grid cell holds a value no scanner reads."""
 
 
-def _check_cells(cells: list[float], lo: float, hi: float, rule: str) -> None:
-    """One pass over the cells, whatever their position; NaN fails both bounds."""
-    if not all(lo <= v <= hi for v in cells):
-        bad = next(v for v in cells if not lo <= v <= hi)
-        raise SensorValueError(f"{rule}, got {bad!r}")
+_FLOAT_MAX = sys.float_info.max
+
+
+def _refusal(cells: list[float], lo: float, hi: float, rule: str) -> SensorValueError:
+    bad = next(v for v in cells if not lo <= v <= hi)
+    return SensorValueError(f"{rule}, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,10 @@ class DepthMap:
             raise ValueError("grid dimensions must be positive")
         if len(self.depths) != self.rows * self.cols:
             raise ValueError("depth grid size mismatch")
-        _check_cells(self.depths, 0.0, sys.float_info.max,
-                     "depth cells must be finite numbers >= 0")
+        # one pass, inline: every report the server opens builds a grid; NaN
+        # fails both bounds wherever it sits
+        if not all(0.0 <= d <= _FLOAT_MAX for d in self.depths):
+            raise _refusal(self.depths, 0.0, _FLOAT_MAX, "depth cells must be finite numbers >= 0")
 
 
 @dataclass
@@ -96,7 +99,8 @@ class IntensityImage:
             raise ValueError("grid dimensions must be positive")
         if len(self.values) != self.rows * self.cols:
             raise ValueError("intensity grid size mismatch")
-        _check_cells(self.values, 0.0, 1.0, "intensity cells must be numbers in [0, 1]")
+        if not all(0.0 <= v <= 1.0 for v in self.values):
+            raise _refusal(self.values, 0.0, 1.0, "intensity cells must be numbers in [0, 1]")
 
 
 class PotholeDetection(NamedTuple):
