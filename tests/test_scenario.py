@@ -201,7 +201,10 @@ def test_null_section_rejected(net, section):
      "events[0].vehicle must be a non-empty string, got [1]"),
     ("events", dict(BASE["events"][0], vehicle={"v": 1}),
      "events[0].vehicle must be a non-empty string, got {'v': 1}"),
-], ids=["vehicle-list", "vehicle-number", "ap-list", "ap-null", "event-list", "event-object"])
+    ("vehicles", dict(BASE["vehicles"][0], id="v\r1"),
+     "vehicles[0].id must be a string without a carriage return, got 'v\\r1'"),
+], ids=["vehicle-list", "vehicle-number", "ap-list", "ap-null", "event-list", "event-object",
+        "vehicle-carriage-return"])
 def test_ids_must_be_strings(net, section, item, message):
     with pytest.raises(InputError) as err:
         scenario_from_dict(variant(**{section: [item]}), net)
