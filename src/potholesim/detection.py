@@ -82,8 +82,8 @@ class DepthMap:
             raise ValueError("grid dimensions must be positive")
         if len(self.depths) != self.rows * self.cols:
             raise ValueError("depth grid size mismatch")
-        # one pass, inline: every report the server opens builds a grid; NaN
-        # fails both bounds wherever it sits
+        # inline and one pass: the server builds both grids for every report
+        # it opens; NaN fails both bounds wherever it sits
         if not all(0.0 <= d <= _FLOAT_MAX for d in self.depths):
             raise _refusal(self.depths, 0.0, _FLOAT_MAX, "depth cells must be finite numbers >= 0")
 

@@ -109,8 +109,8 @@ def integer_text(row: dict[str, str], key: str) -> int:
 
 def string(item, key: str | int, where: str) -> str:
     """`item[key]`, a non-empty string without a carriage return: the CSV
-    writers end rows with "\n" and leave "\r" unquoted, and a reader would
-    end the row there."""
+    writers end rows with a line feed and leave a carriage return unquoted,
+    and a reader would end the row there."""
     value = item[key]
     if not isinstance(value, str) or not value:
         fail(item, key, where, "a non-empty string")
