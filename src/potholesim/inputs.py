@@ -108,14 +108,15 @@ def integer_text(row: dict[str, str], key: str) -> int:
 
 
 def string(item, key: str | int, where: str) -> str:
-    """`item[key]`, a non-empty string without a carriage return: the CSV
-    writers end rows with a line feed and leave a carriage return unquoted,
-    and a reader would end the row there."""
+    """`item[key]`, a non-empty string of printable characters.  The output
+    files cannot hold a lone surrogate (a JSON escape can make one), a line
+    break would split a trace line, and the CSV writers leave a carriage
+    return unquoted, so that a reader would end the row there."""
     value = item[key]
     if not isinstance(value, str) or not value:
         fail(item, key, where, "a non-empty string")
-    if "\r" in value:
-        fail(item, key, where, "a string without a carriage return")
+    if not value.isprintable():
+        fail(item, key, where, "printable text")
     return value
 
 

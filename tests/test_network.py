@@ -88,12 +88,12 @@ class TestLoadNetwork:
         ("nodes", 0, "id", "", "nodes[0].id must be a non-empty string, got ''"),
         ("arcs", 0, "id", "", "arcs[0].id must be a non-empty string, got ''"),
         ("arcs", 0, "tail", None, "arcs[0].tail must be a non-empty string, got None"),
-        ("arcs", 0, "id", "a\rb", "arcs[0].id must be a string without a carriage return, "
-                                 "got 'a\\rb'"),
+        ("arcs", 0, "id", "a\rb", "arcs[0].id must be printable text, got 'a\\rb'"),
+        ("nodes", 0, "id", "u\ud800", "nodes[0].id must be printable text, got 'u\\ud800'"),
         ("arcs", 0, "length_m", -float("inf"), "arcs[0].length_m must be a finite number, "
                                                "got -inf"),
     ], ids=["huge-x", "nan-x", "string-y", "bool-y", "empty-node-id", "empty-arc-id",
-            "null-tail", "carriage-return-arc-id", "minus-inf-length"])
+            "null-tail", "carriage-return-arc-id", "surrogate-node-id", "minus-inf-length"])
     def test_bad_field_named(self, tmp_path, section, index, key, value, message):
         bad = json.loads(json.dumps(MINIMAL))
         bad[section][index][key] = value

@@ -202,9 +202,11 @@ def test_null_section_rejected(net, section):
     ("events", dict(BASE["events"][0], vehicle={"v": 1}),
      "events[0].vehicle must be a non-empty string, got {'v': 1}"),
     ("vehicles", dict(BASE["vehicles"][0], id="v\r1"),
-     "vehicles[0].id must be a string without a carriage return, got 'v\\r1'"),
+     "vehicles[0].id must be printable text, got 'v\\r1'"),
+    ("access_points", dict(BASE["access_points"][0], id="ap\udfff"),
+     "access_points[0].id must be printable text, got 'ap\\udfff'"),
 ], ids=["vehicle-list", "vehicle-number", "ap-list", "ap-null", "event-list", "event-object",
-        "vehicle-carriage-return"])
+        "vehicle-carriage-return", "ap-lone-surrogate"])
 def test_ids_must_be_strings(net, section, item, message):
     with pytest.raises(InputError) as err:
         scenario_from_dict(variant(**{section: [item]}), net)
