@@ -6,11 +6,12 @@ timestamp order with ties broken by insertion sequence.  Identical
 scenario and seed give a bit-identical trace.
 
   * the ticks -- every vehicle's PHASE_TIMEOUT, as (t_ms, seq, vehicle)
-    in a FIFO.  Only set-up and the tick handler schedule ticks, and each
-    tick appends its successor one phase latency later, with a seq above
-    every entry queued so far.  Ticks run in (t_ms, seq) order, so every
-    queued tick is due within one latency of the one running and the FIFO
-    stays sorted by (t_ms, seq) without any heap operation;
+    in a FIFO, where the vehicle is its `VehicleState`.  Only set-up and the
+    tick, which runs inline in `Simulation.run`, queue ticks, and each tick
+    appends its successor one phase latency later, with a seq above every
+    entry queued so far.  Ticks run in (t_ms, seq) order, so every queued
+    tick is due within one latency of the one running and the FIFO stays
+    sorted by (t_ms, seq) without any heap operation;
   * the heap -- every other event, as (t_ms, seq, kind, payload), where
     the kind names the handler and the payload holds its arguments after
     the time.
@@ -44,8 +45,8 @@ Modelled behaviors:
     `SimConfig.transfer_budget` (4) per exchange.  A phase is the plain
     word that the PHASE_TIMEOUT trace line prints.
 
-Open access points are indexed per arc, lazily, the first time a vehicle
-on the arc looks for one.  Each arc lists its *candidates*: the open access
+Open access points are indexed per arc, the first time a vehicle enters the
+arc (or starts on it).  Each arc lists its *candidates*: the open access
 points whose disc comes within `range_m` + a margin of the arc's segment,
 by the closest point on a segment (Ericson, *Real-Time Collision
 Detection*, 2005, 5.1.2) after a bounding-box reject.  The margin covers
@@ -62,6 +63,12 @@ access point.  Closed access points are never candidates.  A tick on an arc
 with no candidate computes no position, and while SCANNING it does not step
 the connection either, since nothing could change.
 
+`World.set_arc` puts a vehicle on an arc, at set-up and on every arc entry
+(a MOVE, or a DEST_CHANGE that restarts a stopped vehicle).  It copies the
+arc's line (tail x, tail y, dx, dy, length) and candidates, each built once
+per world, into the `VehicleState`, so a tick reads its position and its
+access points from the vehicle alone.
+
 Trace format: one line per processed event, `t=<ms> <EVENT_KIND> <details>`
 with a fixed field order per kind.  A DEST_CHANGE whose destination is
 unreachable ends in ` unreachable` and clears the vehicle's destination.
@@ -70,6 +77,7 @@ unreachable ends in ` unreachable` and clears the vehicle's destination.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -135,6 +143,10 @@ def step_connection(conn: ConnectionState, visible_ap: str | None, now_ms: int,
     return ConnectionState(Phase.CONNECTED, now_ms, conn.peer)
 
 
+# one open access point: (x, y, range_m, id)
+APEntry = tuple[float, float, float, str]
+
+
 @dataclass(frozen=True)
 class AccessPoint:
     id: str
@@ -157,6 +169,10 @@ class VehicleState:
     warning_cache: set[str] = field(default_factory=set)
     conn: ConnectionState = field(default_factory=ConnectionState)
     stopped: bool = False
+    # the current arc's (tail x, tail y, dx, dy, length) and candidate access
+    # points, both set with `arc` by `World.set_arc`
+    line: tuple[float, float, float, float, float] = (0.0, 0.0, 0.0, 0.0, 0.0)
+    candidates: tuple[APEntry, ...] = ()
 
 
 class EventKind:
@@ -169,9 +185,6 @@ class EventKind:
     UPLINK = "UPLINK"
     DEST_CHANGE = "DEST_CHANGE"
 
-
-# one open access point: (x, y, range_m, id)
-APEntry = tuple[float, float, float, str]
 
 # the candidate margin, relative to the range plus the segment's extent
 _MARGIN = 2.0 ** -40
@@ -218,16 +231,6 @@ class World:
         wnet = weighting.preprocess(net, registry)
         self.server = Server(net, registry, wnet, config.shared_key)
 
-        self.vehicles: dict[str, VehicleState] = {}
-        for spec in scenario.vehicles:
-            session = RoutingSession(wnet, spec.start_arc)
-            self.vehicles[spec.id] = VehicleState(
-                id=spec.id, arc=spec.start_arc, offset_m=spec.start_offset_m,
-                at_ms=0, speed_mps=spec.speed_mps, waypoints=list(spec.waypoints),
-                session=session)
-        # vehicles are fixed after set-up: broadcasts walk this order
-        self.vehicle_ids: tuple[str, ...] = tuple(sorted(self.vehicles))
-
         self.aps: dict[str, AccessPoint] = {
             ap.id: AccessPoint(ap.id, ap.x, ap.y, ap.range_m, ap.open)
             for ap in scenario.access_points}
@@ -243,6 +246,17 @@ class World:
         # filled on first use: arc id -> what a sweep of the whole arc extracts
         self._sensed: dict[str, list[PotholeDetection]] = {}
 
+        self.vehicles: dict[str, VehicleState] = {}
+        for spec in scenario.vehicles:
+            session = RoutingSession(wnet, spec.start_arc)
+            v = self.vehicles[spec.id] = VehicleState(
+                id=spec.id, arc=spec.start_arc, offset_m=spec.start_offset_m,
+                at_ms=0, speed_mps=spec.speed_mps, waypoints=list(spec.waypoints),
+                session=session)
+            self.set_arc(v, spec.start_arc)
+        # vehicles are fixed after set-up: broadcasts walk this order
+        self.vehicle_ids: tuple[str, ...] = tuple(sorted(self.vehicles))
+
     def vehicle(self, vid: str) -> VehicleState:
         try:
             return self.vehicles[vid]
@@ -253,15 +267,21 @@ class World:
         """Planar position, interpolated linearly along the current arc."""
         return self._position(self.vehicle(vid), now_ms)
 
-    def _position(self, v: VehicleState, now_ms: int) -> tuple[float, float]:
-        line = self._arc_lines.get(v.arc)
+    def set_arc(self, v: VehicleState, arc_id: str) -> None:
+        """Put the vehicle on the arc, with the arc's line and candidates."""
+        line = self._arc_lines.get(arc_id)
         if line is None:
-            arc = self.net.arcs[v.arc]  # ids were validated when the inputs were loaded
+            arc = self.net.arcs[arc_id]  # ids were validated when the inputs were loaded
             tail = self.net.nodes[arc.tail]
             head = self.net.nodes[arc.head]
-            line = self._arc_lines[v.arc] = (tail.x, tail.y, head.x - tail.x,
-                                             head.y - tail.y, arc.length_m)
-        x, y, dx, dy, length = line
+            line = self._arc_lines[arc_id] = (tail.x, tail.y, head.x - tail.x,
+                                              head.y - tail.y, arc.length_m)
+        v.arc = arc_id
+        v.line = line
+        v.candidates = self.ap_candidates(arc_id)
+
+    def _position(self, v: VehicleState, now_ms: int) -> tuple[float, float]:
+        x, y, dx, dy, length = v.line
         speed = 0.0 if v.stopped else v.speed_mps
         offset = v.offset_m + speed * (now_ms - v.at_ms) / 1000.0
         # min(offset, length) without the cost of a builtin call on this hot path
@@ -285,14 +305,15 @@ class World:
         while still visible, otherwise the nearest (ties by ap id).  Reads
         only the candidates of the vehicle's arc."""
         v = self.vehicle(vid)
-        candidates = self.ap_candidates(v.arc)
-        if not candidates:
-            return None
+        return self._scan(v, now_ms) if v.candidates else None
+
+    def _scan(self, v: VehicleState, now_ms: int) -> str | None:
+        """`visible_ap` of a vehicle whose arc has candidates."""
         x, y = self._position(v, now_ms)
         peer = v.conn.peer
         best_id = None
         best_dist = 0.0
-        for ap_x, ap_y, range_m, ap_id in candidates:
+        for ap_x, ap_y, range_m, ap_id in v.candidates:
             dist = hypot(ap_x - x, ap_y - y)
             if dist <= range_m:
                 if ap_id == peer:
@@ -378,34 +399,27 @@ class Simulation:
         self.duration_ms = scenario.duration_ms
         self.trace: list[str] = []
         self._heap: list[tuple[int, int, str, tuple]] = []
-        self._ticks: deque[tuple[int, int, str]] = deque()
-        self._seq = 0
+        self._ticks: deque[tuple[int, int, VehicleState]] = deque()
+        self._seq = itertools.count()  # the seqs of both queues
 
         for ev in scenario.events:
             if ev.kind == "DEST_CHANGE":
                 self._schedule(ev.t_ms, EventKind.DEST_CHANGE, ev.vehicle, ev.dest)
             else:
                 self._schedule(ev.t_ms, EventKind.DETECT, ev.vehicle)
+        first_tick_ms = config.phase_latency_ms
         for vid, v in self.world.vehicles.items():
             if v.speed_mps > 0:
                 self._schedule_arrival(vid, 0)
-            self._schedule_tick(config.phase_latency_ms, vid)
+            if first_tick_ms < self.duration_ms:
+                self._ticks.append((first_tick_ms, next(self._seq), v))
 
     def _schedule(self, t_ms: int, kind: str, *payload) -> None:
         """Queue the handler of `kind` to run at `t_ms` with `payload` as
         its arguments after the time."""
         if t_ms >= self.duration_ms:
             return
-        heapq.heappush(self._heap, (t_ms, self._seq, kind, payload))
-        self._seq += 1
-
-    def _schedule_tick(self, t_ms: int, vid: str) -> None:
-        """Queue a PHASE_TIMEOUT; only set-up and the tick handler call this,
-        which keeps the ticks FIFO sorted (see the module docstring)."""
-        if t_ms >= self.duration_ms:
-            return
-        self._ticks.append((t_ms, self._seq, vid))
-        self._seq += 1
+        heapq.heappush(self._heap, (t_ms, next(self._seq), kind, payload))
 
     def _schedule_arrival(self, vid: str, now_ms: int) -> None:
         v = self.world.vehicle(vid)
@@ -426,20 +440,35 @@ class Simulation:
             EventKind.DEST_CHANGE: self._on_dest_change,
         }
         heap, pop = self._heap, heapq.heappop
-        ticks, tick = self._ticks, self._on_phase_timeout
+        ticks, seq, emit = self._ticks, self._seq, self.trace.append
+        scan, schedule = self.world._scan, self._schedule
+        latency, loss_timeout_ms = self.config.phase_latency_ms, self.config.loss_timeout_ms
+        end_ms = self.duration_ms
+        scanning, connected = Phase.SCANNING, Phase.CONNECTED
         while ticks or heap:
-            if ticks and (not heap or ticks[0] < heap[0]):
-                t, _, vid = ticks.popleft()
-                tick(t, vid)
-            else:
+            if not ticks or (heap and heap[0] < ticks[0]):
                 t, _, kind, payload = pop(heap)
                 handlers[kind](t, *payload)
+                continue
+            # PHASE_TIMEOUT: one connection step, then the next tick
+            t, _, v = ticks.popleft()
+            conn = v.conn
+            visible = scan(v, t) if v.candidates else None
+            if visible is not None or conn.phase != scanning:
+                # SCANNING with nothing visible stays as it is
+                conn = v.conn = step_connection(conn, visible, t, loss_timeout_ms)
+            emit(f"t={t} PHASE_TIMEOUT vehicle={v.id} phase={conn.phase} "
+                 f"ap={conn.peer or '-'}")
+            if conn.phase == connected and visible == conn.peer and v.queue:
+                schedule(t, EventKind.UPLINK, v.id)
+            if t + latency < end_ms:
+                ticks.append((t + latency, next(seq), v))
         return self.world
 
     # -- handlers ----------------------------------------------------------
 
     def _enter_arc(self, v: VehicleState, arc_id: str, now_ms: int) -> None:
-        v.arc = arc_id
+        self.world.set_arc(v, arc_id)
         v.offset_m = 0.0
         v.at_ms = now_ms
         v.stopped = False
@@ -501,21 +530,6 @@ class Simulation:
         self._emit(now_ms, EventKind.P2P_BROADCAST,
                    f"vehicle={vehicle} pothole={pothole} "
                    f"receivers={','.join(receivers) or '-'}")
-
-    def _on_phase_timeout(self, now_ms: int, vehicle: str) -> None:
-        world = self.world
-        v = world.vehicles[vehicle]  # ticks exist only for known vehicles
-        conn = v.conn
-        visible = world.visible_ap(vehicle, now_ms) if world.ap_candidates(v.arc) else None
-        if visible is not None or conn.phase != Phase.SCANNING:
-            # SCANNING with nothing visible stays as it is
-            conn = v.conn = step_connection(conn, visible, now_ms,
-                                            self.config.loss_timeout_ms)
-        self.trace.append(f"t={now_ms} PHASE_TIMEOUT vehicle={vehicle} "
-                          f"phase={conn.phase} ap={conn.peer or '-'}")
-        if conn.phase == Phase.CONNECTED and visible == conn.peer and v.queue:
-            self._schedule(now_ms, EventKind.UPLINK, vehicle)
-        self._schedule_tick(now_ms + self.config.phase_latency_ms, vehicle)
 
     def _on_uplink(self, now_ms: int, vehicle: str) -> None:
         delivered = uplink(self.world, vehicle, now_ms)

@@ -572,7 +572,9 @@ class TestEventOrder:
         assert sim.trace == reference.trace
         assert got == want
         world = sim.world
-        for vid in world.vehicles:  # the cached arc geometry, up to and past the arc's end
+        for vid, v in world.vehicles.items():
+            assert v.candidates == world.ap_candidates(v.arc)
+            # the cached arc geometry, up to and past the arc's end
             for now_ms in (*probe_ms, 10 ** 7):
                 assert world.vehicle_position(vid, now_ms) \
                     == vehicle_position_by_formula(world, vid, now_ms)
@@ -610,6 +612,39 @@ class TestEventOrder:
             "t=6300 PHASE_TIMEOUT vehicle=v phase=SCANNING ap=-",
         ]
         assert sim.world.vehicles["v"].conn == ConnectionState(Phase.SCANNING, 6200, None)
+
+    def test_dest_change_restarts_a_stopped_vehicle_onto_an_arc_in_range(self):
+        # the vehicle stops at B at t=6000 with its reports queued; the
+        # DEST_CHANGE at t=8000 restarts it onto bc, the only arc that ap1
+        # reaches, so its ticks there must read bc's candidates, not ab's
+        net = build_net([("A", 0.0, 0.0), ("B", 60.0, 0.0), ("C", 160.0, 0.0)],
+                        [("ab", "A", "B", 60.0), ("bc", "B", "C", 100.0)])
+        scenario = scenario_from_dict({
+            "duration_ms": 14_000, "seed": 2,
+            "vehicles": [{"id": "v", "start_arc": "ab", "start_offset_m": 0.0,
+                          "speed_mps": 10.0, "waypoints": ["B"]}],
+            "pits": [{"arc": "ab", "center_m": 20.0, "half_length_m": 1.0,
+                      "depth_mm": 30.0, "reflectivity": 0.5}],
+            "access_points": [{"id": "ap1", "x": 110.0, "y": 0.0, "range_m": 20.0,
+                               "open": True}],
+            "events": [{"t_ms": 1000, "kind": "DETECT", "vehicle": "v"},
+                       {"t_ms": 8000, "kind": "DEST_CHANGE", "vehicle": "v", "dest": "C"}],
+        }, net)
+        reference = SingleHeapSimulation(net, scenario)
+        want = final_state(reference.run())
+        sim = Simulation(net, scenario)
+        got = final_state(sim.run())
+        assert sim.trace == reference.trace
+        assert got == want
+        v = sim.world.vehicles["v"]
+        assert sim.world.ap_candidates("ab") == ()
+        assert (v.arc, v.candidates) == ("bc", ((110.0, 0.0, 20.0, "ap1"),))
+        assert "t=6000 MOVE vehicle=v node=B arc=-" in sim.trace
+        assert "t=8000 DEST_CHANGE vehicle=v dest=C" in sim.trace
+        # in range from x = 90 m, reached at t=11000, and CONNECTED two ticks later
+        assert "t=11000 PHASE_TIMEOUT vehicle=v phase=ASSOCIATING ap=ap1" in sim.trace
+        assert "t=11200 PHASE_TIMEOUT vehicle=v phase=CONNECTED ap=ap1" in sim.trace
+        assert "t=11200 UPLINK vehicle=v delivered=1 queued=0" in sim.trace
 
     def test_grid_scenarios_tie_events_with_ticks(self):
         # the generators behind tick_tie_cases put every kind of event on a
