@@ -91,8 +91,9 @@ class PotholeRegistry:
 
         Returns (pothole id, is_new).  A report within the dedup radius of
         an existing record on the same arc merges into it (depth = max of
-        old and new, last_seen = now); otherwise a fresh id is minted.
-        Either way an UpdateEvent is appended.
+        old and new; first_seen and last_seen widen to take in now, which
+        may lie before first_seen); otherwise a fresh id is minted.  Either
+        way an UpdateEvent is appended.
         """
         if self.net is None:
             raise ValueError("registry loaded without a network is read-only")
@@ -111,7 +112,8 @@ class PotholeRegistry:
 
         if match is not None:
             match.depth_mm = max(match.depth_mm, report.depth_mm)
-            match.last_seen_ms = now_ms
+            match.first_seen_ms = min(match.first_seen_ms, now_ms)
+            match.last_seen_ms = max(match.last_seen_ms, now_ms)
             self.events.append(UpdateEvent(match.id, vehicle_id, now_ms))
             return match.id, False
 

@@ -156,6 +156,18 @@ def test_csv_round_trip(tmp_path, line_net):
         ingest(detached, "a1", 1.0, 1.0)
 
 
+def test_merge_reported_earlier_widens_the_seen_span_and_reads_back(tmp_path, line_net):
+    # a merge whose clock lies before the record's first sighting
+    reg = PotholeRegistry(line_net)
+    pid, _ = ingest(reg, "a1", 2.0, 20.0, now=200)
+    ingest(reg, "a1", 2.1, 20.0, now=100)
+    rec = reg.lookup(pid)
+    assert (rec.first_seen_ms, rec.last_seen_ms) == (100, 200)
+    path = tmp_path / "registry.csv"
+    reg.write_csv(path)
+    assert PotholeRegistry.read_csv(path, line_net).records == reg.records
+
+
 GOOD_ROW = {"pothole_id": "1", "arc_id": "a1", "offset_m": "2.5", "depth_mm": "20.0",
             "intensity": "0.5", "first_seen_ms": "100", "last_seen_ms": "200"}
 
