@@ -10,7 +10,7 @@ from .config import SimConfig
 from .comms import Simulation, World, p2p_broadcast, step_connection, uplink
 from .detection import GroundTruthSurface, Pit, extract_potholes, sweep
 from .geocrypto import PlainReport, ReportEnvelope, decrypt, encrypt
-from .maintenance import priority_report, traffic_intensity
+from .maintenance import priority_report
 from .network import StreetNetwork, load_network
 from .registry import PotholeRegistry
 from .routing import Route, RoutingSession, modify_destination, route
@@ -24,7 +24,7 @@ __all__ = [
     "SimConfig", "Simulation", "World", "p2p_broadcast", "step_connection",
     "uplink", "GroundTruthSurface", "Pit", "extract_potholes", "sweep",
     "PlainReport", "ReportEnvelope", "decrypt", "encrypt", "priority_report",
-    "traffic_intensity", "StreetNetwork", "load_network", "PotholeRegistry",
-    "Route", "RoutingSession", "modify_destination", "route", "Scenario",
-    "load_scenario", "Server", "WeightedNetwork", "apply_update", "preprocess",
+    "StreetNetwork", "load_network", "PotholeRegistry", "Route", "RoutingSession",
+    "modify_destination", "route", "Scenario", "load_scenario", "Server",
+    "WeightedNetwork", "apply_update", "preprocess",
 ]

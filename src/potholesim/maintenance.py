@@ -22,7 +22,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .registry import PotholeRegistry, UnknownPotholeError, UpdateEvent
+from .registry import PotholeRegistry, UpdateEvent
 
 WINDOW_MS = 60_000
 
@@ -31,13 +31,6 @@ def window_counts(events: list[UpdateEvent], at_ms: int) -> Counter[str]:
     """Update events per pothole id in the trailing window ending at `at_ms`."""
     lo = at_ms - WINDOW_MS
     return Counter([e.pothole_id for e in events if lo < e.timestamp_ms <= at_ms])
-
-
-def traffic_intensity(events: list[UpdateEvent], pothole_id: str, at_ms: int) -> int:
-    """Updates per minute for one pothole at the evaluation instant."""
-    if not any(e.pothole_id == pothole_id for e in events):
-        raise UnknownPotholeError(pothole_id)
-    return window_counts(events, at_ms)[pothole_id]
 
 
 class PriorityEntry(NamedTuple):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ingest
-from potholesim.maintenance import priority_report, traffic_intensity, window_counts
-from potholesim.registry import PotholeRecord, PotholeRegistry, UnknownPotholeError, UpdateEvent
+from potholesim.maintenance import priority_report, window_counts
+from potholesim.registry import PotholeRecord, PotholeRegistry, UpdateEvent
 
 
 def ev(pid, t, vid="v"):
@@ -18,23 +18,19 @@ def ev(pid, t, vid="v"):
 class TestTrafficIntensity:
     def test_three_updates_in_window(self):
         events = [ev("1", 10_000), ev("1", 30_000), ev("1", 59_000)]
-        assert traffic_intensity(events, "1", 60_000) == 3
+        assert window_counts(events, 60_000)["1"] == 3
 
     def test_update_outside_window(self):
         events = [ev("1", 0)]
-        assert traffic_intensity(events, "1", 61_000) == 0
+        assert window_counts(events, 61_000)["1"] == 0
 
     def test_boundary_exactly_window_ago_excluded(self):
         events = [ev("1", 1_000)]
-        assert traffic_intensity(events, "1", 61_000) == 0
+        assert window_counts(events, 61_000)["1"] == 0
 
     def test_boundary_at_instant_included(self):
         events = [ev("1", 61_000)]
-        assert traffic_intensity(events, "1", 61_000) == 1
-
-    def test_unknown_pothole(self):
-        with pytest.raises(UnknownPotholeError):
-            traffic_intensity([ev("1", 5)], "2", 60_000)
+        assert window_counts(events, 61_000)["1"] == 1
 
 
 class TestPriorityReport:
@@ -87,7 +83,6 @@ def test_window_counts_match_brute_force(raw, at):
         brute = sum(1 for e in events
                     if e.pothole_id == pid and at - 60_000 < e.timestamp_ms <= at)
         assert counts[pid] == brute
-        assert traffic_intensity(events, pid, at) == brute
 
 
 def test_ranks_form_permutation_and_repeat_identically(line_net):
