@@ -2,14 +2,20 @@
 """Paired benchmark runs of a parent revision against HEAD.
 
 Exports the committed tree of the parent and of HEAD with `git archive` into
-temporary directories and runs `perfbench/run.py` in each, untraced, for the
-run length `BENCHMARK.json` sets, alternating which side runs first.  Prints
-every run as it ends, then for each end-to-end metric each side's median and
-quartiles, the change in the median, the gap against the parent's
-interquartile range, and in how many pairs the change read better (ties
-count for neither side).
+temporary directories and runs `perfbench/run.py` in each for the run length
+`BENCHMARK.json` sets, alternating which side runs first.  Prints every run
+as it ends, then for each metric each side's median and quartiles, the
+change in the median, the gap against the parent's interquartile range, and
+in how many pairs the change read better (ties count for neither side).
+
+Untraced runs report the end-to-end metrics.  With `--trace`, the runs are
+traced and report the event loop's own time (`comms.loop.self_s`), the
+traced pass (`trace.pass_s`) and the calls and busy time of each `comms.*`
+function, so a change in `pass_s` can be attributed to the layer it came
+from.
 
     python3 scripts/bench_pairs.py --parent REV --workload query_mix --seed 5 --pairs 10
+    python3 scripts/bench_pairs.py --parent REV --workload fleet --seed 5 --pairs 3 --trace
 
 Run it from anywhere inside the repository; it changes no file in it.
 """
@@ -43,10 +49,11 @@ def export(root: Path, rev: str, dest: Path) -> None:
         raise SystemExit(f"error: git archive {rev} failed")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: bool) -> dict:
     """One benchmark run: the last line of run.py's output, plus its round count."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(int(trace))],
                           cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: run in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -55,6 +62,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     head = lines[0].split()
     result["rounds"] = int(head[head.index("rounds") + 1])
     return result
+
+
+def traced_metrics(per_layer: list[dict]) -> list[dict]:
+    """The loop's own time, the traced pass and each `comms.*` function's
+    calls and busy time."""
+    return [m for m in per_layer
+            if m["name"] in ("comms.loop.self_s", "trace.pass_s")
+            or (m["name"].startswith("comms.") and m["name"].endswith((".calls", ".busy_s")))]
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -71,6 +86,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--trace", action="store_true",
+                        help="run traced and compare the comms layer's figures")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -78,9 +95,11 @@ def main(argv=None) -> int:
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
     revs = {"parent": git(root, "rev-parse", args.parent), "change": git(root, "rev-parse", "HEAD")}
     bench = json.loads((root / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["unit"], m["better"]) for m in bench["end_to_end"]]
+    chosen = traced_metrics(bench["per_layer"]) if args.trace else bench["end_to_end"]
+    metrics = [(m["name"], m["unit"], m["better"]) for m in chosen]
     print(f"parent {revs['parent'][:10]}  change {revs['change'][:10]}  workload "
-          f"{args.workload}  seed {args.seed}  {bench['run_seconds']} s runs")
+          f"{args.workload}  seed {args.seed}  {bench['run_seconds']} s "
+          f"{'traced' if args.trace else 'untraced'} runs")
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -89,7 +108,8 @@ def main(argv=None) -> int:
             export(root, revs[side], trees[side])
         for pair in range(args.pairs):
             for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                res = run_once(trees[side], args.workload, args.seed, bench["run_seconds"])
+                res = run_once(trees[side], args.workload, args.seed, bench["run_seconds"],
+                               args.trace)
                 runs[side].append(res)
                 values = " ".join(f"{name} {res['metrics'][name]['value']:.6g}"
                                   for name, _, _ in metrics)
@@ -98,6 +118,7 @@ def main(argv=None) -> int:
                       flush=True)
 
     print("median [quartiles], parent -> change")
+    width = max(len(name) for name, _, _ in metrics)
     for name, unit, better in metrics:
         vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         med = {side: statistics.median(vals[side]) for side in SIDES}
@@ -107,13 +128,13 @@ def main(argv=None) -> int:
         pct = f"{100 * (med['change'] - med['parent']) / med['parent']:+.1f} %" \
             if med["parent"] else "n/a"
         iqr = quart["parent"][1] - quart["parent"][0]
-        print(f"  {name:16s} {med['parent']:.6g} [{quart['parent'][0]:.6g}, "
+        print(f"  {name:{width}s} {med['parent']:.6g} [{quart['parent'][0]:.6g}, "
               f"{quart['parent'][1]:.6g}] -> {med['change']:.6g} [{quart['change'][0]:.6g}, "
               f"{quart['change'][1]:.6g}] {unit}  {pct}  change better in "
               f"{wins}/{args.pairs}  |gap| {abs(med['change'] - med['parent']):.6g} "
               f"vs parent IQR {iqr:.6g}")
     rounds = {side: statistics.median(r["rounds"] for r in runs[side]) for side in SIDES}
-    print(f"  rounds           {rounds['parent']:g} -> {rounds['change']:g} (median)")
+    print(f"  {'rounds':{width}s} {rounds['parent']:g} -> {rounds['change']:g} (median)")
     bad = [side for side in SIDES for r in runs[side] if not r["correct"] or r["failed"]]
     if bad:
         print(f"INCORRECT or FAILED runs: {len(bad)}")
