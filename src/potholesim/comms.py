@@ -156,7 +156,7 @@ class AccessPoint:
     open: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class VehicleState:
     id: str
     arc: str
@@ -309,7 +309,13 @@ class World:
 
     def _scan(self, v: VehicleState, now_ms: int) -> str | None:
         """`visible_ap` of a vehicle whose arc has candidates."""
-        x, y = self._position(v, now_ms)
+        # `_position`, inlined: most ticks run this
+        x, y, dx, dy, length = v.line
+        speed = 0.0 if v.stopped else v.speed_mps
+        offset = v.offset_m + speed * (now_ms - v.at_ms) / 1000.0
+        frac = (length if length < offset else offset) / length
+        x += dx * frac
+        y += dy * frac
         peer = v.conn.peer
         best_id = None
         best_dist = 0.0
