@@ -3,10 +3,13 @@
 
 Exports the committed tree of the parent and of HEAD with `git archive` into
 temporary directories and runs `perfbench/run.py` in each for the run length
-`BENCHMARK.json` sets, alternating which side runs first.  Prints every run
-as it ends, then for each metric each side's median and quartiles, the
-change in the median, the gap against the parent's interquartile range, and
-in how many pairs the change read better (ties count for neither side).
+`BENCHMARK.json` sets, alternating which side runs first.  Given `--seed`
+more than once, the pairs cycle through the seeds in the order given, so a
+claim rests on more than one generated input.  Prints every run, with its
+pair's seed, as it ends, then for each metric each side's median and
+quartiles, the change in the median, the gap against the parent's
+interquartile range, and in how many pairs the change read better (ties
+count for neither side).
 
 Untraced runs report the end-to-end metrics.  With `--trace`, the runs are
 traced and report the event loop's own time (`comms.loop.self_s`), the
@@ -15,6 +18,7 @@ function, so a change in `pass_s` can be attributed to the layer it came
 from.
 
     python3 scripts/bench_pairs.py --parent REV --workload query_mix --seed 5 --pairs 10
+    python3 scripts/bench_pairs.py --parent REV --workload query_mix --seed 5 --seed 7 --pairs 10
     python3 scripts/bench_pairs.py --parent REV --workload fleet --seed 5 --pairs 3 --trace
 
 Run it from anywhere inside the repository; it changes no file in it.
@@ -84,7 +88,8 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="revision to compare HEAD against")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, action="append", required=True,
+                        help="workload seed; give it again to cycle the pairs through seeds")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--trace", action="store_true",
                         help="run traced and compare the comms layer's figures")
@@ -98,7 +103,7 @@ def main(argv=None) -> int:
     chosen = traced_metrics(bench["per_layer"]) if args.trace else bench["end_to_end"]
     metrics = [(m["name"], m["unit"], m["better"]) for m in chosen]
     print(f"parent {revs['parent'][:10]}  change {revs['change'][:10]}  workload "
-          f"{args.workload}  seed {args.seed}  {bench['run_seconds']} s "
+          f"{args.workload}  seeds {' '.join(map(str, args.seed))}  {bench['run_seconds']} s "
           f"{'traced' if args.trace else 'untraced'} runs")
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
@@ -107,13 +112,14 @@ def main(argv=None) -> int:
         for side in SIDES:
             export(root, revs[side], trees[side])
         for pair in range(args.pairs):
+            seed = args.seed[pair % len(args.seed)]
             for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                res = run_once(trees[side], args.workload, args.seed, bench["run_seconds"],
+                res = run_once(trees[side], args.workload, seed, bench["run_seconds"],
                                args.trace)
                 runs[side].append(res)
                 values = " ".join(f"{name} {res['metrics'][name]['value']:.6g}"
                                   for name, _, _ in metrics)
-                print(f"pair {pair + 1} {side:6s} rounds {res['rounds']}  correct "
+                print(f"pair {pair + 1} seed {seed} {side:6s} rounds {res['rounds']}  correct "
                       f"{res['correct']}  failed {res['failed']}/{res['attempted']}  {values}",
                       flush=True)
 

@@ -39,8 +39,7 @@ def _refusal(cells: list[float], lo: float, hi: float, rule: str) -> SensorValue
     return SensorValueError(f"{rule}, got {bad!r}")
 
 
-@dataclass(frozen=True)
-class Pit:
+class Pit(NamedTuple):
     center_m: float
     half_length_m: float
     depth_mm: float
@@ -48,6 +47,20 @@ class Pit:
 
     def covers(self, offset_m: float) -> bool:
         return abs(offset_m - self.center_m) <= self.half_length_m
+
+
+def check_pit(pit: Pit, arc: str, arc_length_m: float) -> None:
+    """Raise ValueError unless `pit` has a depth >= 0, a reflectivity in
+    [0, 1] and lies within arc `arc` of length `arc_length_m`."""
+    center, half, depth, reflectivity = pit
+    if depth < 0:
+        raise ValueError(f"pit depth {depth} < 0")
+    if not (0.0 <= reflectivity <= 1.0):
+        raise ValueError(f"pit reflectivity {reflectivity} outside [0, 1]")
+    if center - half < 0 or center + half > arc_length_m:
+        raise ValueError(
+            f"pit at {center}+-{half} m outside arc "
+            f"{arc!r} of length {arc_length_m} m")
 
 
 @dataclass
@@ -60,14 +73,7 @@ class GroundTruthSurface:
 
     def __post_init__(self):
         for p in self.pits:
-            if p.depth_mm < 0:
-                raise ValueError(f"pit depth {p.depth_mm} < 0")
-            if not (0.0 <= p.reflectivity <= 1.0):
-                raise ValueError(f"pit reflectivity {p.reflectivity} outside [0, 1]")
-            if p.center_m - p.half_length_m < 0 or p.center_m + p.half_length_m > self.arc_length_m:
-                raise ValueError(
-                    f"pit at {p.center_m}+-{p.half_length_m} m outside arc "
-                    f"{self.arc!r} of length {self.arc_length_m} m")
+            check_pit(p, self.arc, self.arc_length_m)
 
 
 @dataclass

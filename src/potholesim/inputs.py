@@ -2,11 +2,13 @@
 
 Every rule raises InputError, which the command line reports as exit 1
 with one `error: ...` line.  A field is named like `pits[0].arc`,
-`vehicles[0].waypoints[1]` or, at the top level, `seed`: each check reads
-`item[key]` and builds that name only when it fails.  JSON values and CSV
-text share each rule and differ only in the parse step: a JSON number is an
-int or float (never a bool or a string), while CSV text is read by
-`float()` or matched as a decimal integer.
+`vehicles[0].waypoints[1]` or, at the top level, `seed`.  Each rule tests
+the accepting case first and returns at once; only a value that fails goes
+on to the diagnostic tail, which builds the field name, the key sets or
+the message.  The readers pass their key sets as module-level frozensets.
+JSON values and CSV text share each rule and differ only in the parse
+step: a JSON number is an int or float (never a bool or a string), while
+CSV text is read by `float()` or matched as a decimal integer.
 """
 
 from __future__ import annotations
@@ -33,17 +35,19 @@ def read_json(path: str | Path):
         raise InputError(f"{path}: invalid JSON: {exc}") from None
 
 
-def keys(obj, required: set[str], optional: set[str], where: str) -> None:
+def keys(obj, required: frozenset[str], optional: frozenset[str], where: str) -> None:
     """Refuse `obj` unless it is an object with every required key and no
     key outside `required | optional`."""
-    if not isinstance(obj, dict):
+    if isinstance(obj, dict):
+        present = obj.keys()
+        if present == required or (present >= required and present - required <= optional):
+            return
+    else:
         raise InputError(f"{where} must be an object, got {obj!r}")
-    unknown = obj.keys() - required - optional
+    unknown = present - required - optional
     if unknown:
         raise InputError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = required - obj.keys()
-    if missing:
-        raise InputError(f"missing keys {sorted(missing)} in {where}")
+    raise InputError(f"missing keys {sorted(required - present)} in {where}")
 
 
 def section(raw: dict, name: str) -> list:
@@ -69,7 +73,9 @@ def fail(item, key: str | int, where: str, rule: str) -> NoReturn:
 def finite(item, key: str | int, where: str) -> float:
     """`item[key]`, a JSON number, as a finite float."""
     value = item[key]
-    return _finite(value if type(value) in (int, float) else None, item, key, where)
+    if type(value) is float and math.isfinite(value):
+        return value
+    return _finite(value if type(value) is int else None, item, key, where)
 
 
 def finite_text(row: dict[str, str], key: str) -> float:
@@ -92,9 +98,10 @@ def _finite(number: float | int | None, item, key: str | int, where: str) -> flo
 
 def integer(item, key: str | int, where: str) -> int:
     """`item[key]`, a JSON integer."""
-    if type(item[key]) is not int:
-        fail(item, key, where, "an integer")
-    return item[key]
+    value = item[key]
+    if type(value) is int:
+        return value
+    fail(item, key, where, "an integer")
 
 
 def integer_text(row: dict[str, str], key: str) -> int:
@@ -113,11 +120,11 @@ def string(item, key: str | int, where: str) -> str:
     break would split a trace line, and the CSV writers leave a carriage
     return unquoted, so that a reader would end the row there."""
     value = item[key]
+    if isinstance(value, str) and value and value.isprintable():
+        return value
     if not isinstance(value, str) or not value:
         fail(item, key, where, "a non-empty string")
-    if not value.isprintable():
-        fail(item, key, where, "printable text")
-    return value
+    fail(item, key, where, "printable text")
 
 
 def lookup(find, item, key: str | int, where: str, what: str):

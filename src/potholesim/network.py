@@ -7,8 +7,10 @@ are first-class: the network keeps a pair index mapping (tail, head) to the
 list of parallel arcs, and the weighting layer keeps, per pair, the least
 arc the router relaxes over.
 
-Networks are immutable after load.  Anything that changes arc weights lives
-in the weighting module; this module only knows topology and lengths.
+Networks are immutable after load: nodes and arcs are NamedTuples, so a
+record is a plain tuple that unpacks in field order.  Anything that changes
+arc weights lives in the weighting module; this module only knows topology
+and lengths.
 
 File format (JSON, strict -- unknown keys are rejected), read by
 `load_network`; the package never writes one.  Ids are non-empty strings and
@@ -24,8 +26,8 @@ naming the field, e.g. `nodes[1].x must be a finite number, got nan`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .inputs import InputError, finite, keys, read_json, section, string
 
@@ -38,15 +40,13 @@ class UnknownArcError(LookupError):
     pass
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     x: float
     y: float
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     id: str
     tail: str
     head: str
@@ -63,42 +63,53 @@ class StreetNetwork:
     """
 
     def __init__(self, nodes: list[Node], arcs: list[Arc]):
+        isfinite = math.isfinite
         self.nodes: dict[str, Node] = {}
+        by_id = self.nodes
         for n in nodes:
-            if n.id in self.nodes:
-                raise InputError(f"duplicate node id {n.id!r}")
-            if not (math.isfinite(n.x) and math.isfinite(n.y)):
-                raise InputError(f"node {n.id!r} has non-finite coordinates")
-            self.nodes[n.id] = n
+            node_id, x, y = n
+            if node_id in by_id:
+                raise InputError(f"duplicate node id {node_id!r}")
+            if not (isfinite(x) and isfinite(y)):
+                raise InputError(f"node {node_id!r} has non-finite coordinates")
+            by_id[node_id] = n
 
         self.arcs: dict[str, Arc] = {}
         # (tail, head) -> its arc ids, sorted; weighting reads it too
         self._pairs: dict[tuple[str, str], list[str]] = {}
+        arcs_by_id, pairs = self.arcs, self._pairs
         for a in arcs:
-            if a.id in self.arcs:
-                raise InputError(f"duplicate arc id {a.id!r}")
-            if a.tail not in self.nodes:
-                raise InputError(f"arc {a.id!r} references missing node {a.tail!r}")
-            if a.head not in self.nodes:
-                raise InputError(f"arc {a.id!r} references missing node {a.head!r}")
-            if a.tail == a.head:
-                raise InputError(f"arc {a.id!r} is a self-loop at {a.tail!r}")
-            if not (math.isfinite(a.length_m) and a.length_m > 0):
-                raise InputError(f"arc {a.id!r} has non-positive length {a.length_m!r}")
-            tail, head = self.nodes[a.tail], self.nodes[a.head]
-            if not (math.isfinite(head.x - tail.x) and math.isfinite(head.y - tail.y)):
-                raise InputError(f"arc {a.id!r} from {a.tail!r} to {a.head!r} has a "
+            arc_id, tail, head, length = a
+            if arc_id in arcs_by_id:
+                raise InputError(f"duplicate arc id {arc_id!r}")
+            tail_node = by_id.get(tail)
+            if tail_node is None:
+                raise InputError(f"arc {arc_id!r} references missing node {tail!r}")
+            head_node = by_id.get(head)
+            if head_node is None:
+                raise InputError(f"arc {arc_id!r} references missing node {head!r}")
+            if tail == head:
+                raise InputError(f"arc {arc_id!r} is a self-loop at {tail!r}")
+            if not (isfinite(length) and length > 0):
+                raise InputError(f"arc {arc_id!r} has non-positive length {length!r}")
+            if not (isfinite(head_node.x - tail_node.x)
+                    and isfinite(head_node.y - tail_node.y)):
+                raise InputError(f"arc {arc_id!r} from {tail!r} to {head!r} has a "
                                  f"coordinate difference too large for a float")
-            self.arcs[a.id] = a
-            self._pairs.setdefault((a.tail, a.head), []).append(a.id)
-        for ids in self._pairs.values():
+            arcs_by_id[arc_id] = a
+            ids = pairs.get((tail, head))
+            if ids is None:
+                pairs[tail, head] = [arc_id]
+            else:
+                ids.append(arc_id)
+        for ids in pairs.values():
             ids.sort()
 
         # tail node -> sorted head list and head node -> sorted tail list,
         # for deterministic adjacency walks in either direction
-        self._out: dict[str, list[str]] = {n: [] for n in self.nodes}
-        self._in: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for (u, v) in sorted(self._pairs):
+        self._out: dict[str, list[str]] = {n: [] for n in by_id}
+        self._in: dict[str, list[str]] = {n: [] for n in by_id}
+        for (u, v) in sorted(pairs):
             self._out[u].append(v)
             self._in[v].append(u)
 
@@ -153,18 +164,24 @@ def load_network(path: str | Path) -> StreetNetwork:
     return network_from_dict(read_json(path))
 
 
+NETWORK_KEYS = frozenset({"nodes", "arcs"})
+NODE_KEYS = frozenset({"id", "x", "y"})
+ARC_KEYS = frozenset({"id", "tail", "head", "length_m"})
+NO_KEYS: frozenset[str] = frozenset()
+
+
 def network_from_dict(raw) -> StreetNetwork:
-    keys(raw, {"nodes", "arcs"}, set(), "network file")
+    keys(raw, NETWORK_KEYS, NO_KEYS, "network file")
     nodes = []
     for i, item in enumerate(section(raw, "nodes")):
         where = f"nodes[{i}]"
-        keys(item, {"id", "x", "y"}, set(), where)
+        keys(item, NODE_KEYS, NO_KEYS, where)
         nodes.append(Node(string(item, "id", where), finite(item, "x", where),
                           finite(item, "y", where)))
     arcs = []
     for i, item in enumerate(section(raw, "arcs")):
         where = f"arcs[{i}]"
-        keys(item, {"id", "tail", "head", "length_m"}, set(), where)
+        keys(item, ARC_KEYS, NO_KEYS, where)
         arcs.append(Arc(string(item, "id", where), string(item, "tail", where),
                         string(item, "head", where), finite(item, "length_m", where)))
     return StreetNetwork(nodes, arcs)

@@ -35,15 +35,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
-from .detection import GroundTruthSurface, Pit
+from .detection import GroundTruthSurface, Pit, check_pit
 from .inputs import (InputError, fail, finite, integer, keys, lookup, read_json,
                      section, string)
-from .network import StreetNetwork
+from .network import NO_KEYS, StreetNetwork
 
 
-@dataclass(frozen=True)
-class VehicleSpec:
+class VehicleSpec(NamedTuple):
     id: str
     start_arc: str
     start_offset_m: float
@@ -51,8 +51,7 @@ class VehicleSpec:
     waypoints: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AccessPointSpec:
+class AccessPointSpec(NamedTuple):
     id: str
     x: float
     y: float
@@ -60,8 +59,7 @@ class AccessPointSpec:
     open: bool
 
 
-@dataclass(frozen=True)
-class TimedEvent:
+class TimedEvent(NamedTuple):
     t_ms: int
     kind: str                  # DETECT or DEST_CHANGE
     vehicle: str
@@ -82,9 +80,17 @@ def load_scenario(path: str | Path, net: StreetNetwork) -> Scenario:
     return scenario_from_dict(read_json(path), net)
 
 
+SCENARIO_KEYS = frozenset({"duration_ms", "seed"})
+SECTION_KEYS = frozenset({"vehicles", "pits", "access_points", "events"})
+VEHICLE_KEYS = frozenset({"id", "start_arc", "start_offset_m", "speed_mps", "waypoints"})
+PIT_KEYS = frozenset({"arc", "center_m", "half_length_m", "depth_mm", "reflectivity"})
+ACCESS_POINT_KEYS = frozenset({"id", "x", "y", "range_m", "open"})
+EVENT_KEYS = frozenset({"t_ms", "kind", "vehicle"})
+DEST_KEY = frozenset({"dest"})
+
+
 def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
-    keys(raw, {"duration_ms", "seed"},
-         {"vehicles", "pits", "access_points", "events"}, "scenario")
+    keys(raw, SCENARIO_KEYS, SECTION_KEYS, "scenario")
 
     duration = integer(raw, "duration_ms", "")
     if duration < 0:
@@ -94,8 +100,7 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
     vehicles: dict[str, VehicleSpec] = {}
     for i, item in enumerate(section(raw, "vehicles")):
         where = f"vehicles[{i}]"
-        keys(item, {"id", "start_arc", "start_offset_m", "speed_mps", "waypoints"},
-             set(), where)
+        keys(item, VEHICLE_KEYS, NO_KEYS, where)
         vid = string(item, "id", where)
         if vid in vehicles:
             raise InputError(f"{where}.id: duplicate vehicle id {vid!r}")
@@ -109,43 +114,48 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
         if not isinstance(item["waypoints"], list):
             fail(item, "waypoints", where, "a list")
         waypoints = tuple(item["waypoints"])
+        waypoints_where = f"{where}.waypoints"
         for k in range(len(waypoints)):
-            lookup(net.node, waypoints, k, f"{where}.waypoints", "node")
+            lookup(net.node, waypoints, k, waypoints_where, "node")
         if waypoints:
             if waypoints[0] != arc.head:
-                fail(waypoints, 0, f"{where}.waypoints",
+                fail(waypoints, 0, waypoints_where,
                      f"{arc.head!r}, the head of start arc {arc.id!r}")
-            for a, b in zip(waypoints, waypoints[1:]):
-                if not net.arcs_between(a, b):
-                    raise InputError(f"{where}.waypoints: no arc joins {a!r} -> {b!r}")
+            # every waypoint is a known node, so a pair with no arc has no
+            # entry in the network's pair index
+            for pair in zip(waypoints, waypoints[1:]):
+                if pair not in net._pairs:
+                    raise InputError(f"{waypoints_where}: no arc joins {pair[0]!r} -> {pair[1]!r}")
         vehicles[vid] = VehicleSpec(vid, arc.id, offset, speed, waypoints)
     scenario.vehicles.extend(vehicles.values())
 
     for i, item in enumerate(section(raw, "pits")):
         where = f"pits[{i}]"
-        keys(item, {"arc", "center_m", "half_length_m", "depth_mm", "reflectivity"},
-             set(), where)
+        keys(item, PIT_KEYS, NO_KEYS, where)
         arc = lookup(net.arc, item, "arc", where, "arc")
-        pit = Pit(*(finite(item, key, where)
-                    for key in ("center_m", "half_length_m", "depth_mm", "reflectivity")))
+        pit = Pit(finite(item, "center_m", where), finite(item, "half_length_m", where),
+                  finite(item, "depth_mm", where), finite(item, "reflectivity", where))
         if pit.half_length_m < 0:
             fail(item, "half_length_m", where, ">= 0")
         try:
-            GroundTruthSurface(arc.id, arc.length_m, [pit])
+            check_pit(pit, arc.id, arc.length_m)
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from None
-        surface = scenario.pits.setdefault(arc.id, GroundTruthSurface(arc.id, arc.length_m))
+        surface = scenario.pits.get(arc.id)
+        if surface is None:
+            surface = scenario.pits[arc.id] = GroundTruthSurface(arc.id, arc.length_m)
         surface.pits.append(pit)
 
     seen_aps: set[str] = set()
     for i, item in enumerate(section(raw, "access_points")):
         where = f"access_points[{i}]"
-        keys(item, {"id", "x", "y", "range_m", "open"}, set(), where)
+        keys(item, ACCESS_POINT_KEYS, NO_KEYS, where)
         ap_id = string(item, "id", where)
         if ap_id in seen_aps:
             raise InputError(f"{where}.id: duplicate access point id {ap_id!r}")
         seen_aps.add(ap_id)
-        x, y, range_m = (finite(item, key, where) for key in ("x", "y", "range_m"))
+        x, y = finite(item, "x", where), finite(item, "y", where)
+        range_m = finite(item, "range_m", where)
         if range_m <= 0:
             fail(item, "range_m", where, "> 0")
         if not isinstance(item["open"], bool):
@@ -154,7 +164,7 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
 
     for i, item in enumerate(section(raw, "events")):
         where = f"events[{i}]"
-        keys(item, {"t_ms", "kind", "vehicle"}, {"dest"}, where)
+        keys(item, EVENT_KEYS, DEST_KEY, where)
         t = integer(item, "t_ms", where)
         if not (0 <= t < scenario.duration_ms):
             fail(item, "t_ms", where, "in [0, duration_ms)")

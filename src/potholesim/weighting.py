@@ -10,11 +10,12 @@ potholes, and 0 for a clean arc (the formula's division is undefined at
 a = 0; defining d = 0 there gives clean arcs weight 0 and leaves the
 zero-weight tie-breaking to the routing layer).  Weights are therefore in
 mm*m and are recomputed per arc whenever the registry ingests a report for
-that arc, which keeps the incremental state identical to a full rebuild:
-`preprocess` re-weights every arc through the same per-arc step as
-`apply_update`.  That step sums the arc's depths in minting order from the
-registry's per-arc index and takes its pair's minimum from the network's
-pair index, looking the arc up once.
+that arc, which keeps the incremental state identical to a full rebuild.
+Both paths share two steps: the arc weight, which sums the arc's depths in
+minting order from the registry's per-arc index, and the pair minimum over
+the arcs the network's pair index lists.  `preprocess` weighs each pair's
+arcs and then takes that pair's minimum once; `apply_update` weighs one arc
+and retakes its pair's minimum.
 
 Dump format (CSV): arc_id, tail, head, length_m, pothole_count,
 avg_damage_mm, weight.
@@ -61,26 +62,37 @@ def _damage(arc_id: str, registry: PotholeRegistry) -> tuple[int, float]:
     return count, (total / count if count else 0.0)
 
 
-def _reweigh(wnet: WeightedNetwork, arc: Arc, registry: PotholeRegistry) -> None:
-    """Set one arc's weight, then its pair's least (weight, length, arc id)
-    from the network's pair index."""
+def _arc_weight(arc: Arc, registry: PotholeRegistry) -> float:
+    """w(e) = d(e) * l(e) from the registry's current potholes on `arc`;
+    0.0 for a clean arc, as d(e) = 0 times a finite length gives."""
+    if arc.id not in registry._by_arc:
+        return 0.0
+    return _damage(arc.id, registry)[1] * arc.length_m
+
+
+def _pair_minimum(wnet: WeightedNetwork, ids: list[str]) -> tuple[float, float, str]:
+    """The least (weight, length, arc id) over one pair's arcs `ids`."""
     weights, arcs = wnet.arc_weights, wnet.base.arcs
-    weights[arc.id] = _damage(arc.id, registry)[1] * arc.length_m
-    pair = (arc.tail, arc.head)
-    wnet.min_weights[pair] = min((weights[a], arcs[a].length_m, a)
-                                 for a in wnet.base._pairs[pair])
+    if len(ids) == 1:
+        arc_id = ids[0]
+        return weights[arc_id], arcs[arc_id].length_m, arc_id
+    return min((weights[a], arcs[a].length_m, a) for a in ids)
 
 
 def preprocess(net: StreetNetwork, registry: PotholeRegistry) -> WeightedNetwork:
     """Weight every arc from the current registry and set each pair minimum.
 
-    Each arc is re-weighted as `apply_update` does it.  The last arc of a
-    pair to be re-weighted sees every weight of that pair final, so the
-    pair minima come out as if they were taken after all the weights.
+    Pair by pair, it weighs the pair's arcs and then takes the pair's
+    minimum once, through the same two steps as `apply_update`; the state
+    comes out identical to re-weighting every arc with `apply_update`.
     """
-    wnet = WeightedNetwork(net, dict.fromkeys(net.arcs, 0.0), {})
-    for arc in net.arcs.values():
-        _reweigh(wnet, arc, registry)
+    weights = dict.fromkeys(net.arcs, 0.0)  # in the network's arc order
+    wnet = WeightedNetwork(net, weights, {})
+    min_weights, arcs = wnet.min_weights, net.arcs
+    for pair, ids in net._pairs.items():
+        for arc_id in ids:
+            weights[arc_id] = _arc_weight(arcs[arc_id], registry)
+        min_weights[pair] = _pair_minimum(wnet, ids)
     return wnet
 
 
@@ -90,7 +102,10 @@ def apply_update(wnet: WeightedNetwork, arc_id: str, registry: PotholeRegistry) 
     Leaves the WeightedNetwork state-identical to a full preprocess over
     the same registry.
     """
-    _reweigh(wnet, wnet.base.arc(arc_id), registry)
+    arc = wnet.base.arc(arc_id)
+    wnet.arc_weights[arc_id] = _arc_weight(arc, registry)
+    pair = (arc.tail, arc.head)
+    wnet.min_weights[pair] = _pair_minimum(wnet, wnet.base._pairs[pair])
     return wnet
 
 

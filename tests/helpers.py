@@ -27,6 +27,7 @@ from potholesim.geocrypto import (LEN_FIELD, NONCE_LEN, TAG_LEN, EnvelopeFormatE
                                   IntegrityError, LocationMismatchError, PlainReport,
                                   ReportEnvelope, _grid_to_dict, _report_from_dict,
                                   encrypt)
+from potholesim.inputs import InputError
 from potholesim.network import Arc, Node, StreetNetwork, UnknownArcError
 from potholesim.registry import PotholeRegistry
 from potholesim.routing import UnreachableError, fmt_num, modify_destination
@@ -222,7 +223,8 @@ def write_end_to_end(tmp_path):
 def grid_inputs(seed: int = 5, size: int = 5) -> tuple[dict, dict]:
     """Seeded size x size grid of two-way streets and a scenario driving it.
 
-    Nodes `n<row><col>` sit 50 m apart.  Each directed neighbour pair gets
+    Nodes `n<row><col>` sit 50 m apart; row and column take two digits
+    each once the grid is wider than ten.  Each directed neighbour pair gets
     one arc of 50, 55 or 60 m, and about a third of the pairs get a second,
     parallel arc of the same length, so clean parallel arcs tie on weight
     and length and only the arc id separates them.  Arc ids are shuffled
@@ -234,7 +236,12 @@ def grid_inputs(seed: int = 5, size: int = 5) -> tuple[dict, dict]:
     destination is reachable, and every arc is longer than a scanner cell.
     """
     rng = random.Random(seed)
-    nodes = [{"id": f"n{r}{c}", "x": 50.0 * c, "y": 50.0 * r}
+    digits = len(str(size - 1))
+
+    def name(r: int, c: int) -> str:
+        return f"n{r:0{digits}d}{c:0{digits}d}"
+
+    nodes = [{"id": name(r, c), "x": 50.0 * c, "y": 50.0 * r}
              for r in range(size) for c in range(size)]
     pairs = []
     for r in range(size):
@@ -242,7 +249,7 @@ def grid_inputs(seed: int = 5, size: int = 5) -> tuple[dict, dict]:
             for dr, dc in ((0, 1), (1, 0)):
                 if r + dr < size and c + dc < size:
                     length = rng.choice([50.0, 55.0, 60.0])
-                    u, v = f"n{r}{c}", f"n{r + dr}{c + dc}"
+                    u, v = name(r, c), name(r + dr, c + dc)
                     pairs.append((u, v, length))
                     pairs.append((v, u, length))
     specs = []
@@ -290,15 +297,15 @@ def grid_inputs(seed: int = 5, size: int = 5) -> tuple[dict, dict]:
     for k, vehicle in enumerate(vehicles[:2]):
         x, y = node_xy[by_id[vehicle["start_arc"]]["head"]]
         aps.append({"id": f"ap{k + 1}", "x": x, "y": y, "range_m": 40.0, "open": True})
-    far = f"n{size - 1}{size - 1}"
+    far = name(size - 1, size - 1)
     events = [{"t_ms": 1000, "kind": "DETECT", "vehicle": v["id"]} for v in vehicles[:4]]
     events += [
         {"t_ms": 9000, "kind": "DETECT", "vehicle": "v5"},
         {"t_ms": 8000, "kind": "DEST_CHANGE", "vehicle": "v4", "dest": far},
-        {"t_ms": 12000, "kind": "DEST_CHANGE", "vehicle": "v4", "dest": "n00"},
-        {"t_ms": 9000, "kind": "DEST_CHANGE", "vehicle": "v5", "dest": "n04"},
+        {"t_ms": 12000, "kind": "DEST_CHANGE", "vehicle": "v4", "dest": name(0, 0)},
+        {"t_ms": 9000, "kind": "DEST_CHANGE", "vehicle": "v5", "dest": name(0, 4)},
         {"t_ms": 15000, "kind": "DEST_CHANGE", "vehicle": "v5", "dest": None},
-        {"t_ms": 21000, "kind": "DEST_CHANGE", "vehicle": "v6", "dest": "n40"},
+        {"t_ms": 21000, "kind": "DEST_CHANGE", "vehicle": "v6", "dest": name(4, 0)},
         {"t_ms": 24000, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": far},
     ]
     network = {"nodes": nodes, "arcs": arcs}
@@ -734,3 +741,54 @@ class OracleIntake:
         name = f"rejected_{reason}"
         setattr(self.stats, name, getattr(self.stats, name) + 1)
         self.stats.envelopes_rejected += 1
+
+
+# The field rules of `potholesim.inputs` as they stood before they were
+# made to test the accepting case first: the reference the current rules
+# must agree with on every value, result and message.
+
+def _ref_name(where: str, key) -> str:
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else key
+
+
+def _ref_fail(item, key, where: str, rule: str):
+    raise InputError(f"{_ref_name(where, key)} must be {rule}, got {item[key]!r}")
+
+
+def ref_keys(obj, required: set[str], optional: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise InputError(f"{where} must be an object, got {obj!r}")
+    unknown = obj.keys() - required - optional
+    if unknown:
+        raise InputError(f"unknown keys {sorted(unknown)} in {where}")
+    missing = required - obj.keys()
+    if missing:
+        raise InputError(f"missing keys {sorted(missing)} in {where}")
+
+
+def ref_finite(item, key, where: str) -> float:
+    value = item[key]
+    number = value if type(value) in (int, float) else None
+    try:
+        if number is not None and math.isfinite(number):
+            return float(number)
+    except OverflowError:
+        pass
+    _ref_fail(item, key, where, "a finite number")
+
+
+def ref_integer(item, key, where: str) -> int:
+    if type(item[key]) is not int:
+        _ref_fail(item, key, where, "an integer")
+    return item[key]
+
+
+def ref_string(item, key, where: str) -> str:
+    value = item[key]
+    if not isinstance(value, str) or not value:
+        _ref_fail(item, key, where, "a non-empty string")
+    if not value.isprintable():
+        _ref_fail(item, key, where, "printable text")
+    return value

@@ -114,8 +114,8 @@ class TestLoadNetwork:
 
     def test_round_trip(self, tmp_path):
         net = load_network(write_net(tmp_path, MINIMAL))
-        assert [vars(n) for n in net.nodes.values()] == MINIMAL["nodes"]
-        assert [vars(a) for a in net.arcs.values()] == MINIMAL["arcs"]
+        assert [n._asdict() for n in net.nodes.values()] == MINIMAL["nodes"]
+        assert [a._asdict() for a in net.arcs.values()] == MINIMAL["arcs"]
 
 
 class TestArcsBetween:

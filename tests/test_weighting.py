@@ -1,11 +1,14 @@
+import csv
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_net, close, ingest, random_network, random_registry
-from potholesim.network import UnknownArcError
+from helpers import build_net, close, grid_inputs, ingest, random_network, random_registry
+from potholesim.network import UnknownArcError, load_network
 from potholesim.registry import PotholeRegistry
 from potholesim.weighting import apply_update, csv_rows, preprocess
 
@@ -186,3 +189,52 @@ def test_algorithm_oracle_random_instances():
             else:
                 assert wnet.weight(arc_id) == 0.0
             checked += 1
+
+
+def _loaded_state(tmp_path, with_registry: bool) -> str:
+    """SHA-256 of everything `load_network` and `preprocess` build for the
+    12 x 12 grid of `grid_inputs`: the records and indexes of the network
+    and the arc weights and pair minima, each in its dict's order."""
+    network, _ = grid_inputs(size=12)
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(network))
+    net = load_network(net_file)
+    reg = PotholeRegistry(net)
+    if with_registry:
+        # potholes on a third of the arcs, with depths whose float sums
+        # depend on the order they are added in; rows are shuffled so that
+        # the reader has to restore minting order
+        rng = random.Random(12)
+        rows = []
+        for arc_id in sorted(net.arcs):
+            if rng.random() < 0.35:
+                for _ in range(rng.randint(1, 3)):
+                    length = net.arcs[arc_id].length_m
+                    rows.append([str(len(rows)), arc_id, rng.uniform(0.0, length),
+                                 rng.uniform(0.0, 80.0), 0.5, 0, 0])
+        rng.shuffle(rows)
+        csv_file = tmp_path / "registry.csv"
+        with open(csv_file, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([PotholeRegistry.RECORD_FIELDS, *rows])
+        reg = PotholeRegistry.read_csv(csv_file, net)
+        assert len(reg.records) == len(rows) > 200
+    wnet = preprocess(net, reg)
+    state = (
+        [(k, n.id, n.x, n.y) for k, n in net.nodes.items()],
+        [(k, a.id, a.tail, a.head, a.length_m) for k, a in net.arcs.items()],
+        list(net._pairs.items()), list(net._out.items()), list(net._in.items()),
+        list(wnet.arc_weights.items()), list(wnet.min_weights.items()))
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+# recorded once, before the network records became tuples and preprocess
+# took one minimum per pair; never regenerated to make a change pass
+LOADED_STATE = {
+    False: "4088c5ff27c4a7d312637a56b9a4ea990c910ca142ff213e369d7ca5d360e2de",
+    True: "16b1ce148547ddf5b08da5b0e29ba9b37a9193c0f41b07fada55785ffa757a2d",
+}
+
+
+@pytest.mark.parametrize("with_registry", [False, True], ids=["clean", "csv_registry"])
+def test_loaded_state_digest(tmp_path, with_registry):
+    assert _loaded_state(tmp_path, with_registry) == LOADED_STATE[with_registry]
