@@ -35,15 +35,17 @@ def read_json(path: str | Path):
         raise InputError(f"{path}: invalid JSON: {exc}") from None
 
 
+NO_KEYS: frozenset[str] = frozenset()  # for `keys`: a record with no optional key
+
+
 def keys(obj, required: frozenset[str], optional: frozenset[str], where: str) -> None:
     """Refuse `obj` unless it is an object with every required key and no
     key outside `required | optional`."""
-    if isinstance(obj, dict):
-        present = obj.keys()
-        if present == required or (present >= required and present - required <= optional):
-            return
-    else:
+    if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object, got {obj!r}")
+    present = obj.keys()
+    if present == required or (present >= required and present - required <= optional):
+        return
     unknown = present - required - optional
     if unknown:
         raise InputError(f"unknown keys {sorted(unknown)} in {where}")

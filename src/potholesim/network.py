@@ -29,7 +29,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .inputs import InputError, finite, keys, read_json, section, string
+from .inputs import NO_KEYS, InputError, finite, keys, read_json, section, string
 
 
 class UnknownNodeError(LookupError):
@@ -167,7 +167,6 @@ def load_network(path: str | Path) -> StreetNetwork:
 NETWORK_KEYS = frozenset({"nodes", "arcs"})
 NODE_KEYS = frozenset({"id", "x", "y"})
 ARC_KEYS = frozenset({"id", "tail", "head", "length_m"})
-NO_KEYS: frozenset[str] = frozenset()
 
 
 def network_from_dict(raw) -> StreetNetwork:

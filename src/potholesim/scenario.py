@@ -38,9 +38,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .detection import GroundTruthSurface, Pit, check_pit
-from .inputs import (InputError, fail, finite, integer, keys, lookup, read_json,
-                     section, string)
-from .network import NO_KEYS, StreetNetwork
+from .inputs import (NO_KEYS, InputError, fail, finite, integer, keys, lookup,
+                     read_json, section, string)
+from .network import StreetNetwork
 
 
 class VehicleSpec(NamedTuple):
@@ -121,11 +121,11 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
             if waypoints[0] != arc.head:
                 fail(waypoints, 0, waypoints_where,
                      f"{arc.head!r}, the head of start arc {arc.id!r}")
-            # every waypoint is a known node, so a pair with no arc has no
-            # entry in the network's pair index
-            for pair in zip(waypoints, waypoints[1:]):
-                if pair not in net._pairs:
-                    raise InputError(f"{waypoints_where}: no arc joins {pair[0]!r} -> {pair[1]!r}")
+            # the waypoints are known nodes: the pair index lists every
+            # pair that an arc joins
+            for a, b in zip(waypoints, waypoints[1:]):
+                if (a, b) not in net._pairs:
+                    raise InputError(f"{waypoints_where}: no arc joins {a!r} -> {b!r}")
         vehicles[vid] = VehicleSpec(vid, arc.id, offset, speed, waypoints)
     scenario.vehicles.extend(vehicles.values())
 
