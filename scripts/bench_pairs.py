@@ -9,7 +9,9 @@ claim rests on more than one generated input.  Prints every run, with its
 pair's seed, as it ends, then for each metric each side's median and
 quartiles, the change in the median, the gap against the parent's
 interquartile range, and in how many pairs the change read better (ties
-count for neither side).
+count for neither side).  An end-to-end metric whose change median is worse
+than the parent median by more than its bound in `BENCHMARK.json` is marked
+`PAST BOUND`, and the script then exits 1.
 
 Untraced runs report the end-to-end metrics.  With `--trace`, the runs are
 traced and report the event loop's own time (`comms.loop.self_s`), the
@@ -83,6 +85,13 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def past_bound(parent: float, change: float, better: str, bound: float | None) -> bool:
+    """Whether the change median is worse than the parent median by more than
+    `bound`, a fraction of the parent median (None: the metric has no bound)."""
+    worse = change > parent if better == "lower" else change < parent
+    return bound is not None and worse and abs(change - parent) > bound * abs(parent)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -101,7 +110,7 @@ def main(argv=None) -> int:
     revs = {"parent": git(root, "rev-parse", args.parent), "change": git(root, "rev-parse", "HEAD")}
     bench = json.loads((root / "BENCHMARK.json").read_text())
     chosen = traced_metrics(bench["per_layer"]) if args.trace else bench["end_to_end"]
-    metrics = [(m["name"], m["unit"], m["better"]) for m in chosen]
+    metrics = [(m["name"], m["unit"], m["better"], m.get("bound")) for m in chosen]
     print(f"parent {revs['parent'][:10]}  change {revs['change'][:10]}  workload "
           f"{args.workload}  seeds {' '.join(map(str, args.seed))}  {bench['run_seconds']} s "
           f"{'traced' if args.trace else 'untraced'} runs")
@@ -118,14 +127,15 @@ def main(argv=None) -> int:
                                args.trace)
                 runs[side].append(res)
                 values = " ".join(f"{name} {res['metrics'][name]['value']:.6g}"
-                                  for name, _, _ in metrics)
+                                  for name, _, _, _ in metrics)
                 print(f"pair {pair + 1} seed {seed} {side:6s} rounds {res['rounds']}  correct "
                       f"{res['correct']}  failed {res['failed']}/{res['attempted']}  {values}",
                       flush=True)
 
     print("median [quartiles], parent -> change")
-    width = max(len(name) for name, _, _ in metrics)
-    for name, unit, better in metrics:
+    width = max(len(name) for name, _, _, _ in metrics)
+    over = []  # the metrics past their bound
+    for name, unit, better, bound in metrics:
         vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         med = {side: statistics.median(vals[side]) for side in SIDES}
         quart = {side: quartiles(vals[side]) for side in SIDES}
@@ -134,18 +144,23 @@ def main(argv=None) -> int:
         pct = f"{100 * (med['change'] - med['parent']) / med['parent']:+.1f} %" \
             if med["parent"] else "n/a"
         iqr = quart["parent"][1] - quart["parent"][0]
+        gap = abs(med["change"] - med["parent"])
+        past = past_bound(med["parent"], med["change"], better, bound)
+        if past:
+            over.append(name)
         print(f"  {name:{width}s} {med['parent']:.6g} [{quart['parent'][0]:.6g}, "
               f"{quart['parent'][1]:.6g}] -> {med['change']:.6g} [{quart['change'][0]:.6g}, "
               f"{quart['change'][1]:.6g}] {unit}  {pct}  change better in "
-              f"{wins}/{args.pairs}  |gap| {abs(med['change'] - med['parent']):.6g} "
-              f"vs parent IQR {iqr:.6g}")
+              f"{wins}/{args.pairs}  |gap| {gap:.6g} vs parent IQR {iqr:.6g}"
+              + (f"  PAST BOUND ({100 * bound:g} %)" if past else ""))
     rounds = {side: statistics.median(r["rounds"] for r in runs[side]) for side in SIDES}
     print(f"  {'rounds':{width}s} {rounds['parent']:g} -> {rounds['change']:g} (median)")
     bad = [side for side in SIDES for r in runs[side] if not r["correct"] or r["failed"]]
     if bad:
         print(f"INCORRECT or FAILED runs: {len(bad)}")
-        return 1
-    return 0
+    if over:
+        print(f"PAST BOUND: {', '.join(over)}")
+    return 1 if bad or over else 0
 
 
 if __name__ == "__main__":

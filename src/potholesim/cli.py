@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -92,7 +93,9 @@ def cmd_simulate(args) -> int:
     maintenance.write_csv(entries, out / "maintenance_report.csv")
     for vid in sorted(world.vehicles):
         display = world.vehicles[vid].session.display()
-        with open(out / f"route_{vid}.txt", "w") as fh:
+        # named in UTF-8 whatever the locale, like the files' contents
+        name = os.path.join(os.fsencode(out), f"route_{vid}.txt".encode("utf-8"))
+        with open(name, "w", encoding="utf-8") as fh:
             if isinstance(display, float):
                 fh.write(f"DISPLAY {world.vehicles[vid].arc} {fmt_num(display)}\n")
             else:

@@ -59,15 +59,62 @@ than all three together, so every access point that the range test accepts
 anywhere on the arc is a candidate.  The closest point is found in
 coordinates scaled by a power of two that puts the segment and the range
 below 1, so no square overflows, and an overflow anywhere else keeps the
-access point.  Closed access points are never candidates.  A tick on an arc
-with no candidate computes no position, and while SCANNING it does not step
-the connection either, since nothing could change.
+access point.  Closed access points are never candidates.
 
 `World.set_arc` puts a vehicle on an arc, at set-up and on every arc entry
 (a MOVE, or a DEST_CHANGE that restarts a stopped vehicle).  It copies the
 arc's line (tail x, tail y, dx, dy, length) and candidates, each built once
 per world, into the `VehicleState`, so a tick reads its position and its
 access points from the vehicle alone.
+
+A scan's answer is *held* for the ticks at which a bound on the vehicle's
+motion says it cannot change.  `World._scan` notes the answer's slack:
+range - distance when it finds the connection's peer still in range, the
+least distance - range over the candidates when it finds no access point in
+range; another answer (a new nearest access point) holds nothing.  On its
+arc a vehicle moves in the plane at speed_mps * |segment| / length_m,
+faster than speed_mps where `length_m` is shorter than the segment, and a
+stopped vehicle does not move.  So the answer stands until the vehicle
+could have covered the slack less the world's *margin*, which `_hold_end`
+rounds down to a whole millisecond; it stands until the run's end for a
+stopped vehicle, for one whose whole segment is shorter than that, and for
+one so slow (a subnormal speed) that the time overflows.  Ticks before it
+reuse the answer without computing a position, as long as the connection's
+peer is the one found; an answer of no access point holds whatever the
+peer.  `set_arc` and a MOVE, the only writers of the line, offset, start
+time and stopped flag that the bound reads, clear the hold, and `set_arc`
+holds no access point on an arc with no candidate.  So a tick on such an
+arc computes no position, and while SCANNING it does not step the
+connection either, since nothing could change.
+
+A broadcast rejects a vehicle by its segment's bounding box before it
+computes the vehicle's position: it skips every vehicle whose box lies more
+than the radius + the margin from the sender on either axis.
+
+The margin of both bounds is 2**-40 of (reach + extent): the reach is the
+largest access point range or broadcast radius, the extent the largest node
+coordinate in absolute value.  Each bound stands in for distances that the
+tick or the broadcast would compute, and those err from the exact geometry
+by a few ulps of (reach + extent):
+
+  * a position lies within a few ulps of the extent of the exact point at
+    its offset, since its offset and `frac` err by a few ulps of the length
+    and of 1 (for a normal arc length: on a subnormal one, only a vehicle
+    that stands still or whose segment fits in the slack holds);
+  * candidate access points lie within reach + extent of the origin, so
+    each subtraction and `hypot` errs by an ulp or so of (reach + extent);
+  * the hold's end errs by a few ulps of its span, so the vehicle covers at
+    most a few ulps of the slack more than the slack less the margin before
+    it (for times below 2**53 ms);
+  * a box's sides are node coordinates, and the sender's reach errs by an
+    ulp of the extent plus the radius.
+
+Subnormal results err by at most 2**-1074 each, which a floor of 2**-1060 on
+the margin covers.  The margin, some 2**12 ulps, is far more than all of
+these together: a held answer is the one a scan would give, and a rejected
+vehicle would fail the closed distance test.  A world whose
+4 * (reach + extent) overflows, or whose radius is NaN, has an infinite
+margin: it holds nothing and rejects no vehicle by box.
 
 Trace format: one line per processed event, `t=<ms> <EVENT_KIND> <details>`
 with a fixed field order per kind.  A DEST_CHANGE whose destination is
@@ -81,7 +128,8 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from math import frexp, hypot, ldexp
+from math import frexp, hypot, inf, ldexp
+from sys import float_info
 from typing import NamedTuple
 
 from . import weighting
@@ -173,6 +221,10 @@ class VehicleState:
     # points, both set with `arc` by `World.set_arc`
     line: tuple[float, float, float, float, float] = (0.0, 0.0, 0.0, 0.0, 0.0)
     candidates: tuple[APEntry, ...] = ()
+    # the last scan's answer, which ticks before `hold_ms` reuse (see
+    # `World._scan`); `World.set_arc` and a MOVE clear the hold
+    held: str | None = None
+    hold_ms: int = 0
 
 
 class EventKind:
@@ -186,8 +238,11 @@ class EventKind:
     DEST_CHANGE = "DEST_CHANGE"
 
 
-# the candidate margin, relative to the range plus the segment's extent
+# the candidate margin, relative to the range plus the segment's extent, and
+# the hold and box margin, relative to the reach plus the world's extent
 _MARGIN = 2.0 ** -40
+# the least hold and box margin: it covers the rounding of subnormal results
+_MARGIN_FLOOR = 2.0 ** -1060
 
 
 def _arc_candidates(open_aps: list[APEntry], x0: float, y0: float, x1: float,
@@ -225,6 +280,7 @@ class World:
         self.net = net
         self.config = config
         self.rng = random.Random(scenario.seed)
+        self.end_ms = scenario.duration_ms
         self.surfaces: dict[str, GroundTruthSurface] = dict(scenario.pits)
 
         registry = PotholeRegistry(net, config.dedup_radius_m)
@@ -240,9 +296,15 @@ class World:
             key=lambda ap: ap[3])
         # filled on first use: arc id -> its candidates (see `ap_candidates`)
         self._ap_candidates: dict[str, tuple[APEntry, ...]] = {}
+        # the margin of the hold and the broadcast box (see the module docstring)
+        span = max([config.p2p_range_m] + [ap.range_m for ap in scenario.access_points]) + max(
+            (abs(c) for node in net.nodes.values() for c in (node.x, node.y)), default=0.0)
+        self.margin = max(span * _MARGIN, _MARGIN_FLOOR) if span * 4.0 < inf else inf
 
         # filled on first use: arc id -> (tail x, tail y, dx, dy, length)
         self._arc_lines: dict[str, tuple[float, float, float, float, float]] = {}
+        # filled on first use: arc id -> (min x, max x, min y, max y) of its segment
+        self._arc_boxes: dict[str, tuple[float, float, float, float]] = {}
         # filled on first use: arc id -> what a sweep of the whole arc extracts
         self._sensed: dict[str, list[PotholeDetection]] = {}
 
@@ -278,7 +340,9 @@ class World:
                                               head.y - tail.y, arc.length_m)
         v.arc = arc_id
         v.line = line
-        v.candidates = self.ap_candidates(arc_id)
+        v.candidates = candidates = self.ap_candidates(arc_id)
+        # clear the hold; an arc with no candidate answers no access point
+        v.held, v.hold_ms = None, 0 if candidates else self.end_ms
 
     def _position(self, v: VehicleState, now_ms: int) -> tuple[float, float]:
         x, y, dx, dy, length = v.line
@@ -300,16 +364,29 @@ class World:
                 self._open_aps, tail.x, tail.y, head.x, head.y)
         return found
 
+    def arc_box(self, arc_id: str) -> tuple[float, float, float, float]:
+        """The (min x, max x, min y, max y) of the arc's segment; built on
+        the arc's first use and kept."""
+        box = self._arc_boxes.get(arc_id)
+        if box is None:
+            arc = self.net.arcs[arc_id]
+            tail = self.net.nodes[arc.tail]
+            head = self.net.nodes[arc.head]
+            box = self._arc_boxes[arc_id] = (min(tail.x, head.x), max(tail.x, head.x),
+                                             min(tail.y, head.y), max(tail.y, head.y))
+        return box
+
     def visible_ap(self, vid: str, now_ms: int) -> str | None:
         """Open access point in radio range; the current handshake peer wins
         while still visible, otherwise the nearest (ties by ap id).  Reads
         only the candidates of the vehicle's arc."""
-        v = self.vehicle(vid)
-        return self._scan(v, now_ms) if v.candidates else None
+        return self._scan(self.vehicle(vid), now_ms)
 
     def _scan(self, v: VehicleState, now_ms: int) -> str | None:
-        """`visible_ap` of a vehicle whose arc has candidates."""
-        # `_position`, inlined: most ticks run this
+        """`visible_ap` of the vehicle; also holds the answer for the ticks
+        before the first time at which it could change (see the module
+        docstring)."""
+        # `_position`, inlined: most scans run this
         x, y, dx, dy, length = v.line
         speed = 0.0 if v.stopped else v.speed_mps
         offset = v.offset_m + speed * (now_ms - v.at_ms) / 1000.0
@@ -319,14 +396,38 @@ class World:
         peer = v.conn.peer
         best_id = None
         best_dist = 0.0
+        near = inf  # the least distance - range of the candidates out of range
         for ap_x, ap_y, range_m, ap_id in v.candidates:
             dist = hypot(ap_x - x, ap_y - y)
             if dist <= range_m:
                 if ap_id == peer:
+                    v.held, v.hold_ms = peer, self._hold_end(v, now_ms, range_m - dist)
                     return peer
                 if best_id is None or dist < best_dist:
                     best_id, best_dist = ap_id, dist
+            elif dist - range_m < near:
+                near = dist - range_m
+        v.held = best_id
+        v.hold_ms = now_ms if best_id is not None else self._hold_end(v, now_ms, near)
         return best_id
+
+    def _hold_end(self, v: VehicleState, now_ms: int, slack: float) -> int:
+        """The first tick time at which the vehicle could have covered
+        `slack` less the margin since `now_ms`, capped at the run's end
+        (see the module docstring)."""
+        ahead = slack - self.margin
+        if not ahead > 0.0:
+            return now_ms
+        _, _, dx, dy, length = v.line
+        seg = hypot(dx, dy)
+        speed = 0.0 if v.stopped else v.speed_mps
+        if speed == 0.0 or seg <= ahead:
+            return self.end_ms
+        if length < float_info.min:
+            return now_ms
+        # ahead / seg < 1, so no step overflows before the division by speed
+        end = now_ms + ahead / seg * length / speed * 1000.0
+        return int(end) if end < self.end_ms else self.end_ms
 
     def sense(self, arc_id: str) -> list[PotholeDetection]:
         """The potholes that a sweep of the whole arc extracts.
@@ -357,12 +458,20 @@ def p2p_broadcast(world: World, sender: str, pothole_key: str, now_ms: int) -> l
     """
     sx, sy = world.vehicle_position(sender, now_ms)
     vehicles, position = world.vehicles, world._position
+    boxes, arc_box = world._arc_boxes, world.arc_box
     radius = world.config.p2p_range_m
+    # a vehicle whose segment's box lies past `reach` on an axis is out of
+    # range (see the module docstring)
+    reach = radius + world.margin
+    lo_x, hi_x, lo_y, hi_y = sx - reach, sx + reach, sy - reach, sy + reach
     receivers = []
     for vid in world.vehicle_ids:
         if vid == sender:
             continue
         v = vehicles[vid]
+        x0, x1, y0, y1 = boxes.get(v.arc) or arc_box(v.arc)
+        if x1 < lo_x or x0 > hi_x or y1 < lo_y or y0 > hi_y:
+            continue
         x, y = position(v, now_ms)
         if hypot(x - sx, y - sy) <= radius:
             v.warning_cache.add(pothole_key)
@@ -459,7 +568,9 @@ class Simulation:
             # PHASE_TIMEOUT: one connection step, then the next tick
             t, _, v = ticks.popleft()
             conn = v.conn
-            visible = scan(v, t) if v.candidates else None
+            visible = v.held
+            if t >= v.hold_ms or (visible is not None and visible != conn.peer):
+                visible = scan(v, t)
             if visible is not None or conn.phase != scanning:
                 # SCANNING with nothing visible stays as it is
                 conn = v.conn = step_connection(conn, visible, t, loss_timeout_ms)
@@ -487,6 +598,7 @@ class Simulation:
         node = net.arc(v.arc).head
         v.offset_m = net.arc(v.arc).length_m
         v.at_ms = now_ms
+        v.hold_ms = 0
         if v.waypoints and v.waypoints[0] == node:
             v.waypoints.pop(0)
 
@@ -563,5 +675,5 @@ class Simulation:
                    f"vehicle={vehicle} dest={dest or '-'}")
 
     def write_trace(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in self.trace)

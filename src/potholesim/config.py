@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# the finest scanner cell: a sweep holds one entry per cell, and finer cells
+# would make a single arc's lists outgrow memory, or an index (1e-300 m)
+MIN_CELL_M = 0.001
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -25,3 +29,5 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        if self.cell_m < MIN_CELL_M:
+            raise ValueError(f"cell_m must be at least {MIN_CELL_M} m, got {self.cell_m!r}")

@@ -62,5 +62,5 @@ def report_rows(entries: list[PriorityEntry]) -> list:
 
 
 def write_csv(entries: list[PriorityEntry], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(report_rows(entries))

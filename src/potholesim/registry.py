@@ -148,7 +148,7 @@ class PotholeRegistry:
     EVENT_FIELDS = ["pothole_id", "vehicle_id", "timestamp_ms"]
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(self.RECORD_FIELDS)
             for pid in sorted(self.records, key=int):
@@ -157,7 +157,7 @@ class PotholeRegistry:
                             r.first_seen_ms, r.last_seen_ms])
 
     def write_events_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(self.EVENT_FIELDS)
             for e in self.events:
@@ -210,7 +210,7 @@ def _read_rows(path: str | Path, fields: list[str],
     failing record starts."""
     out = []
     start = 1
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

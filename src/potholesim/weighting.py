@@ -124,5 +124,5 @@ def csv_rows(wnet: WeightedNetwork, registry: PotholeRegistry) -> list[list]:
 
 
 def write_csv(wnet: WeightedNetwork, registry: PotholeRegistry, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(csv_rows(wnet, registry))

@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from potholesim.comms import Phase, World, p2p_broadcast, step_connection, uplink
+from potholesim.comms import Phase, World, step_connection, uplink
 from potholesim.config import SimConfig
 from potholesim.detection import (DepthMap, GroundTruthSurface, IntensityImage,
                                   PotholeDetection, SensorValueError, cell_count,
@@ -449,16 +449,30 @@ def vehicle_position_by_formula(world, vid: str, now_ms: int) -> tuple[float, fl
             tail.y + (head.y - tail.y) * frac)
 
 
+def p2p_broadcast_by_scan(world, sender: str, pothole_key: str, now_ms: int) -> list[str]:
+    """Reference for `p2p_broadcast`: every other vehicle, in id order, whose
+    position by `vehicle_position_by_formula` lies within the broadcast
+    radius of the sender's (closed bound) caches the warning."""
+    sx, sy = vehicle_position_by_formula(world, sender, now_ms)
+    receivers = []
+    for vid in sorted(world.vehicles):
+        x, y = vehicle_position_by_formula(world, vid, now_ms)
+        if vid != sender and math.hypot(x - sx, y - sy) <= world.config.p2p_range_m:
+            world.vehicles[vid].warning_cache.add(pothole_key)
+            receivers.append(vid)
+    return receivers
+
+
 class SingleHeapSimulation:
     """Reference for `Simulation`: every event, PHASE_TIMEOUT included, goes
     through one heap of (t_ms, insertion seq, kind, payload) entries, and
     every DETECT sweeps its whole arc.
 
-    The world is the production `World`, but its vehicle positions (those
-    that `p2p_broadcast` reads included) come from
-    `vehicle_position_by_formula` and its access point lookups from
-    `visible_ap_by_scan`, so this reference shares no caching or indexing
-    with the code it checks.
+    The world is the production `World`, but its vehicle positions come from
+    `vehicle_position_by_formula`, its access point lookups from
+    `visible_ap_by_scan` and its broadcasts from `p2p_broadcast_by_scan`, so
+    this reference shares no caching, indexing or bounds with the code it
+    checks.
     """
 
     def __init__(self, net, scenario, config=SimConfig()):
@@ -492,8 +506,9 @@ class SingleHeapSimulation:
     def _schedule_arrival(self, vid, now_ms):
         v = self.world.vehicle(vid)
         remaining = self.world.net.arcs[v.arc].length_m - v.offset_m
-        self._schedule(now_ms + int(round(remaining / v.speed_mps * 1000.0)),
-                       "MOVE", vid)
+        ms = remaining / v.speed_mps * 1000.0
+        if ms < self.duration_ms:  # past the run: a subnormal speed makes it inf
+            self._schedule(now_ms + int(round(ms)), "MOVE", vid)
 
     def _emit(self, t_ms, kind, details):
         self.trace.append(f"t={t_ms} {kind} {details}")
@@ -574,7 +589,7 @@ class SingleHeapSimulation:
                    f"vehicle={vehicle} arc={v.arc} reports={len(detections)} new={fresh}")
 
     def _on_broadcast(self, now_ms, vehicle, pothole):
-        receivers = p2p_broadcast(self.world, vehicle, pothole, now_ms)
+        receivers = p2p_broadcast_by_scan(self.world, vehicle, pothole, now_ms)
         self._emit(now_ms, "P2P_BROADCAST",
                    f"vehicle={vehicle} pothole={pothole} "
                    f"receivers={','.join(receivers) or '-'}")

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import enumerate_best_route, write_inputs
+from helpers import enumerate_best_route, grid_inputs, write_inputs
 from potholesim.cli import main
 
 NETWORK = {
@@ -215,6 +217,17 @@ class TestSimulate:
         assert err.startswith(f"error: {named} must be a finite number > 0")
         assert not (tmp / "nope").exists()
 
+    @pytest.mark.parametrize("value", ["1e-300", "0.0009"])
+    def test_cell_below_a_millimetre_exits_one_naming_it(self, files, capsys, value):
+        # 1e-300 m cells made the first sweep raise OverflowError at its
+        # per-cell list, a traceback
+        net, scen, tmp = files
+        rc = main(["simulate", "--network", str(net), "--scenario", str(scen),
+                   "--out-dir", str(tmp / "nope"), "--cell-m", value])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: cell_m must be at least 0.001 m, got {value}\n"
+        assert not (tmp / "nope").exists()
+
     def test_overflowing_arc_geometry_exits_one_naming_the_arc(self, files, capsys):
         # x = +-1.7e308 are finite, but B.x - A.x is inf, and inf * 0 is NaN
         net, scen, tmp = files
@@ -338,6 +351,40 @@ class TestReport:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "rank,pothole_id,arc_id,offset_m,depth_mm,intensity_per_min"
         assert lines[1].startswith("1,1,ab,")
+
+    def test_round_trip_in_an_ascii_locale(self, tmp_path):
+        # a vehicle id outside ASCII, in a process whose locale encoding is
+        # ASCII: every output file is UTF-8, byte for byte what a UTF-8
+        # process writes, and `report` reads the CSVs back
+        network, scenario = grid_inputs()
+        old = scenario["vehicles"][0]["id"]
+        scenario["vehicles"][0]["id"] = "vé"
+        for event in scenario["events"]:
+            if event["vehicle"] == old:
+                event["vehicle"] = "vé"
+        net, scen = write_inputs(tmp_path, network, scenario)
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+        def cli(*args):
+            return subprocess.run([sys.executable, "-m", "potholesim.cli", *args], env=env,
+                                  capture_output=True, check=False)
+
+        sim = cli("simulate", "--network", str(net), "--scenario", str(scen),
+                  "--out-dir", str(tmp_path / "ascii"))
+        assert (sim.returncode, sim.stderr) == (0, b"")
+        assert main(["simulate", "--network", str(net), "--scenario", str(scen),
+                     "--out-dir", str(tmp_path / "utf8")]) == 0
+        written = {p.name: p.read_bytes() for p in (tmp_path / "ascii").iterdir()}
+        assert written == {p.name: p.read_bytes() for p in (tmp_path / "utf8").iterdir()}
+        assert "route_vé.txt" in written
+        assert "vehicle=vé" in written["trace.txt"].decode("utf-8")
+        assert ",vé," in written["events.csv"].decode("utf-8")
+        out = tmp_path / "ascii"
+        report = cli("report", "--registry", str(out / "registry.csv"),
+                     "--events", str(out / "events.csv"), "--at", str(scenario["duration_ms"]))
+        assert (report.returncode, report.stderr) == (0, b"")
+        assert report.stdout == written["maintenance_report.csv"]
 
     def test_missing_file_exits_one(self, files, capsys):
         assert main(["report", "--registry", "/nonexistent.csv",

@@ -794,3 +794,137 @@ class TestApCandidates:
             assert sim.world.ap_candidates("ab") == ((50.0, -10.0, 30.0, "near"),)
             assert sim.world.ap_candidates("cd") == ()
         assert built == [{"ab": 1, "bc": 1, "cd": 1, "da": 1}] * 2
+
+
+def _graze(draw, x, y, d, ux, uy):
+    """An open access point `d` out from (x, y) along (ux, uy), whose range
+    ends at (x, y) or within 1e-9 m of it, either side."""
+    ax, ay = x + d * ux, y + d * uy
+    reach = math.hypot(ax - x, ay - y) + draw(st.sampled_from([-1e-9, 0.0, 1e-9]))
+    return ax, ay, reach
+
+
+@st.composite
+def motion_bound_cases(draw):
+    """A scenario that puts the tick's hold and the broadcast's box reject at
+    their edges.
+
+    A chain of nodes 40-250 m apart, near the origin or 1e6 m out where
+    positions round, with an arc each way between neighbours, as long as
+    its segment or 0.9 of it.  Vehicles drive along the chain at 40 m/s, at
+    other speeds, at 1e-320 m/s or not at all, and stop at the end of their
+    waypoints; DEST_CHANGEs route them and restart the stopped ones.  Open
+    access points graze an arc's side or a node, where vehicles stop,
+    within 1e-9 m.  A parked sender broadcasts to a receiver that has
+    stopped exactly 20 m away, on an axis-parallel arc whose head its
+    computed position may overshoot by an ulp, out of the segment's box.
+    A phase latency above the loss timeout drops connections whose peer is
+    still in range, so a held peer can outlive its connection.
+    """
+    base = draw(st.sampled_from([0.0, 1e6]))
+    unit = st.floats(-math.pi, math.pi).map(lambda a: (math.cos(a), math.sin(a)))
+    heading = st.one_of(st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]),
+                        unit)
+    xy = [(base + draw(st.floats(-50.0, 50.0)), base + draw(st.floats(-50.0, 50.0)))]
+    for _ in range(draw(st.integers(2, 5))):
+        (x, y), (ux, uy), d = xy[-1], draw(heading), draw(st.floats(40.0, 250.0))
+        xy.append((x + d * ux, y + d * uy))
+    nodes = [{"id": f"n{i}", "x": x, "y": y} for i, (x, y) in enumerate(xy)]
+    arcs, lengths = [], {}
+    for i in range(len(xy) - 1):
+        seg = math.hypot(xy[i + 1][0] - xy[i][0], xy[i + 1][1] - xy[i][1])
+        for arc_id, tail, head in ((f"f{i}", i, i + 1), (f"b{i}", i + 1, i)):
+            lengths[arc_id] = seg * draw(st.sampled_from([1.0, 0.9]))
+            arcs.append({"id": arc_id, "tail": f"n{tail}", "head": f"n{head}",
+                         "length_m": lengths[arc_id]})
+
+    speeds = st.one_of(st.sampled_from([0.0, 1e-320, 10.0, 12.5, 40.0]), st.floats(1.0, 40.0))
+    vehicles = []
+    for k in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(xy) - 2))
+        offset = draw(st.sampled_from([0.0, lengths[f"f{i}"] / 2]))
+        stop = draw(st.integers(i + 1, len(xy) - 1))
+        vehicles.append({"id": f"v{k}", "start_arc": f"f{i}", "start_offset_m": offset,
+                         "speed_mps": draw(speeds),
+                         "waypoints": [f"n{j}" for j in range(i + 1, stop + 1)]})
+    pits = [{"arc": arc_id, "center_m": lengths[arc_id] / 2, "half_length_m": 1.0,
+             "depth_mm": 30.0, "reflectivity": 0.5}
+            for arc_id in sorted(lengths) if draw(st.booleans())]
+
+    aps = []
+    for k in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["side", "node", "anywhere"]))
+        d = draw(st.floats(10.0, 80.0))
+        if kind == "side":
+            i = draw(st.integers(0, len(xy) - 2))
+            (x0, y0), (x1, y1) = xy[i], xy[i + 1]
+            frac = draw(st.floats(0.0, 1.0))
+            seg = math.hypot(x1 - x0, y1 - y0)
+            side = draw(st.sampled_from([1.0, -1.0]))
+            ax, ay, reach = _graze(draw, x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac, d,
+                                   side * (y0 - y1) / seg, side * (x1 - x0) / seg)
+        elif kind == "node":
+            ax, ay, reach = _graze(draw, *draw(st.sampled_from(xy)), d, *draw(unit))
+        else:
+            (x, y), (ux, uy) = draw(st.sampled_from(xy)), draw(unit)
+            ax, ay, reach = x + d * ux, y + d * uy, draw(st.floats(10.0, 80.0))
+        aps.append({"id": f"ap{k}", "x": ax, "y": ay, "range_m": reach,
+                    "open": draw(st.integers(0, 5)) > 0})
+
+    duration = 40_000
+    vids = [v["id"] for v in vehicles]
+    events = []
+    for _ in range(draw(st.integers(0, 6))):
+        t, vid = 100 * draw(st.integers(0, duration // 100 - 1)), draw(st.sampled_from(vids))
+        if draw(st.booleans()):
+            events.append({"t_ms": t, "kind": "DETECT", "vehicle": vid})
+        else:
+            events.append({"t_ms": t, "kind": "DEST_CHANGE", "vehicle": vid,
+                           "dest": draw(st.sampled_from([None, *(n["id"] for n in nodes)]))})
+
+    if draw(st.booleans()):
+        # the receiver drives A -> B and stops at B, where `World._position`
+        # puts it at a + (b - a) * 1.0: on its box's edge, or an ulp off b,
+        # since b - a, one binade above b, rounds by up to an ulp of b (by
+        # exactly one for an integer a and an odd number of ulps b)
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        if draw(st.booleans()):
+            a = -sign * draw(st.integers(29, 60))
+            b = sign * math.ldexp(2 * draw(st.integers(100 * 2 ** 45, 128 * 2 ** 45 - 1)) + 1,
+                                  -46)
+        else:
+            a, b = -sign * draw(st.floats(1.0, 60.0)), sign * draw(st.floats(100.0, 128.0))
+        c = base + draw(st.floats(300.0, 400.0))
+        tip = a + (b - a) * 1.0
+        box_xy = [(a, c), (b, c), (tip + 20.0 * sign, c), (tip + 20.0 * sign, c + 60.0)]
+        if draw(st.booleans()):
+            box_xy = [(y, x) for x, y in box_xy]
+        nodes += [{"id": name, "x": x, "y": y} for name, (x, y) in zip("ABCD", box_xy)]
+        arcs += [{"id": "ab", "tail": "A", "head": "B", "length_m": abs(b - a)},
+                 {"id": "cd", "tail": "C", "head": "D", "length_m": 60.0}]
+        vehicles += [{"id": "receiver", "start_arc": "ab", "start_offset_m": 0.0,
+                      "speed_mps": 10.0, "waypoints": ["B"]},
+                     {"id": "sender", "start_arc": "cd", "start_offset_m": 0.0,
+                      "speed_mps": 0.0, "waypoints": []}]
+        pits.append({"arc": "cd", "center_m": 30.0, "half_length_m": 1.0,
+                     "depth_mm": 30.0, "reflectivity": 0.5})
+        events.append({"t_ms": 30_000, "kind": "DETECT", "vehicle": "sender"})
+
+    net = network_from_dict({"nodes": nodes, "arcs": arcs})
+    scenario = scenario_from_dict({"duration_ms": duration, "seed": draw(st.integers(0, 99)),
+                                   "vehicles": vehicles, "pits": pits,
+                                   "access_points": aps, "events": events}, net)
+    return net, scenario, SimConfig(phase_latency_ms=draw(st.sampled_from([100, 700])))
+
+
+class TestMotionBounds:
+    @settings(max_examples=150, deadline=None)
+    @given(motion_bound_cases())
+    def test_matches_single_heap_reference(self, case):
+        net, scenario, config = case
+        reference = SingleHeapSimulation(net, scenario, config)
+        want = final_state(reference.run())
+        sim = Simulation(net, scenario, config)
+        got = final_state(sim.run())
+        assert sim.trace == reference.trace
+        assert got == want
