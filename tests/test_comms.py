@@ -928,3 +928,53 @@ class TestMotionBounds:
         got = final_state(sim.run())
         assert sim.trace == reference.trace
         assert got == want
+
+    def test_ticks_reuse_a_held_answer(self, monkeypatch):
+        # v1 is parked in ap1's range: its first tick finds ap1 as a new
+        # nearest access point, which holds nothing, and its second finds the
+        # peer, which a vehicle that never moves holds to the end of the run.
+        # v2 drives along an arc that no open access point reaches
+        net = build_net([("P", 0.0, 0.0), ("Q", 200.0, 0.0), ("R", 0.0, 500.0),
+                         ("S", 200.0, 500.0)],
+                        [("h1", "P", "Q", 200.0), ("h2", "R", "S", 200.0)])
+        scenario = scenario_from_dict({
+            "duration_ms": 5000, "seed": 1,
+            "vehicles": [parked("v1", 40.0),
+                         {"id": "v2", "start_arc": "h2", "start_offset_m": 0.0,
+                          "speed_mps": 20.0, "waypoints": ["S"]}],
+            "access_points": [{"id": "ap1", "x": 40.0, "y": 30.0, "range_m": 35.0,
+                               "open": True}],
+        }, net)
+        scans = []
+        scan = World._scan
+        monkeypatch.setattr(World, "_scan", lambda world, v, now_ms: scans.append(v.id)
+                            or scan(world, v, now_ms))
+        sim = Simulation(net, scenario)
+        sim.run()
+        assert scans == ["v1", "v1"]
+        assert "t=4900 PHASE_TIMEOUT vehicle=v1 phase=CONNECTED ap=ap1" in sim.trace
+
+    def test_a_held_peer_stands_only_for_its_connection(self):
+        # 700 ms phases outlast the 500 ms loss timeout, so the handshake with
+        # a drops to LOST at t=1400 and to SCANNING at t=2100, while a stays
+        # in range and the t=1400 scan holds it.  At t=2800 the vehicle, at
+        # x = 28, has no peer, and the nearest access point in range is b
+        net = strip_net()
+        scenario = scenario_from_dict({
+            "duration_ms": 3000, "seed": 1,
+            "vehicles": [{"id": "v", "start_arc": "h1", "start_offset_m": 0.0,
+                          "speed_mps": 10.0, "waypoints": ["Q"]}],
+            "access_points": [{"id": "a", "x": 50.0, "y": 0.0, "range_m": 60.0, "open": True},
+                              {"id": "b", "x": 35.0, "y": 0.0, "range_m": 10.0, "open": True}],
+        }, net)
+        config = SimConfig(phase_latency_ms=700)
+        reference = SingleHeapSimulation(net, scenario, config)
+        reference.run()
+        sim = Simulation(net, scenario, config)
+        sim.run()
+        assert sim.trace == reference.trace == [
+            "t=700 PHASE_TIMEOUT vehicle=v phase=ASSOCIATING ap=a",
+            "t=1400 PHASE_TIMEOUT vehicle=v phase=LOST ap=a",
+            "t=2100 PHASE_TIMEOUT vehicle=v phase=SCANNING ap=-",
+            "t=2800 PHASE_TIMEOUT vehicle=v phase=ASSOCIATING ap=b",
+        ]
