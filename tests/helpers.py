@@ -479,8 +479,6 @@ class SingleHeapSimulation:
         self.world = World(net, scenario, config)
         self.world.vehicle_position = functools.partial(vehicle_position_by_formula,
                                                         self.world)
-        self.world._position = lambda v, now_ms: vehicle_position_by_formula(
-            self.world, v.id, now_ms)
         self.world.visible_ap = functools.partial(visible_ap_by_scan, self.world)
         self.config = config
         self.duration_ms = scenario.duration_ms
