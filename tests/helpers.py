@@ -25,8 +25,7 @@ from potholesim.detection import (DepthMap, GroundTruthSurface, IntensityImage,
                                   extract_potholes, sweep)
 from potholesim.geocrypto import (LEN_FIELD, NONCE_LEN, TAG_LEN, EnvelopeFormatError,
                                   IntegrityError, LocationMismatchError, PlainReport,
-                                  ReportEnvelope, _grid_to_dict, _report_from_dict,
-                                  encrypt)
+                                  ReportEnvelope, _grid_to_dict, encrypt)
 from potholesim.inputs import InputError
 from potholesim.network import Arc, Node, StreetNetwork, UnknownArcError
 from potholesim.registry import PotholeRegistry
@@ -667,18 +666,23 @@ def _oracle_integrity_tag(key: bytes, nonce: bytes, loc_tag: bytes,
     return mac.digest()
 
 
-def oracle_encrypt(report: PlainReport, key: bytes, rng: random.Random) -> ReportEnvelope:
-    """Reference for `geocrypto.encrypt`."""
+def oracle_seal(payload: bytes, key: bytes, location, rng: random.Random) -> ReportEnvelope:
+    """An authentic envelope of any payload bytes, bound to `location`."""
     if len(key) != 32:
         raise ValueError("shared key must be 32 bytes")
     nonce = rng.randbytes(NONCE_LEN)
-    payload = json.dumps(_grid_to_dict(report), sort_keys=True,
-                         separators=(",", ":")).encode()
-    stream = _oracle_keystream(key, nonce, report.location, len(payload))
+    stream = _oracle_keystream(key, nonce, location, len(payload))
     ciphertext = bytes(p ^ s for p, s in zip(payload, stream))
-    loc_tag = _oracle_location_tag(key, report.location)
+    loc_tag = _oracle_location_tag(key, location)
     return ReportEnvelope(nonce, loc_tag, ciphertext,
                           _oracle_integrity_tag(key, nonce, loc_tag, ciphertext))
+
+
+def oracle_encrypt(report: PlainReport, key: bytes, rng: random.Random) -> ReportEnvelope:
+    """Reference for `geocrypto.encrypt`."""
+    payload = json.dumps(_grid_to_dict(report), sort_keys=True,
+                         separators=(",", ":")).encode()
+    return oracle_seal(payload, key, report.location, rng)
 
 
 def unchecked_grids(depths, intensities, cell_m: float = 0.5):
@@ -688,6 +692,18 @@ def unchecked_grids(depths, intensities, cell_m: float = 0.5):
     dm.__dict__.update(rows=1, cols=len(depths), cell_m=cell_m, depths=list(depths))
     ii.__dict__.update(rows=1, cols=len(intensities), values=list(intensities))
     return dm, ii
+
+
+def _oracle_report_from_dict(raw: dict) -> PlainReport:
+    """The report in a decoded payload, one list comprehension per grid: the
+    decode `geocrypto.decrypt` must agree with on every payload, in the
+    report it returns and in the error that refuses it."""
+    dm = raw["depth_map"]
+    ii = raw["intensity_image"]
+    return PlainReport(
+        DepthMap(dm["rows"], dm["cols"], dm["cell_m"], [float(d) for d in dm["depths"]]),
+        IntensityImage(ii["rows"], ii["cols"], [float(v) for v in ii["values"]]),
+        raw["arc"], float(raw["offset_m"]), raw["vehicle_id"], int(raw["timestamp_ms"]))
 
 
 def oracle_decrypt(env: ReportEnvelope, key: bytes, claimed_location) -> PlainReport:
@@ -707,7 +723,7 @@ def oracle_decrypt(env: ReportEnvelope, key: bytes, claimed_location) -> PlainRe
     stream = _oracle_keystream(key, env.nonce, claimed_location, len(env.ciphertext))
     payload = bytes(c ^ s for c, s in zip(env.ciphertext, stream))
     try:
-        return _report_from_dict(json.loads(payload.decode()))
+        return _oracle_report_from_dict(json.loads(payload.decode()))
     except SensorValueError:
         raise
     except (ValueError, KeyError, TypeError) as exc:

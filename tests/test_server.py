@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tempfile
@@ -7,16 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (OracleIntake, close, enumerate_min_weight, oracle_encrypt, random_network,
-                     unchecked_grids)
+from helpers import (OracleIntake, close, enumerate_min_weight, oracle_encrypt, oracle_seal,
+                     random_network, unchecked_grids)
 from potholesim.detection import DepthMap, IntensityImage
-from potholesim.geocrypto import PlainReport, ReportEnvelope, encrypt
+from potholesim.geocrypto import PlainReport, ReportEnvelope, _grid_to_dict, encrypt
+from potholesim.network import UnknownArcError
 from potholesim.registry import PotholeRegistry, read_events_csv
 from potholesim.server import (ConditionRequest, ConditionResponse, ErrorResponse,
                                RouteRequest, RouteResponse, Server, ServerStats)
 from potholesim.weighting import preprocess
 
 KEY = bytes(range(32))
+# JSON numbers that overflow a conversion: infinite floats, and integers too
+# large for a float
+INFINITIES = ["Infinity", "-Infinity", "1e999", "-1e999"]
+HUGE_INTS = ["1" + "0" * 399, "-" + "9" * 400]
 
 
 @pytest.fixture
@@ -246,13 +252,146 @@ def test_intake_matches_the_reference_after_every_envelope(seed):
     server = Server(net, registry, preprocess(net, registry), KEY)
     reference = OracleIntake(net, KEY)
     for args in intake_stream(rng, net, rng.randint(1, 30)):
-        assert server.receive_envelope(*args) == reference.receive(*args)
-        assert registry.records == reference.registry.records
-        assert registry.events == reference.registry.events
-        assert server.wnet.arc_weights == reference.wnet.arc_weights
-        assert server.wnet.min_weights == reference.wnet.min_weights
-        assert server.stats == reference.stats
-        assert server.snapshot_seq == reference.snapshot_seq
+        assert_same_intake(server, reference, args)
+
+
+def assert_same_intake(server, reference, args):
+    assert server.receive_envelope(*args) == reference.receive(*args)
+    assert server.registry.records == reference.registry.records
+    assert server.registry.events == reference.registry.events
+    assert server.wnet.arc_weights == reference.wnet.arc_weights
+    assert server.wnet.min_weights == reference.wnet.min_weights
+    assert server.stats == reference.stats
+    assert server.snapshot_seq == reference.snapshot_seq
+
+
+# -- authentic payloads of any text ------------------------------------------
+# Each envelope is sealed with the shared key at the location it claims, so
+# it opens; its payload is text a faulty or forged sender could write.  The
+# server must take each one as the reference intake, with its pinned
+# `json.loads` decode, does.
+
+LITERALS = ["NaN", *INFINITIES, *HUGE_INTS, '"20"', '"x"', '""', "true", "false", "null",
+            "[]", "{}", "[1]", "0", "-1", "0.5", "1.5", "2"]
+# mostly numbers outside a grid's bounds, which the sensor rules refuse
+CELL_LITERALS = ["NaN", *INFINITIES, "-1", "1.5", "2", "-0.5", '"x"', "null", *HUGE_INTS]
+
+
+def escapes(path: tuple, literal: str) -> bool:
+    """Whether `literal` at `path` raises an error that escapes both intakes:
+    OverflowError from the decode (an infinite timestamp, or an integer too
+    large for a float where it converts to float), or TypeError from the
+    registry's lookup of an arc that is a list or an object."""
+    if path == ("timestamp_ms",):
+        return literal in INFINITIES
+    if path == ("arc",):
+        return literal.startswith(("[", "{"))
+    return literal in HUGE_INTS and (path == ("offset_m",) or path[-1] in ("depths", "values"))
+
+
+def raw_payload(rng: random.Random, net) -> tuple[bytes, tuple[str, float]]:
+    """Payload bytes around a report on an arc of `net`, and the location
+    it claims.  The decode's order decides between a sensor refusal and an
+    integrity one, so each grid is changed half the time, and both may be
+    at once."""
+    arc = rng.choice(sorted(net.arcs))
+    length = net.arcs[arc].length_m
+    rows, cols = rng.randint(1, 2), rng.randint(1, 3)
+    cells = rows * cols
+    report = PlainReport(
+        DepthMap(rows, cols, 0.5, [rng.choice([0.0, 12.5, 80.0]) for _ in range(cells)]),
+        IntensityImage(rows, cols, [rng.choice([0.0, 0.25, 1.0]) for _ in range(cells)]),
+        arc, rng.choice([0.0, round(length / 3, 3), length]), "v1", rng.randrange(10**6))
+    raw = _grid_to_dict(report)
+    literals = {}  # a placeholder string in `raw` -> the JSON text it stands for
+
+    def put(owner, key, path, choices=LITERALS):
+        literal = rng.choice(choices)
+        if not escapes(path, literal):
+            placeholder = f"\ue000{len(literals)}"
+            literals[placeholder], owner[key] = literal, placeholder
+
+    for grid, cells_key in [("depth_map", "depths"), ("intensity_image", "values")]:
+        change = rng.choice(["none"] * 4 + ["cell", "cell", "count", "field", "grid"])
+        if change == "cell":
+            put(raw[grid][cells_key], rng.randrange(cells), (grid, cells_key), CELL_LITERALS)
+        elif change == "count":  # a cell count other than rows x cols
+            grid_cells = raw[grid][cells_key]
+            raw[grid][cells_key] = grid_cells[1:] if rng.random() < 0.5 else [*grid_cells, 0.5]
+        elif change == "field":
+            key = rng.choice(sorted(raw[grid]))
+            put(raw[grid], key, (grid, key))
+        elif change == "grid":
+            put(raw, grid, (grid,))
+    for key in rng.sample(["offset_m", "timestamp_ms", "arc", "vehicle_id"],
+                          rng.choice([0, 0, 1, 2])):
+        put(raw, key, (key,))
+    text = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    for placeholder, literal in literals.items():
+        text = text.replace(json.dumps(placeholder), literal)
+    if rng.random() < 0.3:  # a key written twice: the later copy wins
+        obj = rng.choice(["", "depth_map", "intensity_image"])
+        key = rng.choice(["offset_m", "timestamp_ms", "arc"] if not obj else ["rows", "cols"])
+        literal = rng.choice(LITERALS)
+        if not escapes((key,), literal):
+            start = "{" if not obj else f'"{obj}":{{'
+            if obj or rng.random() < 0.5:
+                text = text.replace(start, f'{start}"{key}":{literal},', 1)
+            else:
+                text = f'{text[:-1]},"{key}":{literal}}}'
+    if rng.random() < 0.05:  # a top level that is not an object
+        text = rng.choice([f"[{text}]", *LITERALS])
+    payload = text.encode()
+    if rng.random() < 0.15:  # text around the document
+        payload = (rng.choice([" ", "\n\t\r ", "\ufeff", "\x0c", "\u00a0", ""]).encode() + payload
+                   + rng.choice([" \n", "x", "}", "{}", "\x00", "\u2028", ""]).encode()
+                   + rng.choice([b"", b"\xff", b"\xef\xbb\xbf"]))
+    return payload, report.location
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_raw_payloads_match_the_reference_after_every_envelope(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=4)
+    registry = PotholeRegistry(net)
+    server = Server(net, registry, preprocess(net, registry), KEY)
+    reference = OracleIntake(net, KEY)
+    for now in range(0, 10 * rng.randint(1, 12), 10):
+        payload, location = raw_payload(rng, net)
+        assert_same_intake(server, reference,
+                           (oracle_seal(payload, KEY, location, rng), location, "v1", now))
+
+
+# -- condition answers ----------------------------------------------------------
+
+def condition_by_lookups(server, arc):
+    """The condition answer built from `WeightedNetwork.weight` and
+    `potholes_on_arc`, each of which checks the arc."""
+    try:
+        weight = server.wnet.weight(arc)
+        ids = tuple(rec.id for rec in server.registry.potholes_on_arc(arc))
+    except (UnknownArcError, TypeError) as exc:
+        return ErrorResponse(f"{type(exc).__name__}: {exc}", server.snapshot_seq)
+    return ConditionResponse(arc, weight, ids, server.snapshot_seq)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_condition_answers_match_the_lookups(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=5)
+    registry = PotholeRegistry(net)
+    server = Server(net, registry, preprocess(net, registry), KEY)
+    for args in intake_stream(rng, net, rng.randint(0, 30)):
+        server.receive_envelope(*args)
+    failed = 0
+    for arc in [*sorted(net.arcs), "zz", "", 7, None, ("a0",), ["a0"]]:
+        want = condition_by_lookups(server, arc)
+        failed += isinstance(want, ErrorResponse)
+        assert server.query(ConditionRequest(arc)) == want
+    assert server.stats.queries_failed == failed == 6
+    assert server.stats.queries_answered == len(net.arcs)
 
 
 # -- every accepted report can be read back ------------------------------------
