@@ -34,11 +34,6 @@ class SensorValueError(ValueError):
 _FLOAT_MAX = sys.float_info.max
 
 
-def _refusal(cells: list[float], lo: float, hi: float, rule: str) -> SensorValueError:
-    bad = next(v for v in cells if not lo <= v <= hi)
-    return SensorValueError(f"{rule}, got {bad!r}")
-
-
 class Pit(NamedTuple):
     center_m: float
     half_length_m: float
@@ -88,10 +83,12 @@ class DepthMap:
             raise ValueError("grid dimensions must be positive")
         if len(self.depths) != self.rows * self.cols:
             raise ValueError("depth grid size mismatch")
-        # inline and one pass: the server builds both grids for every report
-        # it opens; NaN fails both bounds wherever it sits
-        if not all(0.0 <= d <= _FLOAT_MAX for d in self.depths):
-            raise _refusal(self.depths, 0.0, _FLOAT_MAX, "depth cells must be finite numbers >= 0")
+        # a plain loop: the server builds both grids for every report it
+        # opens, and this beats both `all()` over a generator and min, max
+        # and a NaN test on the sum; NaN fails both bounds wherever it sits
+        for depth in self.depths:
+            if not 0.0 <= depth <= _FLOAT_MAX:
+                raise SensorValueError(f"depth cells must be finite numbers >= 0, got {depth!r}")
 
 
 @dataclass
@@ -105,8 +102,9 @@ class IntensityImage:
             raise ValueError("grid dimensions must be positive")
         if len(self.values) != self.rows * self.cols:
             raise ValueError("intensity grid size mismatch")
-        if not all(0.0 <= v <= 1.0 for v in self.values):
-            raise _refusal(self.values, 0.0, 1.0, "intensity cells must be numbers in [0, 1]")
+        for value in self.values:
+            if not 0.0 <= value <= 1.0:
+                raise SensorValueError(f"intensity cells must be numbers in [0, 1], got {value!r}")
 
 
 class PotholeDetection(NamedTuple):

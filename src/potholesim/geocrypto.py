@@ -15,6 +15,15 @@ from the 256-bit shared secret.  The three keyed states are built once per
 key and copied for each use; the keystream is XORed over the whole buffer
 as one integer; the location's compact JSON is written directly.  None of
 these changes the construction or a byte on the wire.
+
+An opened payload is decoded in one pass: a module-level
+`json.JSONDecoder().decode` (the parser `json.loads` calls, without its
+per-call argument checks), then each grid's cells converted by
+`map(float, ...)` as the grid is built.  A payload that is not a JSON
+object with every field, or whose number overflows its conversion (an
+infinite timestamp, an integer too large for a float), is refused as
+IntegrityError like a forged one.
+
 This is a deliberately small reference construction for a simulator with
 a pre-shared key; it is NOT a reviewed, production-grade cipher and must
 not be used to protect real data.
@@ -162,12 +171,17 @@ def _grid_to_dict(report: PlainReport) -> dict:
     }
 
 
+# `json.loads` without its per-call keyword checks: it accepts the same
+# texts, and a leading BOM, which `loads` refuses by name, fails to parse
+_decode_json = json.JSONDecoder().decode
+
+
 def _report_from_dict(raw: dict) -> PlainReport:
     dm = raw["depth_map"]
     ii = raw["intensity_image"]
     return PlainReport(
-        DepthMap(dm["rows"], dm["cols"], dm["cell_m"], [float(d) for d in dm["depths"]]),
-        IntensityImage(ii["rows"], ii["cols"], [float(v) for v in ii["values"]]),
+        DepthMap(dm["rows"], dm["cols"], dm["cell_m"], list(map(float, dm["depths"]))),
+        IntensityImage(ii["rows"], ii["cols"], list(map(float, ii["values"]))),
         raw["arc"], float(raw["offset_m"]), raw["vehicle_id"], int(raw["timestamp_ms"]))
 
 
@@ -208,10 +222,9 @@ def decrypt(env: ReportEnvelope, key: bytes, claimed_location: Location) -> Plai
         raise IntegrityError("integrity tag check failed")
     payload = _xor_keystream(stream_state, env.nonce, loc, env.ciphertext)
     try:
-        raw = json.loads(payload.decode())
-        report = _report_from_dict(raw)
+        return _report_from_dict(_decode_json(payload.decode()))
     except SensorValueError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        # OverflowError: an infinite timestamp, or an integer too large for a float
         raise IntegrityError(f"payload did not decode: {exc}") from exc
-    return report

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,9 @@ from .config import SimConfig
 from .detection import PotholeDetection
 from .inputs import InputError, fail, finite_text, integer_text, lookup, string
 from .network import Arc, StreetNetwork
+
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class UnknownPotholeError(LookupError):
@@ -74,7 +78,8 @@ class PotholeRegistry:
         self.dedup_radius_m = dedup_radius_m
         self.records: dict[str, PotholeRecord] = {}
         self.events: list[UpdateEvent] = []
-        # arc id -> its pothole ids in minting order; weighting reads it too
+        # arc id -> its pothole ids in minting order; weighting and the
+        # server read it too
         self._by_arc: dict[str, list[str]] = {}
         self._next_id = 1
 
@@ -97,12 +102,16 @@ class PotholeRegistry:
         """
         if self.net is None:
             raise ValueError("registry loaded without a network is read-only")
-        check_record(report.offset_m, report.depth_mm,
-                     self.net.arc(report.arc))  # raises UnknownArcError
+        arc = self.net.arcs.get(report.arc)
+        # `check_record`'s rules, accepting case first; the arc's length is finite
+        if arc is None or not (0.0 <= report.offset_m <= arc.length_m
+                               and 0.0 <= report.depth_mm <= _FLOAT_MAX):
+            check_record(report.offset_m, report.depth_mm,
+                         self.net.arc(report.arc))  # raises UnknownArcError or RecordError
 
         match: PotholeRecord | None = None
         best = self.dedup_radius_m
-        for pid in self._by_arc.get(report.arc, []):
+        for pid in self._by_arc.get(report.arc, ()):
             rec = self.records[pid]
             dist = abs(rec.offset_m - report.offset_m)
             if dist <= best:

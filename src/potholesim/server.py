@@ -10,7 +10,11 @@ refuses: the report counter).  Commands are processed one at a time (the
 simulator's event loop serializes them), which makes every query response
 a view of exactly one registry/weights snapshot; responses carry that
 snapshot's sequence number.  Query dispatch is a fixed request-kind ->
-handler mapping; there is no cost-based planning.
+handler mapping; there is no cost-based planning.  A condition query is
+answered straight from the indexes the intake keeps: the weight from
+`wnet.arc_weights`, which holds every arc of the network and so is the one
+unknown-arc check, and the pothole ids, in minting order, from the
+registry's per-arc index.
 """
 
 from __future__ import annotations
@@ -124,10 +128,13 @@ class Server:
                 self.stats.queries_answered += 1
                 return RouteResponse(rt, self.snapshot_seq)
             if isinstance(request, ConditionRequest):
-                w = self.wnet.weight(request.arc)
-                pids = tuple(rec.id for rec in self.registry.potholes_on_arc(request.arc))
+                arc = request.arc
+                weight = self.wnet.arc_weights.get(arc)  # every arc has a weight
+                if weight is None:
+                    raise UnknownArcError(arc)
+                pids = tuple(self.registry._by_arc.get(arc, ()))
                 self.stats.queries_answered += 1
-                return ConditionResponse(request.arc, w, pids, self.snapshot_seq)
+                return ConditionResponse(arc, weight, pids, self.snapshot_seq)
             raise TypeError(f"unsupported request {request!r}")
         except (UnknownNodeError, UnknownArcError, UnreachableError, TypeError) as exc:
             self.stats.queries_failed += 1

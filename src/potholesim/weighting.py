@@ -50,24 +50,24 @@ class WeightedNetwork:
         return self.arc_weights[arc_id]
 
 
-def _damage(arc_id: str, registry: PotholeRegistry) -> tuple[int, float]:
-    """Count and mean depth of the potholes on one arc (0, 0.0 when clean),
-    summed in minting order straight from the registry's per-arc index."""
-    pids = registry._by_arc.get(arc_id, ())
+def _mean_depth(pids: list[str], registry: PotholeRegistry) -> float:
+    """The mean depth of the potholes `pids` (at least one), summed in
+    minting order."""
     records = registry.records
     total = 0.0
     for pid in pids:
         total += records[pid].depth_mm
-    count = len(pids)
-    return count, (total / count if count else 0.0)
+    return total / len(pids)
 
 
 def _arc_weight(arc: Arc, registry: PotholeRegistry) -> float:
     """w(e) = d(e) * l(e) from the registry's current potholes on `arc`;
-    0.0 for a clean arc, as d(e) = 0 times a finite length gives."""
-    if arc.id not in registry._by_arc:
+    0.0 for a clean arc, as d(e) = 0 times a finite length gives.  The
+    registry lists an arc only once it has a pothole."""
+    pids = registry._by_arc.get(arc.id)
+    if pids is None:
         return 0.0
-    return _damage(arc.id, registry)[1] * arc.length_m
+    return _mean_depth(pids, registry) * arc.length_m
 
 
 def _pair_minimum(wnet: WeightedNetwork, ids: list[str]) -> tuple[float, float, str]:
@@ -102,7 +102,9 @@ def apply_update(wnet: WeightedNetwork, arc_id: str, registry: PotholeRegistry) 
     Leaves the WeightedNetwork state-identical to a full preprocess over
     the same registry.
     """
-    arc = wnet.base.arc(arc_id)
+    arc = wnet.base.arcs.get(arc_id)
+    if arc is None:
+        wnet.base.arc(arc_id)  # raises UnknownArcError
     wnet.arc_weights[arc_id] = _arc_weight(arc, registry)
     pair = (arc.tail, arc.head)
     wnet.min_weights[pair] = _pair_minimum(wnet, wnet.base._pairs[pair])
@@ -117,9 +119,9 @@ def csv_rows(wnet: WeightedNetwork, registry: PotholeRegistry) -> list[list]:
     rows = [CSV_FIELDS]
     for arc_id in sorted(wnet.base.arcs):
         arc = wnet.base.arcs[arc_id]
-        count, average = _damage(arc_id, registry)
-        rows.append([arc.id, arc.tail, arc.head, arc.length_m,
-                     count, average, wnet.arc_weights[arc_id]])
+        pids = registry._by_arc.get(arc_id, ())
+        rows.append([arc.id, arc.tail, arc.head, arc.length_m, len(pids),
+                     _mean_depth(pids, registry) if pids else 0.0, wnet.arc_weights[arc_id]])
     return rows
 
 

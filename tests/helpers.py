@@ -726,7 +726,9 @@ def oracle_decrypt(env: ReportEnvelope, key: bytes, claimed_location) -> PlainRe
         return _oracle_report_from_dict(json.loads(payload.decode()))
     except SensorValueError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    # OverflowError (an infinite timestamp, or an integer too large for a
+    # float) escaped the decode this copies; refusing it is the one change
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise IntegrityError(f"payload did not decode: {exc}") from exc
 
 

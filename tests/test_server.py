@@ -121,6 +121,35 @@ class TestReportRules:
                                                      intensities=intensities))
 
 
+def sealed_payload(arc, offset, field, literal):
+    """An authentic envelope whose payload, a sealed 1x2 report, holds the
+    JSON text `literal` as `field` (a top-level key, or `depths` for the
+    first depth cell), and the location it claims."""
+    raw = _grid_to_dict(PlainReport(*unchecked_grids([30.0, 15.0], [0.4, 0.6]),
+                                    arc, offset, "v1", 100))
+    if field == "depths":
+        raw["depth_map"]["depths"][0] = "@"
+    else:
+        raw[field] = "@"
+    payload = json.dumps(raw, sort_keys=True, separators=(",", ":")).replace('"@"', literal)
+    return oracle_seal(payload.encode(), KEY, (arc, offset), random.Random(1)), (arc, offset)
+
+
+class TestOverflowingPayload:
+    """An authentic payload whose number overflows a conversion is refused
+    like one that does not decode."""
+
+    @pytest.mark.parametrize("field, literal", [
+        ("timestamp_ms", "Infinity"), ("timestamp_ms", "-1e999"),
+        ("offset_m", HUGE_INTS[0]), ("depths", HUGE_INTS[0])],
+        ids=["infinite-timestamp", "overflowing-timestamp", "huge-offset", "huge-depth-cell"])
+    def test_refused_for_integrity(self, server, field, literal):
+        assert server.receive_envelope(*sealed_payload("ab", 20.0, field, literal),
+                                       "v1", 100) is None
+        assert len(server.registry) == 0 and server.snapshot_seq == 0
+        assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
+
+
 class TestRejectionReasons:
     def refuse(self, server, fault):
         env, loc = sealed_report("ab", 20.0, 30.0)
@@ -279,14 +308,9 @@ CELL_LITERALS = ["NaN", *INFINITIES, "-1", "1.5", "2", "-0.5", '"x"', "null", *H
 
 def escapes(path: tuple, literal: str) -> bool:
     """Whether `literal` at `path` raises an error that escapes both intakes:
-    OverflowError from the decode (an infinite timestamp, or an integer too
-    large for a float where it converts to float), or TypeError from the
-    registry's lookup of an arc that is a list or an object."""
-    if path == ("timestamp_ms",):
-        return literal in INFINITIES
-    if path == ("arc",):
-        return literal.startswith(("[", "{"))
-    return literal in HUGE_INTS and (path == ("offset_m",) or path[-1] in ("depths", "values"))
+    TypeError from the registry's lookup of an arc that is a list or an
+    object."""
+    return path == ("arc",) and literal.startswith(("[", "{"))
 
 
 def raw_payload(rng: random.Random, net) -> tuple[bytes, tuple[str, float]]:
