@@ -8,7 +8,8 @@ Subcommands:
     preprocess  weight the network from a registry dump, CSV to stdout
 
 Exit codes: 0 success, 1 input error, 2 unreachable destination (`route`;
-`simulate` traces an unreachable DEST_CHANGE and keeps running).
+`simulate` traces an unreachable DEST_CHANGE and keeps running).  Files and
+standard output are UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -135,6 +136,9 @@ def cmd_preprocess(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(sys.stdout, "reconfigure"):
+        # print UTF-8 whatever the locale, as the output files are written
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         return args.func(args)
     except UnreachableError as exc:

@@ -48,6 +48,14 @@ def files(tmp_path):
     return net, scen, tmp_path
 
 
+def cli_in_an_ascii_locale(*args):
+    """The command line run in a process whose locale encoding is ASCII."""
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "potholesim.cli", *args], env=env,
+                          capture_output=True, check=False)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -363,14 +371,7 @@ class TestReport:
             if event["vehicle"] == old:
                 event["vehicle"] = "vé"
         net, scen = write_inputs(tmp_path, network, scenario)
-        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0",
-                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-
-        def cli(*args):
-            return subprocess.run([sys.executable, "-m", "potholesim.cli", *args], env=env,
-                                  capture_output=True, check=False)
-
-        sim = cli("simulate", "--network", str(net), "--scenario", str(scen),
+        sim = cli_in_an_ascii_locale("simulate", "--network", str(net), "--scenario", str(scen),
                   "--out-dir", str(tmp_path / "ascii"))
         assert (sim.returncode, sim.stderr) == (0, b"")
         assert main(["simulate", "--network", str(net), "--scenario", str(scen),
@@ -381,10 +382,33 @@ class TestReport:
         assert "vehicle=vé" in written["trace.txt"].decode("utf-8")
         assert ",vé," in written["events.csv"].decode("utf-8")
         out = tmp_path / "ascii"
-        report = cli("report", "--registry", str(out / "registry.csv"),
-                     "--events", str(out / "events.csv"), "--at", str(scenario["duration_ms"]))
+        report = cli_in_an_ascii_locale("report", "--registry", str(out / "registry.csv"),
+                                        "--events", str(out / "events.csv"),
+                                        "--at", str(scenario["duration_ms"]))
         assert (report.returncode, report.stderr) == (0, b"")
         assert report.stdout == written["maintenance_report.csv"]
+
+    def test_commands_print_utf8_in_an_ascii_locale(self, tmp_path, capsys):
+        # route, preprocess and report print UTF-8 whatever the locale, like
+        # the files simulate writes, on a network whose only arc is `abé`
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({
+            "nodes": [{"id": "A", "x": 0.0, "y": 0.0}, {"id": "B", "x": 10.0, "y": 0.0}],
+            "arcs": [{"id": "abé", "tail": "A", "head": "B", "length_m": 10.0}]}))
+        registry, events = tmp_path / "registry.csv", tmp_path / "events.csv"
+        registry.write_text("pothole_id,arc_id,offset_m,depth_mm,intensity,first_seen_ms,"
+                            "last_seen_ms\n1,abé,5.0,30.0,0.5,0,0\n", encoding="utf-8")
+        events.write_text("pothole_id,vehicle_id,timestamp_ms\n1,vé,0\n", encoding="utf-8")
+        for args in (["route", "--network", str(net), "--source", "A", "--dest", "B"],
+                     ["preprocess", "--network", str(net), "--registry", str(registry)],
+                     ["report", "--registry", str(registry), "--events", str(events),
+                      "--at", "0"]):
+            assert main(args) == 0
+            printed = capsys.readouterr().out
+            assert "abé" in printed
+            run = cli_in_an_ascii_locale(*args)
+            assert (run.returncode, run.stderr) == (0, b"")
+            assert run.stdout == printed.encode("utf-8")
 
     def test_missing_file_exits_one(self, files, capsys):
         assert main(["report", "--registry", "/nonexistent.csv",
