@@ -15,8 +15,10 @@ than the parent median by more than its bound in `BENCHMARK.json` is marked
 
 Untraced runs report the end-to-end metrics.  With `--trace`, the runs are
 traced and report the event loop's own time (`comms.loop.self_s`), the
-traced pass (`trace.pass_s`) and the calls and busy time of each `comms.*`
-function, so a change in `pass_s` can be attributed to the layer it came
+traced pass (`trace.pass_s`) and the calls and busy time of each traced
+function of the event loop and of the server's intake and query path
+(`comms.*`, `server.*`, `registry.*`, `geocrypto.*` and `weighting.*`), so
+a change in an end-to-end metric can be attributed to the layer it came
 from.
 
     python3 scripts/bench_pairs.py --parent REV --workload query_mix --seed 5 --pairs 10
@@ -37,6 +39,8 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# the layers whose calls and busy time a traced comparison reports
+TRACED_LAYERS = ("comms.", "server.", "registry.", "geocrypto.", "weighting.")
 
 
 def git(root: Path, *args: str) -> str:
@@ -71,11 +75,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: bool) ->
 
 
 def traced_metrics(per_layer: list[dict]) -> list[dict]:
-    """The loop's own time, the traced pass and each `comms.*` function's
-    calls and busy time."""
+    """The loop's own time, the traced pass and the calls and busy time of
+    each function of `TRACED_LAYERS`."""
     return [m for m in per_layer
             if m["name"] in ("comms.loop.self_s", "trace.pass_s")
-            or (m["name"].startswith("comms.") and m["name"].endswith((".calls", ".busy_s")))]
+            or (m["name"].startswith(TRACED_LAYERS)
+                and m["name"].endswith((".calls", ".busy_s")))]
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -101,7 +106,7 @@ def main(argv=None) -> int:
                         help="workload seed; give it again to cycle the pairs through seeds")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--trace", action="store_true",
-                        help="run traced and compare the comms layer's figures")
+                        help="run traced and compare the per-layer figures")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")

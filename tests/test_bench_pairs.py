@@ -1,9 +1,11 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-_path = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_root = Path(__file__).resolve().parent.parent
+_path = _root / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _path)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
@@ -22,3 +24,14 @@ _spec.loader.exec_module(bench_pairs)
 ])
 def test_past_bound(parent, change, better, bound, past):
     assert bench_pairs.past_bound(parent, change, better, bound) is past
+
+
+def test_traced_metrics_cover_the_loop_and_the_server_layers():
+    per_layer = json.loads((_root / "BENCHMARK.json").read_text())["per_layer"]
+    names = {m["name"] for m in bench_pairs.traced_metrics(per_layer)}
+    for layer in ("comms.uplink", "server.receive_envelope", "server.query", "geocrypto.decrypt",
+                  "registry.ingest_report", "weighting.preprocess", "weighting.apply_update"):
+        assert {f"{layer}.calls", f"{layer}.busy_s"} <= names
+    assert {"comms.loop.self_s", "trace.pass_s"} <= names
+    assert not [n for n in names if n.endswith(".us_p50") or n.startswith("routing.")
+                or n == "server.receive_envelope.accepted"]
