@@ -1,3 +1,7 @@
+import math
+import re
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +9,8 @@ from hypothesis import strategies as st
 from helpers import build_net, ingest
 from potholesim.inputs import InputError
 from potholesim.network import UnknownArcError
-from potholesim.registry import PotholeRegistry, UnknownPotholeError, read_events_csv
+from potholesim.registry import (PotholeRegistry, RecordError, UnknownPotholeError, check_record,
+                                 read_events_csv)
 
 
 @pytest.fixture
@@ -268,6 +273,25 @@ def test_ingest_and_read_csv_share_the_record_rules(tmp_path, line_net):
     assert PotholeRegistry.read_csv(path, line_net).lookup("1").offset_m == 10.0
     with pytest.raises(ValueError, match=r"^depth_mm must be a finite number >= 0, got nan$"):
         ingest(reg, "a1", 1.0, float("nan"))
+
+
+@pytest.mark.parametrize("depth", [0.0, -0.0, 5e-324, sys.float_info.max, -5e-324, -1.0,
+                                   math.inf, math.nan])
+@pytest.mark.parametrize("offset", [0.0, -0.0, 10.0, -5e-324, math.nextafter(10.0, math.inf),
+                                    math.inf, -math.inf, math.nan])
+def test_ingest_refuses_exactly_what_check_record_refuses(line_net, offset, depth):
+    # ingest_report tests the accepting case before it calls check_record
+    reg = PotholeRegistry(line_net)
+    try:
+        check_record(offset, depth, line_net.arc("a1"))
+    except RecordError as exc:
+        with pytest.raises(RecordError, match=f"^{re.escape(str(exc))}$"):
+            ingest(reg, "a1", offset, depth)
+        assert len(reg) == 0 and reg.events == []
+    else:
+        assert ingest(reg, "a1", offset, depth) == ("1", True)
+    with pytest.raises(UnknownArcError):
+        ingest(reg, "zz", offset, depth)
 
 
 @pytest.mark.parametrize("row, message", [

@@ -142,7 +142,8 @@ class TestOverflowingPayload:
     @pytest.mark.parametrize("field, literal", [
         ("timestamp_ms", "Infinity"), ("timestamp_ms", "-1e999"),
         ("offset_m", HUGE_INTS[0]), ("depths", HUGE_INTS[0])],
-        ids=["infinite-timestamp", "overflowing-timestamp", "huge-offset", "huge-depth-cell"])
+        ids=["infinite-timestamp", "negative-infinite-timestamp", "huge-offset",
+             "huge-depth-cell"])
     def test_refused_for_integrity(self, server, field, literal):
         assert server.receive_envelope(*sealed_payload("ab", 20.0, field, literal),
                                        "v1", 100) is None
@@ -297,8 +298,8 @@ def assert_same_intake(server, reference, args):
 # -- authentic payloads of any text ------------------------------------------
 # Each envelope is sealed with the shared key at the location it claims, so
 # it opens; its payload is text a faulty or forged sender could write.  The
-# server must take each one as the reference intake, with its pinned
-# `json.loads` decode, does.
+# server must treat each one exactly as the reference intake, with its
+# pinned `json.loads` decode, does.
 
 LITERALS = ["NaN", *INFINITIES, *HUGE_INTS, '"20"', '"x"', '""', "true", "false", "null",
             "[]", "{}", "[1]", "0", "-1", "0.5", "1.5", "2"]
@@ -306,11 +307,11 @@ LITERALS = ["NaN", *INFINITIES, *HUGE_INTS, '"20"', '"x"', '""', "true", "false"
 CELL_LITERALS = ["NaN", *INFINITIES, "-1", "1.5", "2", "-0.5", '"x"', "null", *HUGE_INTS]
 
 
-def escapes(path: tuple, literal: str) -> bool:
-    """Whether `literal` at `path` raises an error that escapes both intakes:
-    TypeError from the registry's lookup of an arc that is a list or an
-    object."""
-    return path == ("arc",) and literal.startswith(("[", "{"))
+def escapes(key, literal: str) -> bool:
+    """Whether `literal` as the payload's `key` raises an error that escapes
+    both intakes: TypeError from the registry's lookup of an arc that is a
+    list or an object."""
+    return key == "arc" and literal.startswith(("[", "{"))
 
 
 def raw_payload(rng: random.Random, net) -> tuple[bytes, tuple[str, float]]:
@@ -329,27 +330,26 @@ def raw_payload(rng: random.Random, net) -> tuple[bytes, tuple[str, float]]:
     raw = _grid_to_dict(report)
     literals = {}  # a placeholder string in `raw` -> the JSON text it stands for
 
-    def put(owner, key, path, choices=LITERALS):
+    def put(owner, key, choices=LITERALS):
         literal = rng.choice(choices)
-        if not escapes(path, literal):
+        if not escapes(key, literal):
             placeholder = f"\ue000{len(literals)}"
             literals[placeholder], owner[key] = literal, placeholder
 
     for grid, cells_key in [("depth_map", "depths"), ("intensity_image", "values")]:
         change = rng.choice(["none"] * 4 + ["cell", "cell", "count", "field", "grid"])
         if change == "cell":
-            put(raw[grid][cells_key], rng.randrange(cells), (grid, cells_key), CELL_LITERALS)
+            put(raw[grid][cells_key], rng.randrange(cells), CELL_LITERALS)
         elif change == "count":  # a cell count other than rows x cols
             grid_cells = raw[grid][cells_key]
             raw[grid][cells_key] = grid_cells[1:] if rng.random() < 0.5 else [*grid_cells, 0.5]
         elif change == "field":
-            key = rng.choice(sorted(raw[grid]))
-            put(raw[grid], key, (grid, key))
+            put(raw[grid], rng.choice(sorted(raw[grid])))
         elif change == "grid":
-            put(raw, grid, (grid,))
+            put(raw, grid)
     for key in rng.sample(["offset_m", "timestamp_ms", "arc", "vehicle_id"],
                           rng.choice([0, 0, 1, 2])):
-        put(raw, key, (key,))
+        put(raw, key)
     text = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     for placeholder, literal in literals.items():
         text = text.replace(json.dumps(placeholder), literal)
@@ -357,7 +357,7 @@ def raw_payload(rng: random.Random, net) -> tuple[bytes, tuple[str, float]]:
         obj = rng.choice(["", "depth_map", "intensity_image"])
         key = rng.choice(["offset_m", "timestamp_ms", "arc"] if not obj else ["rows", "cols"])
         literal = rng.choice(LITERALS)
-        if not escapes((key,), literal):
+        if not escapes(key, literal):
             start = "{" if not obj else f'"{obj}":{{'
             if obj or rng.random() < 0.5:
                 text = text.replace(start, f'{start}"{key}":{literal},', 1)
