@@ -22,7 +22,6 @@ lacks with UnknownArcError, before it changes anything.
 from __future__ import annotations
 
 import csv
-import math
 import re
 import sys
 from collections.abc import Callable
@@ -78,8 +77,7 @@ class PotholeRegistry:
         self.dedup_radius_m = dedup_radius_m
         self.records: dict[str, PotholeRecord] = {}
         self.events: list[UpdateEvent] = []
-        # arc id -> its pothole ids in minting order; weighting and the
-        # server read it too
+        # arc id -> its pothole ids in minting order; weighting reads it too
         self._by_arc: dict[str, list[str]] = {}
         self._next_id = 1
 
@@ -102,12 +100,8 @@ class PotholeRegistry:
         """
         if self.net is None:
             raise ValueError("registry loaded without a network is read-only")
-        arc = self.net.arcs.get(report.arc)
-        # `check_record`'s rules, accepting case first; the arc's length is finite
-        if arc is None or not (0.0 <= report.offset_m <= arc.length_m
-                               and 0.0 <= report.depth_mm <= _FLOAT_MAX):
-            check_record(report.offset_m, report.depth_mm,
-                         self.net.arc(report.arc))  # raises UnknownArcError or RecordError
+        check_record(report.offset_m, report.depth_mm,
+                     self.net.arc(report.arc))  # raises UnknownArcError
 
         match: PotholeRecord | None = None
         best = self.dedup_radius_m
@@ -137,6 +131,11 @@ class PotholeRegistry:
         self._by_arc.setdefault(report.arc, []).append(pid)
         self.events.append(UpdateEvent(pid, vehicle_id, now_ms))
         return pid, True
+
+    def pothole_ids(self, arc_id: str) -> tuple[str, ...]:
+        """Ids of the potholes on the given arc, in minting order; the arc
+        is not checked."""
+        return tuple(self._by_arc.get(arc_id, ()))
 
     def potholes_on_arc(self, arc_id: str) -> list[PotholeRecord]:
         """Records on the given arc, in minting order (empty list allowed)."""
@@ -202,12 +201,13 @@ class PotholeRegistry:
 
 def check_record(offset_m: float, depth_mm: float, arc: Arc | None) -> None:
     """The rules every stored pothole keeps: a finite offset >= 0 that lies
-    on its arc when the arc is known, and a finite depth >= 0."""
-    if not (math.isfinite(offset_m) and 0.0 <= offset_m
-            and (arc is None or offset_m <= arc.length_m)):
+    on its arc when the arc is known, and a finite depth >= 0.  An arc's
+    length is finite, so each rule is one chained comparison, which NaN
+    fails; the messages are built only for a refusal."""
+    if not 0.0 <= offset_m <= (_FLOAT_MAX if arc is None else arc.length_m):
         rule = ">= 0" if arc is None else f"in [0, {arc.length_m!r}] on arc {arc.id!r}"
         raise RecordError(f"offset_m must be a finite number {rule}, got {offset_m!r}")
-    if not (math.isfinite(depth_mm) and depth_mm >= 0.0):
+    if not 0.0 <= depth_mm <= _FLOAT_MAX:
         raise RecordError(f"depth_mm must be a finite number >= 0, got {depth_mm!r}")
 
 

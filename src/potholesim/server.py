@@ -13,8 +13,8 @@ snapshot's sequence number.  Query dispatch is a fixed request-kind ->
 handler mapping; there is no cost-based planning.  A condition query is
 answered straight from the indexes the intake keeps: the weight from
 `wnet.arc_weights`, which holds every arc of the network and so is the one
-unknown-arc check, and the pothole ids, in minting order, from the
-registry's per-arc index.
+unknown-arc check, and the pothole ids, in minting order, from
+`registry.pothole_ids`, which reads the registry's per-arc index.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class Server:
                 weight = self.wnet.arc_weights.get(arc)  # every arc has a weight
                 if weight is None:
                     raise UnknownArcError(arc)
-                pids = tuple(self.registry._by_arc.get(arc, ()))
+                pids = self.registry.pothole_ids(arc)
                 self.stats.queries_answered += 1
                 return ConditionResponse(arc, weight, pids, self.snapshot_seq)
             raise TypeError(f"unsupported request {request!r}")

@@ -102,9 +102,7 @@ def apply_update(wnet: WeightedNetwork, arc_id: str, registry: PotholeRegistry) 
     Leaves the WeightedNetwork state-identical to a full preprocess over
     the same registry.
     """
-    arc = wnet.base.arcs.get(arc_id)
-    if arc is None:
-        wnet.base.arc(arc_id)  # raises UnknownArcError
+    arc = wnet.base.arc(arc_id)
     wnet.arc_weights[arc_id] = _arc_weight(arc, registry)
     pair = (arc.tail, arc.head)
     wnet.min_weights[pair] = _pair_minimum(wnet, wnet.base._pairs[pair])

@@ -278,9 +278,19 @@ def test_ingest_and_read_csv_share_the_record_rules(tmp_path, line_net):
 @pytest.mark.parametrize("depth", [0.0, -0.0, 5e-324, sys.float_info.max, -5e-324, -1.0,
                                    math.inf, math.nan])
 @pytest.mark.parametrize("offset", [0.0, -0.0, 10.0, -5e-324, math.nextafter(10.0, math.inf),
-                                    math.inf, -math.inf, math.nan])
+                                    sys.float_info.max, math.inf, -math.inf, math.nan])
 def test_ingest_refuses_exactly_what_check_record_refuses(line_net, offset, depth):
-    # ingest_report tests the accepting case before it calls check_record
+    # check_record's chained bounds against the rules its docstring states,
+    # with the 10 m arc and without an arc
+    finite_depth = math.isfinite(depth) and depth >= 0.0
+    for arc, length in ((line_net.arc("a1"), 10.0), (None, math.inf)):
+        accepts = math.isfinite(offset) and 0.0 <= offset <= length and finite_depth
+        try:
+            check_record(offset, depth, arc)
+        except RecordError:
+            assert not accepts
+        else:
+            assert accepts
     reg = PotholeRegistry(line_net)
     try:
         check_record(offset, depth, line_net.arc("a1"))
