@@ -63,9 +63,11 @@ access point.  Closed access points are never candidates.
 
 `World.set_arc` puts a vehicle on an arc, at set-up and on every arc entry
 (a MOVE, or a DEST_CHANGE that restarts a stopped vehicle).  It copies the
-arc's line (tail x, tail y, dx, dy, length) and candidates, each built once
-per world, into the `VehicleState`, so a tick reads its position and its
-access points from the vehicle alone.
+arc's `ArcGeometry` -- its line (tail x, tail y, dx, dy, length), its
+segment's bounding box and its candidates, built together from one lookup
+of the arc's tail and head on the arc's first use and kept in one per-arc
+table -- into the `VehicleState`, so a tick reads its position and its
+access points, and a broadcast its box, from the vehicle alone.
 
 A scan's answer is *held* for the ticks at which a bound on the vehicle's
 motion says it cannot change.  `World._scan` notes the answer's slack:
@@ -140,7 +142,7 @@ from .geocrypto import Location, PlainReport, ReportEnvelope, encrypt
 from .network import StreetNetwork
 from .registry import PotholeRegistry
 from .routing import RoutingSession, UnreachableError, fmt_num, modify_destination
-from .scenario import Scenario
+from .scenario import AccessPointSpec, Scenario
 from .server import Server
 
 
@@ -195,13 +197,12 @@ def step_connection(conn: ConnectionState, visible_ap: str | None, now_ms: int,
 APEntry = tuple[float, float, float, str]
 
 
-@dataclass(frozen=True)
-class AccessPoint:
-    id: str
-    x: float
-    y: float
-    range_m: float
-    open: bool
+class ArcGeometry(NamedTuple):
+    """What a vehicle on an arc reads of it (see the module docstring)."""
+
+    line: tuple[float, float, float, float, float]  # tail x, tail y, dx, dy, length
+    box: tuple[float, float, float, float]  # min x, max x, min y, max y of the segment
+    candidates: tuple[APEntry, ...]  # the open access points that can be in range
 
 
 @dataclass(slots=True)
@@ -217,9 +218,9 @@ class VehicleState:
     warning_cache: set[str] = field(default_factory=set)
     conn: ConnectionState = field(default_factory=ConnectionState)
     stopped: bool = False
-    # the current arc's (tail x, tail y, dx, dy, length) and candidate access
-    # points, both set with `arc` by `World.set_arc`
+    # the current arc's `ArcGeometry`, set with `arc` by `World.set_arc`
     line: tuple[float, float, float, float, float] = (0.0, 0.0, 0.0, 0.0, 0.0)
+    box: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     candidates: tuple[APEntry, ...] = ()
     # the last scan's answer, which ticks before `hold_ms` reuse (see
     # `World._scan`); `World.set_arc` and a MOVE clear the hold
@@ -287,24 +288,18 @@ class World:
         wnet = weighting.preprocess(net, registry)
         self.server = Server(net, registry, wnet, config.shared_key)
 
-        self.aps: dict[str, AccessPoint] = {
-            ap.id: AccessPoint(ap.id, ap.x, ap.y, ap.range_m, ap.open)
-            for ap in scenario.access_points}
+        self.aps: dict[str, AccessPointSpec] = {ap.id: ap for ap in scenario.access_points}
         # in id order, so the first of equally near access points has the least id
         self._open_aps: list[APEntry] = sorted(
             ((ap.x, ap.y, ap.range_m, ap.id) for ap in self.aps.values() if ap.open),
             key=lambda ap: ap[3])
-        # filled on first use: arc id -> its candidates (see `ap_candidates`)
-        self._ap_candidates: dict[str, tuple[APEntry, ...]] = {}
         # the margin of the hold and the broadcast box (see the module docstring)
         span = max([config.p2p_range_m] + [ap.range_m for ap in scenario.access_points]) + max(
             (abs(c) for node in net.nodes.values() for c in (node.x, node.y)), default=0.0)
         self.margin = max(span * _MARGIN, _MARGIN_FLOOR) if span * 4.0 < inf else inf
 
-        # filled on first use: arc id -> (tail x, tail y, dx, dy, length)
-        self._arc_lines: dict[str, tuple[float, float, float, float, float]] = {}
-        # filled on first use: arc id -> (min x, max x, min y, max y) of its segment
-        self._arc_boxes: dict[str, tuple[float, float, float, float]] = {}
+        # filled on first use: arc id -> its geometry (see `arc_geometry`)
+        self._arcs: dict[str, ArcGeometry] = {}
         # filled on first use: arc id -> what a sweep of the whole arc extracts
         self._sensed: dict[str, list[PotholeDetection]] = {}
 
@@ -330,19 +325,26 @@ class World:
         return self._position(self.vehicle(vid), now_ms)
 
     def set_arc(self, v: VehicleState, arc_id: str) -> None:
-        """Put the vehicle on the arc, with the arc's line and candidates."""
-        line = self._arc_lines.get(arc_id)
-        if line is None:
+        """Put the vehicle on the arc, with the arc's geometry."""
+        v.arc = arc_id
+        v.line, v.box, v.candidates = self.arc_geometry(arc_id)
+        # clear the hold; an arc with no candidate answers no access point
+        v.held, v.hold_ms = None, 0 if v.candidates else self.end_ms
+
+    def arc_geometry(self, arc_id: str) -> ArcGeometry:
+        """The arc's line, box and candidates (in id order); built together
+        on the arc's first use and kept."""
+        geometry = self._arcs.get(arc_id)
+        if geometry is None:
             arc = self.net.arcs[arc_id]  # ids were validated when the inputs were loaded
             tail = self.net.nodes[arc.tail]
             head = self.net.nodes[arc.head]
-            line = self._arc_lines[arc_id] = (tail.x, tail.y, head.x - tail.x,
-                                              head.y - tail.y, arc.length_m)
-        v.arc = arc_id
-        v.line = line
-        v.candidates = candidates = self.ap_candidates(arc_id)
-        # clear the hold; an arc with no candidate answers no access point
-        v.held, v.hold_ms = None, 0 if candidates else self.end_ms
+            x0, y0, x1, y1 = tail.x, tail.y, head.x, head.y
+            geometry = self._arcs[arc_id] = ArcGeometry(
+                (x0, y0, x1 - x0, y1 - y0, arc.length_m),
+                (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)),
+                _arc_candidates(self._open_aps, x0, y0, x1, y1))
+        return geometry
 
     def _position(self, v: VehicleState, now_ms: int) -> tuple[float, float]:
         x, y, dx, dy, length = v.line
@@ -351,30 +353,6 @@ class World:
         # min(offset, length) without the cost of a builtin call on this hot path
         frac = (length if length < offset else offset) / length
         return (x + dx * frac, y + dy * frac)
-
-    def ap_candidates(self, arc_id: str) -> tuple[APEntry, ...]:
-        """The open access points that can be in range of a vehicle on the
-        arc, in id order; built on the arc's first use and kept."""
-        found = self._ap_candidates.get(arc_id)
-        if found is None:
-            arc = self.net.arcs[arc_id]
-            tail = self.net.nodes[arc.tail]
-            head = self.net.nodes[arc.head]
-            found = self._ap_candidates[arc_id] = _arc_candidates(
-                self._open_aps, tail.x, tail.y, head.x, head.y)
-        return found
-
-    def arc_box(self, arc_id: str) -> tuple[float, float, float, float]:
-        """The (min x, max x, min y, max y) of the arc's segment; built on
-        the arc's first use and kept."""
-        box = self._arc_boxes.get(arc_id)
-        if box is None:
-            arc = self.net.arcs[arc_id]
-            tail = self.net.nodes[arc.tail]
-            head = self.net.nodes[arc.head]
-            box = self._arc_boxes[arc_id] = (min(tail.x, head.x), max(tail.x, head.x),
-                                             min(tail.y, head.y), max(tail.y, head.y))
-        return box
 
     def visible_ap(self, vid: str, now_ms: int) -> str | None:
         """Open access point in radio range; the current handshake peer wins
@@ -458,7 +436,6 @@ def p2p_broadcast(world: World, sender: str, pothole_key: str, now_ms: int) -> l
     """
     sx, sy = world.vehicle_position(sender, now_ms)
     vehicles, position = world.vehicles, world._position
-    boxes, arc_box = world._arc_boxes, world.arc_box
     radius = world.config.p2p_range_m
     # a vehicle whose segment's box lies past `reach` on an axis is out of
     # range (see the module docstring)
@@ -469,7 +446,7 @@ def p2p_broadcast(world: World, sender: str, pothole_key: str, now_ms: int) -> l
         if vid == sender:
             continue
         v = vehicles[vid]
-        x0, x1, y0, y1 = boxes.get(v.arc) or arc_box(v.arc)
+        x0, x1, y0, y1 = v.box
         if x1 < lo_x or x0 > hi_x or y1 < lo_y or y0 > hi_y:
             continue
         x, y = position(v, now_ms)

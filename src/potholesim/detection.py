@@ -40,9 +40,6 @@ class Pit(NamedTuple):
     depth_mm: float
     reflectivity: float
 
-    def covers(self, offset_m: float) -> bool:
-        return abs(offset_m - self.center_m) <= self.half_length_m
-
 
 def check_pit(pit: Pit, arc: str, arc_length_m: float) -> None:
     """Raise ValueError unless `pit` has a depth >= 0, a reflectivity in

@@ -16,13 +16,12 @@ key and copied for each use; the keystream is XORed over the whole buffer
 as one integer; the location's compact JSON is written directly.  None of
 these changes the construction or a byte on the wire.
 
-An opened payload is decoded in one pass: a module-level
-`json.JSONDecoder().decode` (the parser `json.loads` calls, without its
-per-call argument checks), then each grid's cells converted by
-`map(float, ...)` as the grid is built.  A payload that is not a JSON
-object with every field, or whose number overflows its conversion (an
-infinite timestamp, an integer too large for a float), is refused as
-IntegrityError like a forged one.
+An opened payload is decoded in one pass: `json.loads`, then each grid's
+cells converted by `map(float, ...)` as the grid is built.  A payload that
+is not a JSON object with every field, that nests deeper than the parser
+recurses, whose arc is not a string, or whose number overflows its
+conversion (an infinite timestamp, an integer too large for a float), is
+refused as IntegrityError like a forged one.
 
 This is a deliberately small reference construction for a simulator with
 a pre-shared key; it is NOT a reviewed, production-grade cipher and must
@@ -171,18 +170,16 @@ def _grid_to_dict(report: PlainReport) -> dict:
     }
 
 
-# `json.loads` without its per-call keyword checks: it accepts the same
-# texts, and a leading BOM, which `loads` refuses by name, fails to parse
-_decode_json = json.JSONDecoder().decode
-
-
 def _report_from_dict(raw: dict) -> PlainReport:
     dm = raw["depth_map"]
     ii = raw["intensity_image"]
-    return PlainReport(
-        DepthMap(dm["rows"], dm["cols"], dm["cell_m"], list(map(float, dm["depths"]))),
-        IntensityImage(ii["rows"], ii["cols"], list(map(float, ii["values"]))),
-        raw["arc"], float(raw["offset_m"]), raw["vehicle_id"], int(raw["timestamp_ms"]))
+    depth_map = DepthMap(dm["rows"], dm["cols"], dm["cell_m"], list(map(float, dm["depths"])))
+    intensity_image = IntensityImage(ii["rows"], ii["cols"], list(map(float, ii["values"])))
+    arc = raw["arc"]
+    if type(arc) is not str:  # a list or an object cannot key the registry's arc index
+        raise TypeError(f"arc is a {type(arc).__name__}, not a string")
+    return PlainReport(depth_map, intensity_image, arc, float(raw["offset_m"]),
+                       raw["vehicle_id"], int(raw["timestamp_ms"]))
 
 
 def encrypt(report: PlainReport, key: bytes, rng: random.Random) -> ReportEnvelope:
@@ -222,9 +219,10 @@ def decrypt(env: ReportEnvelope, key: bytes, claimed_location: Location) -> Plai
         raise IntegrityError("integrity tag check failed")
     payload = _xor_keystream(stream_state, env.nonce, loc, env.ciphertext)
     try:
-        return _report_from_dict(_decode_json(payload.decode()))
+        return _report_from_dict(json.loads(payload.decode()))
     except SensorValueError:
         raise
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        # OverflowError: an infinite timestamp, or an integer too large for a float
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        # OverflowError: an infinite timestamp, or an integer too large for a
+        # float; RecursionError: nesting deeper than the parser recurses
         raise IntegrityError(f"payload did not decode: {exc}") from exc

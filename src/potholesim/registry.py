@@ -137,12 +137,6 @@ class PotholeRegistry:
         is not checked."""
         return tuple(self._by_arc.get(arc_id, ()))
 
-    def potholes_on_arc(self, arc_id: str) -> list[PotholeRecord]:
-        """Records on the given arc, in minting order (empty list allowed)."""
-        if self.net is not None:
-            self.net.arc(arc_id)
-        return [self.records[pid] for pid in self._by_arc.get(arc_id, [])]
-
     def lookup(self, pothole_id: str) -> PotholeRecord:
         try:
             return self.records[pothole_id]

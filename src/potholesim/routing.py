@@ -77,14 +77,15 @@ def route(wnet: WeightedNetwork, source: str, dest: str) -> Route:
     """Optimal route from source to dest under the tie-break hierarchy
     (total weight, then total length, then lexicographic arc-id sequence).
 
-    Raises UnreachableError when no directed path exists.
+    Raises UnreachableError when no directed path exists, and ValueError
+    when an arc's weight is not a finite number >= 0.
     """
     net = wnet.base
     net.node(source)
     net.node(dest)
     for arc_id, w in wnet.arc_weights.items():
-        if w < 0:
-            raise ValueError(f"negative weight {w} on arc {arc_id!r}")
+        if not 0.0 <= w < math.inf:  # also refuses NaN
+            raise ValueError(f"weight {w} on arc {arc_id!r} is not a finite number >= 0")
     if source == dest:
         return Route(source, dest, (), 0.0, 0.0)
 

@@ -136,6 +136,8 @@ class Server:
                 self.stats.queries_answered += 1
                 return ConditionResponse(arc, weight, pids, self.snapshot_seq)
             raise TypeError(f"unsupported request {request!r}")
-        except (UnknownNodeError, UnknownArcError, UnreachableError, TypeError) as exc:
+        # ValueError: an arc weight that `route` refuses
+        except (UnknownNodeError, UnknownArcError, UnreachableError, TypeError,
+                ValueError) as exc:
             self.stats.queries_failed += 1
             return ErrorResponse(f"{type(exc).__name__}: {exc}", self.snapshot_seq)

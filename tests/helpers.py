@@ -700,10 +700,12 @@ def _oracle_report_from_dict(raw: dict) -> PlainReport:
     report it returns and in the error that refuses it."""
     dm = raw["depth_map"]
     ii = raw["intensity_image"]
-    return PlainReport(
-        DepthMap(dm["rows"], dm["cols"], dm["cell_m"], [float(d) for d in dm["depths"]]),
-        IntensityImage(ii["rows"], ii["cols"], [float(v) for v in ii["values"]]),
-        raw["arc"], float(raw["offset_m"]), raw["vehicle_id"], int(raw["timestamp_ms"]))
+    depth_map = DepthMap(dm["rows"], dm["cols"], dm["cell_m"], [float(d) for d in dm["depths"]])
+    intensity_image = IntensityImage(ii["rows"], ii["cols"], [float(v) for v in ii["values"]])
+    if not isinstance(raw["arc"], str):
+        raise TypeError("arc is not a string")
+    return PlainReport(depth_map, intensity_image, raw["arc"], float(raw["offset_m"]),
+                       raw["vehicle_id"], int(raw["timestamp_ms"]))
 
 
 def oracle_decrypt(env: ReportEnvelope, key: bytes, claimed_location) -> PlainReport:
@@ -726,9 +728,12 @@ def oracle_decrypt(env: ReportEnvelope, key: bytes, claimed_location) -> PlainRe
         return _oracle_report_from_dict(json.loads(payload.decode()))
     except SensorValueError:
         raise
-    # OverflowError (an infinite timestamp, or an integer too large for a
-    # float) escaped the decode this copies; refusing it is the one change
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    # refusing three payloads is the one change from the decode this copies,
+    # which let their errors escape: a number that overflows (OverflowError:
+    # an infinite timestamp, or an integer too large for a float), an arc that
+    # is not a string (TypeError, later, from the registry's arc lookup) and
+    # nesting deeper than the parser recurses (RecursionError)
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise IntegrityError(f"payload did not decode: {exc}") from exc
 
 

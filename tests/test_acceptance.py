@@ -89,7 +89,7 @@ def test_criterion_2_weight_formula_oracle():
             reg = random_registry(rng, net, max_potholes=8)
             wnet = preprocess(net, reg)
             for arc_id in sorted(net.arcs):
-                depths = [r.depth_mm for r in reg.potholes_on_arc(arc_id)]
+                depths = [r.depth_mm for r in reg.records.values() if r.arc == arc_id]
                 if depths:
                     expected = (sum(depths) / len(depths)) * net.arcs[arc_id].length_m
                     assert close(wnet.weight(arc_id), expected, REL_TOL)

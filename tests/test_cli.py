@@ -473,6 +473,13 @@ class TestCsvInputs:
         assert rc == 1 and "Traceback" not in err
         assert err == f"error: {registry}, line 2: {named}\n"
 
+    def test_infinite_arc_weight_exits_one_naming_the_arc(self, files, capsys):
+        # a finite depth whose weight, depth x length, overflows to inf
+        rc, _, _ = self.run(files, "route", dict(self.ROW, depth_mm="1e308"))
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == "error: weight inf on arc 'ab' is not a finite number >= 0\n"
+
     @pytest.mark.parametrize("row, named", [
         ("p1,v1,1000", "pothole_id must be a decimal integer, got 'p1'"),
         ("1,v1,soon", "timestamp_ms must be an integer, got 'soon'"),

@@ -261,7 +261,7 @@ class TestVisibleAp:
     @given(oracle_cases())
     def test_matches_full_scan(self, case):
         world, times = case
-        candidates = {ap[3] for ap in world.ap_candidates("pq")}
+        candidates = {ap[3] for ap in world.arc_geometry("pq").candidates}
         for now_ms in times:
             assert in_range(world, now_ms) <= candidates
             assert world.visible_ap("v", now_ms) == visible_ap_by_scan(world, "v", now_ms)
@@ -312,16 +312,16 @@ class TestVisibleAp:
             AccessPointSpec("beyond", 130.0, 0.0, 29.0, True),
             AccessPointSpec("off-axis", 200.0, 200.0, 80.0, True),
         ])
-        assert world.ap_candidates("pq") == ((130.0, 0.0, 30.0, "head"),
-                                             (50.0, 20.0, 20.0, "side"),
-                                             (-30.0, 40.0, 50.0, "tail"))
+        assert world.arc_geometry("pq").candidates == ((130.0, 0.0, 30.0, "head"),
+                                                       (50.0, 20.0, 20.0, "side"),
+                                                       (-30.0, 40.0, 50.0, "tail"))
 
     def test_closed_access_points_are_never_candidates(self):
         world = oracle_world((0.0, 0.0), (10.0, 0.0),
                              [AccessPointSpec("a", 1.0, 1.0, 50.0, False),
                               AccessPointSpec("b", 2.0, 1.0, 50.0, True),
                               AccessPointSpec("c", 5.0, 0.0, 50.0, False)])
-        assert [ap[3] for ap in world.ap_candidates("pq")] == ["b"]
+        assert [ap[3] for ap in world.arc_geometry("pq").candidates] == ["b"]
 
 
 MINIMAL_SCENARIO = {
@@ -573,7 +573,12 @@ class TestEventOrder:
         assert got == want
         world = sim.world
         for vid, v in world.vehicles.items():
-            assert v.candidates == world.ap_candidates(v.arc)
+            assert v.candidates == world.arc_geometry(v.arc).candidates
+            # the box that broadcasts reject by is the segment's, from its nodes
+            arc = net.arcs[v.arc]
+            tail, head = net.nodes[arc.tail], net.nodes[arc.head]
+            assert v.box == (min(tail.x, head.x), max(tail.x, head.x),
+                             min(tail.y, head.y), max(tail.y, head.y))
             # the cached arc geometry, up to and past the arc's end
             for now_ms in (*probe_ms, 10 ** 7):
                 assert world.vehicle_position(vid, now_ms) \
@@ -598,7 +603,7 @@ class TestEventOrder:
         want = final_state(reference.run())
         sim = Simulation(net, scenario)
         got = final_state(sim.run())
-        assert sim.world.ap_candidates("bc") == ()
+        assert sim.world.arc_geometry("bc").candidates == ()
         assert sim.trace == reference.trace
         assert got == want
         ticks = [line for line in sim.trace if line.split()[0] in
@@ -637,7 +642,7 @@ class TestEventOrder:
         assert sim.trace == reference.trace
         assert got == want
         v = sim.world.vehicles["v"]
-        assert sim.world.ap_candidates("ab") == ()
+        assert sim.world.arc_geometry("ab").candidates == ()
         assert (v.arc, v.candidates) == ("bc", ((110.0, 0.0, 20.0, "ap1"),))
         assert "t=6000 MOVE vehicle=v node=B arc=-" in sim.trace
         assert "t=8000 DEST_CHANGE vehicle=v dest=C" in sim.trace
@@ -772,28 +777,48 @@ LAP_SCENARIO = {
 class TestApCandidates:
     def test_each_arc_is_indexed_once_per_world(self, monkeypatch):
         # two laps: v1 enters every arc twice and v2 ticks on ab 449 times,
-        # yet each World builds each arc's candidates once, on first use
+        # yet each World builds each arc's geometry once, on first use: its
+        # line, box and candidates together, which vehicles then share
         net = lap_net()
-        arc_of = {(net.nodes[a.tail].x, net.nodes[a.tail].y,
-                   net.nodes[a.head].x, net.nodes[a.head].y): a.id for a in net.arcs.values()}
-        built = []
+        arc_of = {}
+        for a in net.arcs.values():
+            tail, head = net.nodes[a.tail], net.nodes[a.head]
+            arc_of[(tail.x, tail.y, head.x, head.y)] = a.id
+        built = []  # per world: (arc, what was built) -> times
 
         def counting_candidates(open_aps, x0, y0, x1, y1):
-            arc = arc_of[(x0, y0, x1, y1)]
-            built[-1][arc] = built[-1].get(arc, 0) + 1
+            key = (arc_of[(x0, y0, x1, y1)], "candidates")
+            built[-1][key] = built[-1].get(key, 0) + 1
             return arc_candidates(open_aps, x0, y0, x1, y1)
 
-        arc_candidates = comms._arc_candidates
+        def counting_geometry(line, box, candidates):
+            x0, y0, dx, dy, _ = line
+            key = (arc_of[(x0, y0, x0 + dx, y0 + dy)], "geometry")
+            built[-1][key] = built[-1].get(key, 0) + 1
+            return arc_geometry(line, box, candidates)
+
+        arc_candidates, arc_geometry = comms._arc_candidates, comms.ArcGeometry
         monkeypatch.setattr(comms, "_arc_candidates", counting_candidates)
+        monkeypatch.setattr(comms, "ArcGeometry", counting_geometry)
         scenario = scenario_from_dict(LAP_SCENARIO, net)
         for _ in range(2):
             built.append({})
             sim = Simulation(net, scenario)
             sim.run()
+            world = sim.world
             assert sum(" MOVE vehicle=v1 node=A arc=ab" in line for line in sim.trace) == 1
-            assert sim.world.ap_candidates("ab") == ((50.0, -10.0, 30.0, "near"),)
-            assert sim.world.ap_candidates("cd") == ()
-        assert built == [{"ab": 1, "bc": 1, "cd": 1, "da": 1}] * 2
+            for (x0, y0, x1, y1), arc_id in arc_of.items():
+                assert world.arc_geometry(arc_id)[:2] == (
+                    (x0, y0, x1 - x0, y1 - y0, 100.0),
+                    (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)))
+            assert world.arc_geometry("ab").candidates == ((50.0, -10.0, 30.0, "near"),)
+            assert world.arc_geometry("cd").candidates == ()
+            for v in world.vehicles.values():
+                geometry = world.arc_geometry(v.arc)
+                assert (v.line, v.box, v.candidates) == tuple(geometry)
+                assert v.line is geometry.line and v.box is geometry.box
+        assert built == [{(arc, what): 1 for arc in ("ab", "bc", "cd", "da")
+                          for what in ("candidates", "geometry")}] * 2
 
 
 def _graze(draw, x, y, d, ux, uy):

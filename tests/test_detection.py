@@ -22,7 +22,8 @@ def oracle_grid(surf, start, cols, cell):
     for center in cell_centers(start, cols, cell):
         best = None
         for pit in surf.pits:
-            if pit.covers(center) and (best is None or pit.depth_mm > best.depth_mm):
+            covers = abs(center - pit.center_m) <= pit.half_length_m
+            if covers and (best is None or pit.depth_mm > best.depth_mm):
                 best = pit
         depths.append(best.depth_mm if best else 0.0)
         intens.append(best.reflectivity if best else 1.0)

@@ -75,18 +75,18 @@ class TestIngest:
 
 class TestQueries:
     def test_potholes_on_empty_arc(self, reg):
-        assert reg.potholes_on_arc("a1") == []
+        assert reg.pothole_ids("a1") == ()
 
     def test_potholes_on_arc_counts(self, reg):
         ingest(reg, "a1", 0.0, 10.0)
         ingest(reg, "a1", 5.0, 10.0)
-        assert len(reg.potholes_on_arc("a1")) == 2
+        assert len(reg.pothole_ids("a1")) == 2
 
     def test_three_reports_merge_to_one(self, reg):
         # replay through ingest and count: all offsets fall in one cluster
         for offset, now in [(4.0, 0), (4.4, 1), (3.8, 2)]:
             ingest(reg, "a1", offset, 12.0, now=now)
-        assert len(reg.potholes_on_arc("a1")) == 1
+        assert len(reg.pothole_ids("a1")) == 1
 
     def test_lookup_round_trips_fields(self, reg):
         pid, _ = ingest(reg, "a1", 2.0, 20.0, vid="v9", now=7, intensity=0.3)
@@ -107,7 +107,7 @@ def test_records_never_closer_than_radius(line_net):
     reg = PotholeRegistry(line_net)
     for i in range(40):
         ingest(reg, "a1", (i * 0.37) % 10.0, 10.0 + i, now=i)
-    recs = reg.potholes_on_arc("a1")
+    recs = list(reg.records.values())
     for a in recs:
         for b in recs:
             if a.id != b.id:
@@ -137,7 +137,7 @@ def test_clustered_ingest_order_invariant(order):
     for idx in order:
         offset, depth = reports[idx]
         ingest(reg, "a1", offset, depth, now=idx)
-    recs = sorted(reg.potholes_on_arc("a1"), key=lambda r: r.offset_m)
+    recs = sorted(reg.records.values(), key=lambda r: r.offset_m)
     assert len(recs) == 2
     # per-cluster depth is the max of its members, whatever the order
     assert [r.depth_mm for r in recs] == [12.0, 22.0]

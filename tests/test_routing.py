@@ -63,10 +63,12 @@ class TestGda:
             route(wnet, "ghost", "v")
 
     def test_negative_weight_detected(self, line_net):
-        wnet, _ = weighted(line_net)
-        wnet.arc_weights["a1"] = -1.0
-        with pytest.raises(ValueError):
-            route(wnet, "u", "v")
+        # and every other weight that is not a finite number >= 0
+        for bad in (-1.0, math.inf, math.nan):
+            wnet, _ = weighted(line_net)
+            wnet.arc_weights["a1"] = bad
+            with pytest.raises(ValueError, match="arc 'a1'"):
+                route(wnet, "u", "v")
 
 
 def test_pair_collapse_equals_all_arc_relaxation():

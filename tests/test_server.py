@@ -151,6 +151,29 @@ class TestOverflowingPayload:
         assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
 
 
+# nesting far deeper than the JSON parser recurses
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+
+
+class TestUndecodablePayload:
+    """An authentic payload that the registry or the JSON parser cannot take
+    is refused as integrity, not raised out of the intake."""
+
+    @pytest.mark.parametrize("literal", ['["ab"]', '{"ab":1}', DEEP_NESTING],
+                             ids=["list", "object", "deeply-nested-list"])
+    def test_arc_that_is_not_a_string_refused(self, server, literal):
+        assert server.receive_envelope(*sealed_payload("ab", 20.0, "arc", literal),
+                                       "v1", 100) is None
+        assert len(server.registry) == 0 and server.snapshot_seq == 0
+        assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
+
+    def test_deeply_nested_payload_refused(self, server):
+        env = oracle_seal(DEEP_NESTING.encode(), KEY, ("ab", 20.0), random.Random(1))
+        assert server.receive_envelope(env, ("ab", 20.0), "v1", 100) is None
+        assert len(server.registry) == 0 and server.snapshot_seq == 0
+        assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
+
+
 class TestRejectionReasons:
     def refuse(self, server, fault):
         env, loc = sealed_report("ab", 20.0, 30.0)
@@ -220,6 +243,13 @@ class TestQuery:
         resp = server.query(RouteRequest("A", "ghost"))
         assert isinstance(resp, ErrorResponse)
         assert server.stats.queries_failed == 2
+
+    def test_route_over_an_infinite_weight_counted(self, server):
+        server.wnet.arc_weights["ab"] = math.inf
+        resp = server.query(RouteRequest("A", "D"))
+        assert resp == ErrorResponse(
+            "ValueError: weight inf on arc 'ab' is not a finite number >= 0", 0)
+        assert server.stats.queries_failed == 1 and server.stats.queries_answered == 0
 
     def test_unreachable_destination(self, diamond_net):
         registry = PotholeRegistry(diamond_net)
@@ -301,17 +331,11 @@ def assert_same_intake(server, reference, args):
 # server must treat each one exactly as the reference intake, with its
 # pinned `json.loads` decode, does.
 
+# the last one nests deeper than the parser recurses
 LITERALS = ["NaN", *INFINITIES, *HUGE_INTS, '"20"', '"x"', '""', "true", "false", "null",
-            "[]", "{}", "[1]", "0", "-1", "0.5", "1.5", "2"]
+            "[]", "{}", "[1]", "0", "-1", "0.5", "1.5", "2", "[" * 10_000 + "]" * 10_000]
 # mostly numbers outside a grid's bounds, which the sensor rules refuse
 CELL_LITERALS = ["NaN", *INFINITIES, "-1", "1.5", "2", "-0.5", '"x"', "null", *HUGE_INTS]
-
-
-def escapes(key, literal: str) -> bool:
-    """Whether `literal` as the payload's `key` raises an error that escapes
-    both intakes: TypeError from the registry's lookup of an arc that is a
-    list or an object."""
-    return key == "arc" and literal.startswith(("[", "{"))
 
 
 def raw_payload(rng: random.Random, net) -> tuple[bytes, tuple[str, float]]:
@@ -331,10 +355,8 @@ def raw_payload(rng: random.Random, net) -> tuple[bytes, tuple[str, float]]:
     literals = {}  # a placeholder string in `raw` -> the JSON text it stands for
 
     def put(owner, key, choices=LITERALS):
-        literal = rng.choice(choices)
-        if not escapes(key, literal):
-            placeholder = f"\ue000{len(literals)}"
-            literals[placeholder], owner[key] = literal, placeholder
+        placeholder = f"\ue000{len(literals)}"
+        literals[placeholder], owner[key] = rng.choice(choices), placeholder
 
     for grid, cells_key in [("depth_map", "depths"), ("intensity_image", "values")]:
         change = rng.choice(["none"] * 4 + ["cell", "cell", "count", "field", "grid"])
@@ -357,12 +379,11 @@ def raw_payload(rng: random.Random, net) -> tuple[bytes, tuple[str, float]]:
         obj = rng.choice(["", "depth_map", "intensity_image"])
         key = rng.choice(["offset_m", "timestamp_ms", "arc"] if not obj else ["rows", "cols"])
         literal = rng.choice(LITERALS)
-        if not escapes(key, literal):
-            start = "{" if not obj else f'"{obj}":{{'
-            if obj or rng.random() < 0.5:
-                text = text.replace(start, f'{start}"{key}":{literal},', 1)
-            else:
-                text = f'{text[:-1]},"{key}":{literal}}}'
+        start = "{" if not obj else f'"{obj}":{{'
+        if obj or rng.random() < 0.5:
+            text = text.replace(start, f'{start}"{key}":{literal},', 1)
+        else:
+            text = f'{text[:-1]},"{key}":{literal}}}'
     if rng.random() < 0.05:  # a top level that is not an object
         text = rng.choice([f"[{text}]", *LITERALS])
     payload = text.encode()
@@ -390,13 +411,13 @@ def test_raw_payloads_match_the_reference_after_every_envelope(seed):
 # -- condition answers ----------------------------------------------------------
 
 def condition_by_lookups(server, arc):
-    """The condition answer built from `WeightedNetwork.weight` and
-    `potholes_on_arc`, each of which checks the arc."""
+    """The condition answer built from `WeightedNetwork.weight`, which checks
+    the arc, and a scan of every record, in minting order."""
     try:
         weight = server.wnet.weight(arc)
-        ids = tuple(rec.id for rec in server.registry.potholes_on_arc(arc))
     except (UnknownArcError, TypeError) as exc:
         return ErrorResponse(f"{type(exc).__name__}: {exc}", server.snapshot_seq)
+    ids = tuple(rec.id for rec in server.registry.records.values() if rec.arc == arc)
     return ConditionResponse(arc, weight, ids, server.snapshot_seq)
 
 

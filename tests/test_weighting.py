@@ -182,7 +182,7 @@ def test_algorithm_oracle_random_instances():
         reg = random_registry(rng, net)
         wnet = preprocess(net, reg)
         for arc_id in sorted(net.arcs):
-            depths = [r.depth_mm for r in reg.potholes_on_arc(arc_id)]
+            depths = [r.depth_mm for r in reg.records.values() if r.arc == arc_id]
             if depths:
                 expected = (sum(depths) / len(depths)) * net.arcs[arc_id].length_m
                 assert close(wnet.weight(arc_id), expected)
