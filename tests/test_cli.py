@@ -278,6 +278,35 @@ class TestSimulate:
         assert "t=1000 DEST_CHANGE vehicle=v1 dest=C unreachable" in trace
         assert "t=10000 MOVE vehicle=v1 node=B arc=-" in trace
 
+    def test_infinite_arc_weight_at_a_dest_change_exits_one_naming_the_arc(self, tmp_path,
+                                                                             capsys):
+        # a 1e306 mm pit near the start of a 1000 m arc: the sweep's centroid
+        # stays finite, the uplinked report makes ab weigh inf, and the
+        # DEST_CHANGE at t=8000 routes over it
+        network = {
+            "nodes": [{"id": n, "x": x, "y": 0.0}
+                      for n, x in (("A", 0.0), ("B", 1000.0), ("C", 1010.0))],
+            "arcs": [{"id": "ab", "tail": "A", "head": "B", "length_m": 1000.0},
+                     {"id": "bc", "tail": "B", "head": "C", "length_m": 10.0}],
+        }
+        scenario = {
+            "duration_ms": 20_000, "seed": 1,
+            "vehicles": [{"id": "v1", "start_arc": "ab", "start_offset_m": 0.0,
+                          "speed_mps": 5.0, "waypoints": ["B", "C"]}],
+            "pits": [{"arc": "ab", "center_m": 1.5, "half_length_m": 1.0,
+                      "depth_mm": 1e306, "reflectivity": 0.5}],
+            "access_points": [{"id": "ap", "x": 5.0, "y": 0.0, "range_m": 200.0,
+                               "open": True}],
+            "events": [{"t_ms": 1000, "kind": "DETECT", "vehicle": "v1"},
+                       {"t_ms": 8000, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": "C"}],
+        }
+        net, scen = write_inputs(tmp_path, network, scenario)
+        rc = main(["simulate", "--network", str(net), "--scenario", str(scen),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: weight inf on arc 'ab' is not a finite number >= 0\n"
+
     def test_detect_on_sub_cell_arc(self, tmp_path):
         # a 0.4 m arc holds no whole 0.5 m scanner cell: nothing to sense
         network = {

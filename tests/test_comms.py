@@ -780,10 +780,8 @@ class TestApCandidates:
         # yet each World builds each arc's geometry once, on first use: its
         # line, box and candidates together, which vehicles then share
         net = lap_net()
-        arc_of = {}
-        for a in net.arcs.values():
-            tail, head = net.nodes[a.tail], net.nodes[a.head]
-            arc_of[(tail.x, tail.y, head.x, head.y)] = a.id
+        arc_of = {(net.nodes[a.tail].x, net.nodes[a.tail].y,
+                   net.nodes[a.head].x, net.nodes[a.head].y): a.id for a in net.arcs.values()}
         built = []  # per world: (arc, what was built) -> times
 
         def counting_candidates(open_aps, x0, y0, x1, y1):

@@ -151,16 +151,11 @@ class TestOverflowingPayload:
         assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
 
 
-# nesting far deeper than the JSON parser recurses
-DEEP_NESTING = "[" * 100_000 + "]" * 100_000
-
-
 class TestUndecodablePayload:
     """An authentic payload that the registry or the JSON parser cannot take
     is refused as integrity, not raised out of the intake."""
 
-    @pytest.mark.parametrize("literal", ['["ab"]', '{"ab":1}', DEEP_NESTING],
-                             ids=["list", "object", "deeply-nested-list"])
+    @pytest.mark.parametrize("literal", ['["ab"]', '{"ab":1}'], ids=["list", "object"])
     def test_arc_that_is_not_a_string_refused(self, server, literal):
         assert server.receive_envelope(*sealed_payload("ab", 20.0, "arc", literal),
                                        "v1", 100) is None
@@ -168,7 +163,8 @@ class TestUndecodablePayload:
         assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
 
     def test_deeply_nested_payload_refused(self, server):
-        env = oracle_seal(DEEP_NESTING.encode(), KEY, ("ab", 20.0), random.Random(1))
+        # nesting far deeper than the JSON parser recurses
+        env = oracle_seal(b"[" * 100_000 + b"]" * 100_000, KEY, ("ab", 20.0), random.Random(1))
         assert server.receive_envelope(env, ("ab", 20.0), "v1", 100) is None
         assert len(server.registry) == 0 and server.snapshot_seq == 0
         assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
