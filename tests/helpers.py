@@ -413,6 +413,68 @@ def write_ap_grid(tmp_path):
     return write_inputs(tmp_path, *ap_grid_inputs())
 
 
+def handover_inputs() -> tuple[dict, dict]:
+    """Three vehicles on a 450 m two-way road between two open access points.
+
+    ap1 reaches the first ~49 m of the road and ap2 the stretch from ~251 m
+    to ~349 m, so a vehicle driving the road connects at one, holds the
+    link through held scans and uplinks, hears nothing for seconds between
+    the two, times out to LOST, scans and connects again at the other.  v1
+    drives west to east and v3 east to west; v2 parks in ap1's range, where
+    it stays CONNECTED to the end.  A closed access point lies between the
+    two open ones.  Each vehicle sweeps pitted arcs both in and out of
+    range, so some reports wait in the queue for the next link.
+    """
+    xs = {"A": 0.0, "B": 150.0, "C": 300.0, "D": 450.0}
+    nodes = [{"id": n, "x": x, "y": 0.0} for n, x in xs.items()]
+    arcs = []
+    for u, v in (("A", "B"), ("B", "C"), ("C", "D")):
+        arcs.append({"id": f"{u}{v}".lower(), "tail": u, "head": v, "length_m": 150.0})
+        arcs.append({"id": f"{v}{u}".lower(), "tail": v, "head": u, "length_m": 150.0})
+    vehicles = [
+        {"id": "v1", "start_arc": "ab", "start_offset_m": 0.0, "speed_mps": 10.0,
+         "waypoints": ["B", "C", "D"]},
+        {"id": "v2", "start_arc": "ab", "start_offset_m": 10.0, "speed_mps": 0.0,
+         "waypoints": ["B"]},
+        {"id": "v3", "start_arc": "dc", "start_offset_m": 0.0, "speed_mps": 12.0,
+         "waypoints": ["C", "B", "A"]},
+    ]
+    pits = [
+        {"arc": "ab", "center_m": 20.0, "half_length_m": 1.0, "depth_mm": 45.0,
+         "reflectivity": 0.4},
+        {"arc": "ab", "center_m": 90.0, "half_length_m": 1.5, "depth_mm": 60.0,
+         "reflectivity": 0.3},
+        {"arc": "bc", "center_m": 100.0, "half_length_m": 1.0, "depth_mm": 35.0,
+         "reflectivity": 0.5},
+        {"arc": "dc", "center_m": 40.0, "half_length_m": 1.0, "depth_mm": 50.0,
+         "reflectivity": 0.6},
+        {"arc": "cb", "center_m": 75.0, "half_length_m": 2.0, "depth_mm": 25.0,
+         "reflectivity": 0.5},
+    ]
+    aps = [
+        {"id": "ap1", "x": 0.0, "y": 10.0, "range_m": 50.0, "open": True},
+        {"id": "ap2", "x": 300.0, "y": 10.0, "range_m": 50.0, "open": True},
+        {"id": "apx", "x": 150.0, "y": 0.0, "range_m": 80.0, "open": False},
+    ]
+    events = [
+        {"t_ms": 1000, "kind": "DETECT", "vehicle": "v1"},
+        {"t_ms": 2000, "kind": "DETECT", "vehicle": "v2"},
+        {"t_ms": 3000, "kind": "DETECT", "vehicle": "v3"},
+        {"t_ms": 18_000, "kind": "DETECT", "vehicle": "v1"},
+        {"t_ms": 20_000, "kind": "DETECT", "vehicle": "v3"},
+        {"t_ms": 36_000, "kind": "DETECT", "vehicle": "v2"},
+    ]
+    network = {"nodes": nodes, "arcs": arcs}
+    scenario = {"duration_ms": 45_000, "seed": 3, "vehicles": vehicles, "pits": pits,
+                "access_points": aps, "events": events}
+    return network, scenario
+
+
+def write_handover(tmp_path):
+    """The two-access-point road scenario of `handover_inputs`."""
+    return write_inputs(tmp_path, *handover_inputs())
+
+
 def visible_ap_by_scan(world, vid: str, now_ms: int) -> str | None:
     """Reference for `World.visible_ap`: a scan over every access point.
 

@@ -13,7 +13,7 @@ import math
 import pytest
 
 from helpers import (EXACT_AP, ap_grid_inputs, write_ap_grid, write_demo, write_end_to_end,
-                     write_grid)
+                     write_grid, write_handover)
 from potholesim.cli import main
 
 GOLDEN = {
@@ -67,6 +67,16 @@ GOLDEN = {
         "route_v6.txt": "58241b4188f3d81882ac03eb4a202d671808b182967ac657795c3475de457807",
         "trace.txt": "6a0279d8ac0e95c86cf0cc01c773724c189929ef7978bb8b9200917f323414c4",
         "weighted_network.csv": "60b5b133cb52801bb3a59988da3709ffd71f6b89afccef7faec41ba6a7b5ab25",
+    }),
+    "handover": (write_handover, {
+        "events.csv": "aee2bbda406a24bdace7202f3d9d95ad88cfd5cf9cc3a436ccbf0dd858f5c6c6",
+        "maintenance_report.csv": "34ff0a24c27b533989ef11b05763f812f64a6026e2b72783b3c32589ed49ae12",
+        "registry.csv": "0e6cb7e4d37feeffe367b772a3eac32323e55e3396308fb275e284d167369e8d",
+        "route_v1.txt": "b79936cc259560e6a85291b39355c8da0e50e4abbb74f6b7f99bc26be2f0f839",
+        "route_v2.txt": "c830b91c2a90e8d0e282c3775028a1bbabbe6e29459b75ae5a0edad91a91a36a",
+        "route_v3.txt": "69b6727b0ea61905146176334955453c706351157e06022121848587fbe2fc5c",
+        "trace.txt": "82facbf15ceaf8c1e1e8713ad4e445e4b3dbb3fedf6e7dc5e4c77b1e68699f0b",
+        "weighted_network.csv": "add7d1b953927c3787f1d41875419122d964a4c3f5465ff6320bdde791c067ba",
     }),
 }
 
@@ -129,3 +139,27 @@ def test_ap_grid_scenario_exercises_the_closed_range_bound(tmp_path):
     assert f"t=10000 PHASE_TIMEOUT vehicle=v1 phase=ASSOCIATING ap={EXACT_AP}" in trace
     assert any(line.startswith("t=10200 UPLINK vehicle=v1 delivered=")
                and " delivered=0 " not in line for line in trace)
+
+
+def test_handover_scenario_loses_and_regains_the_link(tmp_path):
+    # the handover golden only guards the connection's timeout if a vehicle
+    # goes from CONNECTED to LOST and later connects again, and if reports
+    # queued out of range reach the server over the second link
+    out = simulate(tmp_path, write_handover)
+    trace = (out / "trace.txt").read_text().splitlines()
+    phases = []
+    for line in trace:
+        if " PHASE_TIMEOUT vehicle=v1 " in line:
+            phase = line.split(" phase=")[1]
+            if not phases or phases[-1] != phase:
+                phases.append(phase)
+    assert phases == ["ASSOCIATING ap=ap1", "AUTHENTICATING ap=ap1", "CONNECTED ap=ap1",
+                      "LOST ap=ap1", "SCANNING ap=-", "ASSOCIATING ap=ap2",
+                      "AUTHENTICATING ap=ap2", "CONNECTED ap=ap2", "LOST ap=ap2",
+                      "SCANNING ap=-"]
+    # v1's report from bc, swept while out of range, rides the ap2 link
+    assert "t=18000 DETECT vehicle=v1 arc=bc reports=1 new=1" in trace
+    assert "t=25400 UPLINK vehicle=v1 delivered=1 queued=0" in trace
+    # v2, parked in ap1's range, stays CONNECTED from t=300 to the end
+    v2 = [line for line in trace if " PHASE_TIMEOUT vehicle=v2 " in line]
+    assert all(line.endswith("phase=CONNECTED ap=ap1") for line in v2[2:])
