@@ -160,7 +160,11 @@ class Phase:
     LOST = "LOST"
 
 
-class ConnectionState(NamedTuple):
+@dataclass(slots=True)
+class ConnectionState:
+    """A vehicle's link; the tick and `uplink` refresh `last_activity_ms`
+    in place, and `step_connection` makes every phase change."""
+
     phase: str = Phase.SCANNING
     last_activity_ms: int = 0
     peer: str | None = None
@@ -477,7 +481,7 @@ def uplink(world: World, vid: str, now_ms: int) -> int:
         world.server.receive_envelope(env, location, vid, now_ms)
         delivered += 1
     if delivered:
-        v.conn = v.conn._replace(last_activity_ms=now_ms)
+        v.conn.last_activity_ms = now_ms
     return delivered
 
 
@@ -548,7 +552,12 @@ class Simulation:
             visible = v.held
             if t >= v.hold_ms or (visible is not None and visible != conn.peer):
                 visible = scan(v, t)
-            if visible is not None or conn.phase != scanning:
+            if conn.phase == connected and t - conn.last_activity_ms <= loss_timeout_ms:
+                # the link holds: hearing the peer refreshes it, and nothing
+                # else changes it
+                if visible == conn.peer:
+                    conn.last_activity_ms = t
+            elif visible is not None or conn.phase != scanning:
                 # SCANNING with nothing visible stays as it is
                 conn = v.conn = step_connection(conn, visible, t, loss_timeout_ms)
             emit(f"t={t} PHASE_TIMEOUT vehicle={v.id} phase={conn.phase} "

@@ -185,8 +185,15 @@ def extract_potholes(dm: DepthMap, ii: IntensityImage, threshold_mm: float,
         run = range(run_start, c)
         depth = max(col_depth[i] for i in run)
         weight_sum = sum(col_depth[i] for i in run)
-        centroid = sum(col_depth[i] * (window_start_m + (i + 0.5) * dm.cell_m)
-                       for i in run) / weight_sum
+        moment = sum(col_depth[i] * (window_start_m + (i + 0.5) * dm.cell_m) for i in run)
+        if not (math.isfinite(weight_sum) and math.isfinite(moment)):
+            # a sum overflowed: weigh each cell by its share of the run's
+            # deepest one instead, which is > 0 since the threshold is
+            weights = [col_depth[i] / depth for i in run]
+            weight_sum = sum(weights)
+            moment = sum(w * (window_start_m + (i + 0.5) * dm.cell_m)
+                         for w, i in zip(weights, run))
+        centroid = moment / weight_sum
         intensity = sum(col_inten[i] for i in run) / len(run)
         reports.append(PotholeDetection(
             arc, centroid, depth, intensity,

@@ -175,11 +175,22 @@ def _report_from_dict(raw: dict) -> PlainReport:
     ii = raw["intensity_image"]
     depth_map = DepthMap(dm["rows"], dm["cols"], dm["cell_m"], list(map(float, dm["depths"])))
     intensity_image = IntensityImage(ii["rows"], ii["cols"], list(map(float, ii["values"])))
-    arc = raw["arc"]
-    if type(arc) is not str:  # a list or an object cannot key the registry's arc index
+    arc, offset, vehicle, timestamp = (raw["arc"], raw["offset_m"], raw["vehicle_id"],
+                                       raw["timestamp_ms"])
+    # the JSON types of the scenario rules (`inputs.finite`, `integer`),
+    # testing the accepting case first; an arc that is a list or an object
+    # could not key the registry's arc index
+    if type(arc) is not str:
         raise TypeError(f"arc is a {type(arc).__name__}, not a string")
-    return PlainReport(depth_map, intensity_image, arc, float(raw["offset_m"]),
-                       raw["vehicle_id"], int(raw["timestamp_ms"]))
+    if type(offset) is not float:
+        if type(offset) is not int:
+            raise TypeError(f"offset_m is a {type(offset).__name__}, not a number")
+        offset = float(offset)
+    if type(vehicle) is not str:
+        raise TypeError(f"vehicle_id is a {type(vehicle).__name__}, not a string")
+    if type(timestamp) is not int:
+        raise TypeError(f"timestamp_ms is a {type(timestamp).__name__}, not an integer")
+    return PlainReport(depth_map, intensity_image, arc, offset, vehicle, timestamp)
 
 
 def encrypt(report: PlainReport, key: bytes, rng: random.Random) -> ReportEnvelope:
@@ -223,6 +234,7 @@ def decrypt(env: ReportEnvelope, key: bytes, claimed_location: Location) -> Plai
     except SensorValueError:
         raise
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-        # OverflowError: an infinite timestamp, or an integer too large for a
-        # float; RecursionError: nesting deeper than the parser recurses
+        # TypeError: a field of the wrong JSON type; OverflowError: an integer
+        # too large for a float; RecursionError: nesting deeper than the
+        # parser recurses
         raise IntegrityError(f"payload did not decode: {exc}") from exc

@@ -187,7 +187,7 @@ def modify_destination(session: RoutingSession, new_dest: str | None) -> Route |
 
 def fmt_num(x: float) -> str:
     """Render integral floats without a trailing .0 (route traces, CLI)."""
-    if x == int(x) and math.isfinite(x):
+    if math.isfinite(x) and x == int(x):
         return str(int(x))
     return repr(x)
 

@@ -766,8 +766,15 @@ def _oracle_report_from_dict(raw: dict) -> PlainReport:
     intensity_image = IntensityImage(ii["rows"], ii["cols"], [float(v) for v in ii["values"]])
     if not isinstance(raw["arc"], str):
         raise TypeError("arc is not a string")
-    return PlainReport(depth_map, intensity_image, raw["arc"], float(raw["offset_m"]),
-                       raw["vehicle_id"], int(raw["timestamp_ms"]))
+    offset = raw["offset_m"]
+    if isinstance(offset, bool) or not isinstance(offset, (int, float)):
+        raise TypeError("offset_m is not a number")
+    if not isinstance(raw["vehicle_id"], str):
+        raise TypeError("vehicle_id is not a string")
+    if isinstance(raw["timestamp_ms"], bool) or not isinstance(raw["timestamp_ms"], int):
+        raise TypeError("timestamp_ms is not an integer")
+    return PlainReport(depth_map, intensity_image, raw["arc"], float(offset),
+                       raw["vehicle_id"], raw["timestamp_ms"])
 
 
 def oracle_decrypt(env: ReportEnvelope, key: bytes, claimed_location) -> PlainReport:
@@ -790,11 +797,13 @@ def oracle_decrypt(env: ReportEnvelope, key: bytes, claimed_location) -> PlainRe
         return _oracle_report_from_dict(json.loads(payload.decode()))
     except SensorValueError:
         raise
-    # refusing three payloads is the one change from the decode this copies,
+    # refusing three payloads is one change from the decode this copies,
     # which let their errors escape: a number that overflows (OverflowError:
-    # an infinite timestamp, or an integer too large for a float), an arc that
-    # is not a string (TypeError, later, from the registry's arc lookup) and
-    # nesting deeper than the parser recurses (RecursionError)
+    # an integer too large for a float), an arc that is not a string
+    # (TypeError, later, from the registry's arc lookup) and nesting deeper
+    # than the parser recurses (RecursionError); the other is the JSON type
+    # of offset_m, vehicle_id and timestamp_ms, which that decode converted
+    # with float() and int(), or took as it came
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise IntegrityError(f"payload did not decode: {exc}") from exc
 

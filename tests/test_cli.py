@@ -280,9 +280,9 @@ class TestSimulate:
 
     def test_infinite_arc_weight_at_a_dest_change_exits_one_naming_the_arc(self, tmp_path,
                                                                              capsys):
-        # a 1e306 mm pit near the start of a 1000 m arc: the sweep's centroid
-        # stays finite, the uplinked report makes ab weigh inf, and the
-        # DEST_CHANGE at t=8000 routes over it
+        # a 1e306 mm pit near the start of a 1000 m arc: uplinked, its report
+        # would make ab weigh inf, which the DEST_CHANGE at t=8000 would route
+        # over, so the scenario reader refuses the pit
         network = {
             "nodes": [{"id": n, "x": x, "y": 0.0}
                       for n, x in (("A", 0.0), ("B", 1000.0), ("C", 1010.0))],
@@ -304,8 +304,68 @@ class TestSimulate:
         rc = main(["simulate", "--network", str(net), "--scenario", str(scen),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err == \
-            "error: weight inf on arc 'ab' is not a finite number >= 0\n"
+        assert capsys.readouterr().err == (
+            "error: pits[0].depth_mm must be small enough that 2 x max(1, length_m) x the "
+            "summed pit depths of arc 'ab' is finite, got 1e+306\n")
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def deep_pit_inputs(depth_mm, half_length_m):
+        """Two vehicles parked in an open access point's range: v1 on the
+        10 m arc ab, with one pit at 5 m that it sweeps at t=1000, and v2 on
+        the way back, which routes over ab at t=3000."""
+        network = {
+            "nodes": [{"id": "A", "x": 0.0, "y": 0.0}, {"id": "B", "x": 10.0, "y": 0.0}],
+            "arcs": [{"id": "ab", "tail": "A", "head": "B", "length_m": 10.0},
+                     {"id": "ba", "tail": "B", "head": "A", "length_m": 10.0}],
+        }
+        scenario = {
+            "duration_ms": 4000, "seed": 1,
+            "vehicles": [{"id": "v1", "start_arc": "ab", "start_offset_m": 0.0,
+                          "speed_mps": 0.0, "waypoints": ["B"]},
+                         {"id": "v2", "start_arc": "ba", "start_offset_m": 0.0,
+                          "speed_mps": 0.0, "waypoints": ["A"]}],
+            "pits": [{"arc": "ab", "center_m": 5.0, "half_length_m": half_length_m,
+                      "depth_mm": depth_mm, "reflectivity": 0.5}],
+            "access_points": [{"id": "ap", "x": 0.0, "y": 0.0, "range_m": 50.0,
+                               "open": True}],
+            "events": [{"t_ms": 1000, "kind": "DETECT", "vehicle": "v1"},
+                       {"t_ms": 3000, "kind": "DEST_CHANGE", "vehicle": "v2", "dest": "B"}],
+        }
+        return network, scenario
+
+    def test_pit_whose_centroid_sum_overflowed_is_refused_by_its_weight(self, tmp_path,
+                                                                         capsys):
+        # 1.7e307 mm over [4, 6] m: the depth-weighted moment of its four
+        # cells overflows, and 2 x 10 m x 1.7e307 overflows too
+        net, scen = write_inputs(tmp_path, *self.deep_pit_inputs(1.7e307, 1.0))
+        rc = main(["simulate", "--network", str(net), "--scenario", str(scen),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: pits[0].depth_mm must be small enough that 2 x max(1, length_m) x the "
+            "summed pit depths of arc 'ab' is finite, got 1.7e+307\n")
+
+    def test_pit_whose_centroid_sum_overflows_reports_its_centre(self, tmp_path, capsys):
+        # 8e306 mm over [1, 9] m passes the weight rule (2 x 10 x 8e306 is
+        # finite), but the moment of its sixteen cells, 8e306 x 80, overflows:
+        # the report still lies at 5 m, and ab weighs 8e307 on v2's route
+        net, scen = write_inputs(tmp_path, *self.deep_pit_inputs(8e306, 4.0))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--network", str(net), "--scenario", str(scen),
+                   "--out-dir", str(out)])
+        assert rc == 0 and "Traceback" not in capsys.readouterr().err
+        trace = (out / "trace.txt").read_text().splitlines()
+        assert "t=1000 DETECT vehicle=v1 arc=ab reports=1 new=1" in trace
+        assert "t=1000 P2P_BROADCAST vehicle=v1 pothole=ab:5 receivers=v2" in trace
+        assert "t=1000 UPLINK vehicle=v1 delivered=1 queued=0" in trace
+        assert "t=3000 DEST_CHANGE vehicle=v2 dest=B" in trace
+        registry = (out / "registry.csv").read_text().splitlines()
+        assert registry[1:] == ["1,ab,5.0,8e+306,0.5,1000,1000"]
+        weights = (out / "weighted_network.csv").read_text().splitlines()
+        assert "ab,A,B,10.0,1,8e+306,8e+307" in weights
+        # fmt_num writes an integral weight in full
+        assert (out / "route_v2.txt").read_text().splitlines()[0] == f"ab A B {int(8e307)} 10"
 
     def test_detect_on_sub_cell_arc(self, tmp_path):
         # a 0.4 m arc holds no whole 0.5 m scanner cell: nothing to sense

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (SingleHeapSimulation, ap_grid_inputs, build_net, grid_inputs,
-                     vehicle_position_by_formula, visible_ap_by_scan)
+                     handover_inputs, vehicle_position_by_formula, visible_ap_by_scan)
 from potholesim import comms
 from potholesim.comms import (ConnectionState, Phase, Simulation, UnknownVehicleError,
                               World, p2p_broadcast, step_connection, uplink)
@@ -665,6 +665,80 @@ class TestEventOrder:
                       if line.split()[0] in tick_ms}
         assert kinds == {"MOVE", "DETECT", "P2P_BROADCAST", "PHASE_TIMEOUT", "UPLINK",
                          "DEST_CHANGE"}
+
+
+class TestTick:
+    """The tick refreshes a CONNECTED link in place and leaves every phase
+    change to `step_connection`."""
+
+    def test_silence_past_the_timeout_loses_the_link_though_the_peer_is_back(self):
+        # ap1 reaches x <= 50 m; at 100 m/s the vehicle is CONNECTED at t=300,
+        # last hears ap1 at t=500 (x = 50), turns at B (x = 80) at t=800 and
+        # hears ap1 again at t=1100 (x = 50), 600 ms after the last activity
+        net = build_net([("A", 0.0, 0.0), ("B", 80.0, 0.0)],
+                        [("ab", "A", "B", 80.0), ("ba", "B", "A", 80.0)])
+        scenario = scenario_from_dict({
+            "duration_ms": 1500, "seed": 1,
+            "vehicles": [{"id": "v", "start_arc": "ab", "start_offset_m": 0.0,
+                          "speed_mps": 100.0, "waypoints": ["B", "A"]}],
+            "access_points": [{"id": "ap1", "x": 0.0, "y": 0.0, "range_m": 50.0,
+                               "open": True}],
+        }, net)
+        reference = SingleHeapSimulation(net, scenario)
+        want = final_state(reference.run())
+        sim = Simulation(net, scenario)
+        got = final_state(sim.run())
+        assert sim.trace == reference.trace
+        assert got == want
+        ticks = [line.split(" vehicle=v ")[0] + " " + line.split(" phase=")[1]
+                 for line in sim.trace if " PHASE_TIMEOUT " in line]
+        assert ticks[2:13] == [
+            "t=300 PHASE_TIMEOUT CONNECTED ap=ap1",
+            "t=400 PHASE_TIMEOUT CONNECTED ap=ap1",
+            "t=500 PHASE_TIMEOUT CONNECTED ap=ap1",
+            "t=600 PHASE_TIMEOUT CONNECTED ap=ap1",
+            "t=700 PHASE_TIMEOUT CONNECTED ap=ap1",
+            "t=800 PHASE_TIMEOUT CONNECTED ap=ap1",
+            "t=900 PHASE_TIMEOUT CONNECTED ap=ap1",
+            "t=1000 PHASE_TIMEOUT CONNECTED ap=ap1",
+            "t=1100 PHASE_TIMEOUT LOST ap=ap1",
+            "t=1200 PHASE_TIMEOUT SCANNING ap=-",
+            "t=1300 PHASE_TIMEOUT ASSOCIATING ap=ap1",
+        ]
+
+    @pytest.mark.parametrize("make", [grid_inputs, ap_grid_inputs, handover_inputs])
+    def test_no_step_maps_connected_to_connected_with_the_same_peer(self, monkeypatch, make):
+        steps = []
+
+        def recording_step(conn, visible_ap, now_ms, loss_timeout_ms):
+            before = (conn.phase, conn.peer)
+            out = step_connection(conn, visible_ap, now_ms, loss_timeout_ms)
+            steps.append((before, (out.phase, out.peer)))
+            return out
+
+        network, scenario = make()
+        net = network_from_dict(network)
+        scenario = scenario_from_dict(scenario, net)
+        reference = SingleHeapSimulation(net, scenario)
+        reference.run()
+        monkeypatch.setattr(comms, "step_connection", recording_step)
+        sim = Simulation(net, scenario)
+        sim.run()
+        assert sim.trace == reference.trace
+        connected = [line for line in sim.trace if " phase=CONNECTED " in line]
+        assert connected and steps
+        assert not [s for s in steps if s[0] == s[1] and s[0][0] == Phase.CONNECTED]
+
+    def test_each_vehicle_holds_its_own_connection_state(self):
+        network, scenario = handover_inputs()
+        net = network_from_dict(network)
+        sim = Simulation(net, scenario_from_dict(scenario, net))
+        vehicles = sim.world.vehicles.values()
+        assert len({id(v.conn) for v in vehicles}) == len(vehicles)
+        sim.run()
+        assert len({id(v.conn) for v in vehicles}) == len(vehicles)
+        with pytest.raises(TypeError):  # mutable, so never a set member or a key
+            hash(ConnectionState())
 
 
 def sensing_net():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,23 @@ class TestExtract:
         assert rep.cells_depth == (50.0,) * 4
         assert rep.depth_mm == max(rep.cells_depth)
         assert rep.intensity == sum(rep.cells_intensity) / len(rep.cells_intensity)
+
+    @pytest.mark.parametrize("depths, want", [
+        # the moment, 1.7e307 x (4.25 + 4.75 + 5.25 + 5.75), overflows
+        ([1.7e307] * 4, 5.0),
+        # the depth sum overflows while the moment, 1e308 x (0.25 + 0.75),
+        # does not: the plain quotient would read 0
+        ([1e308, 1e308], 0.5),
+        ([sys.float_info.max, sys.float_info.max / 2], 0.25 + 0.5 / 3),
+    ], ids=["moment", "depth-sum", "unequal-depths"])
+    def test_centroid_of_overflowing_depths_is_finite(self, depths, want):
+        start = 4.0 if len(depths) == 4 else 0.0
+        cols = int(start / 0.5) + len(depths)
+        dm = DepthMap(1, cols, 0.5, [0.0] * (cols - len(depths)) + depths)
+        ii = IntensityImage(1, cols, [1.0] * cols)
+        (rep,) = extract_potholes(dm, ii, 10.0, "a1", 0.0)
+        assert rep.offset_m == pytest.approx(want, rel=1e-15)
+        assert rep.depth_mm == max(depths)
 
 
 pit_strategy = st.tuples(

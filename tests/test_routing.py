@@ -275,3 +275,8 @@ class TestTraceFormat:
         assert fmt_num(0.0) == "0"
         assert fmt_num(30.0) == "30"
         assert fmt_num(2.5) == "2.5"
+
+    @pytest.mark.parametrize("x, text", [(math.inf, "inf"), (-math.inf, "-inf"),
+                                         (math.nan, "nan")])
+    def test_fmt_num_of_a_non_finite_number_is_its_repr(self, x, text):
+        assert fmt_num(x) == text

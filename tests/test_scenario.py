@@ -149,6 +149,43 @@ def test_pit_outside_arc_rejected(net):
         scenario_from_dict(bad, net)
 
 
+def pit(arc, depth):
+    return {"arc": arc, "center_m": 0.25, "half_length_m": 0.25, "depth_mm": depth,
+            "reflectivity": 0.5}
+
+
+# on `ab`, 100 m long, the summed depths may reach max / 200; on a 0.5 m
+# arc, max / 2, as on a 1 m one
+PIT_SUM_NET = [("A", 0, 0), ("B", 100, 0), ("C", 100.5, 0)], [("ab", "A", "B", 100.0),
+                                                            ("bc", "B", "C", 0.5)]
+MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("pits, refused", [
+    ([pit("ab", MAX / 200)], None),
+    ([pit("ab", MAX / 100)], 0),
+    ([pit("ab", MAX / 400), pit("ab", MAX / 400)], None),
+    ([pit("ab", MAX / 400), pit("bc", MAX / 4), pit("ab", MAX / 300)], 2),
+    ([pit("bc", MAX / 2)], None),
+    ([pit("bc", MAX / 3), pit("bc", MAX / 3)], 1),
+], ids=["at-the-limit", "past-the-limit", "two-at-the-limit", "per-arc-sums",
+        "short-arc-at-the-limit", "short-arc-past-the-limit"])
+def test_pit_depths_whose_arc_weight_could_overflow_rejected(pits, refused):
+    # the arc's summed pit depths x 2 x max(1, length_m) must be finite: a
+    # DETECT that uplinks these pits then gives every arc a finite weight
+    net = build_net(*PIT_SUM_NET)
+    raw = variant(pits=pits)
+    if refused is None:
+        assert scenario_from_dict(raw, net).pits
+        return
+    with pytest.raises(InputError) as err:
+        scenario_from_dict(raw, net)
+    arc = pits[refused]["arc"]
+    assert str(err.value) == (
+        f"pits[{refused}].depth_mm must be small enough that 2 x max(1, length_m) x the "
+        f"summed pit depths of arc {arc!r} is finite, got {pits[refused]['depth_mm']!r}")
+
+
 def test_event_for_unknown_vehicle_rejected(net):
     bad = variant(events=[{"t_ms": 10, "kind": "DETECT", "vehicle": "nope"}])
     with pytest.raises(InputError, match=r"^events\[0\]\.vehicle: unknown vehicle 'nope'$"):

@@ -151,6 +151,28 @@ class TestOverflowingPayload:
         assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
 
 
+class TestMistypedPayload:
+    """An authentic payload whose field has the wrong JSON type is refused
+    like one that does not decode, never read as another type."""
+
+    @pytest.mark.parametrize("field, literal", [
+        ("offset_m", '"1.0"'), ("offset_m", "true"), ("timestamp_ms", '"7"'),
+        ("timestamp_ms", "7.9"), ("vehicle_id", "7"), ("vehicle_id", '["v1"]')],
+        ids=["string-offset", "bool-offset", "string-timestamp", "fractional-timestamp",
+             "number-vehicle", "list-vehicle"])
+    def test_refused_for_integrity(self, server, field, literal):
+        assert server.receive_envelope(*sealed_payload("ab", 20.0, field, literal),
+                                       "v1", 100) is None
+        assert len(server.registry) == 0 and server.snapshot_seq == 0
+        assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
+
+    @pytest.mark.parametrize("literal", ["20", "2e1"], ids=["integer", "exponent"])
+    def test_offset_that_is_any_json_number_accepted(self, server, literal):
+        assert server.receive_envelope(*sealed_payload("ab", 20.0, "offset_m", literal),
+                                       "v1", 100) == ("1", True)
+        assert server.registry.records["1"].offset_m == 20.0
+
+
 class TestUndecodablePayload:
     """An authentic payload that the registry or the JSON parser cannot take
     is refused as integrity, not raised out of the intake."""
@@ -329,7 +351,8 @@ def assert_same_intake(server, reference, args):
 
 # the last one nests deeper than the parser recurses
 LITERALS = ["NaN", *INFINITIES, *HUGE_INTS, '"20"', '"x"', '""', "true", "false", "null",
-            "[]", "{}", "[1]", "0", "-1", "0.5", "1.5", "2", "[" * 10_000 + "]" * 10_000]
+            "[]", "{}", "[1]", "0", "-1", "0.5", "1.5", "2", '"1.0"', '"7"', "7.9",
+            "[" * 10_000 + "]" * 10_000]
 # mostly numbers outside a grid's bounds, which the sensor rules refuse
 CELL_LITERALS = ["NaN", *INFINITIES, "-1", "1.5", "2", "-0.5", '"x"', "null", *HUGE_INTS]
 
