@@ -43,7 +43,13 @@ Modelled behaviors:
     nothing has been heard for more than `SimConfig.loss_timeout_ms`
     (500 ms); while CONNECTED, queued envelopes drain to the server at
     `SimConfig.transfer_budget` (4) per exchange.  A phase is the plain
-    word that the PHASE_TIMEOUT trace line prints.
+    word that the PHASE_TIMEOUT trace line prints.  `step_connection`
+    decides every phase change.  A CONNECTED link whose silence is still
+    within the timeout cannot change phase, so the tick refreshes it in
+    place -- it stores the tick's time as the last activity when it hears
+    the peer, as `uplink` does after a delivery -- and calls
+    `step_connection` only for the other phases and for a link past the
+    timeout (and not for SCANNING with nothing visible, which stays).
 
 Open access points are indexed per arc, the first time a vehicle enters the
 arc (or starts on it).  Each arc lists its *candidates*: the open access

@@ -19,9 +19,10 @@ these changes the construction or a byte on the wire.
 An opened payload is decoded in one pass: `json.loads`, then each grid's
 cells converted by `map(float, ...)` as the grid is built.  A payload that
 is not a JSON object with every field, that nests deeper than the parser
-recurses, whose arc is not a string, or whose number overflows its
-conversion (an infinite timestamp, an integer too large for a float), is
-refused as IntegrityError like a forged one.
+recurses, whose arc or vehicle id is not a string, whose offset is not a
+JSON number or timestamp not a JSON integer (a string, a bool, 7.9), or
+whose number overflows its conversion (an integer too large for a float),
+is refused as IntegrityError like a forged one.
 
 This is a deliberately small reference construction for a simulator with
 a pre-shared key; it is NOT a reviewed, production-grade cipher and must

@@ -25,11 +25,12 @@ section present is a list of objects.  `duration_ms`, `seed` and `t_ms`
 are integers; offsets, speeds, pit numbers and access point coordinates and
 ranges are finite numbers (not strings or booleans); `half_length_m` is
 >= 0, `depth_mm` too, `reflectivity` is in [0, 1] and a pit lies on its
-arc; the depths of an arc's pits sum to a total that, times 2 x max(1,
-`length_m`), is finite, so that no arc weight overflows; vehicle and
-access point ids and event vehicles are non-empty strings, ids of arcs and
-nodes are strings that the network knows, and `open` is a boolean.  Every rejection raises InputError naming the field, e.g.
-`pits[0].arc: unknown arc 'zz'`.
+arc; the depths of an arc's pits sum to a total that, doubled and then
+multiplied by the arc's `length_m`, stays finite, so that no arc weight
+overflows; vehicle and access point ids and event vehicles are non-empty
+strings, ids of arcs and nodes are strings that the network knows, and
+`open` is a boolean.  Every rejection raises InputError naming the field,
+e.g. `pits[0].arc: unknown arc 'zz'`.
 """
 
 from __future__ import annotations
@@ -144,13 +145,14 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
             check_pit(pit, arc.id, arc.length_m)
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from None
-        # the arc's weight, a mean of these depths times its length, and the
-        # sum behind the mean then stay finite whatever the rounding
+        # the sum behind an arc weight's mean depth, and the weight, the mean
+        # times the length, then stay finite whatever the rounding (the
+        # doubled sum is finite on its own, whatever the length)
         depth_sum = depth_sums[arc.id] = depth_sums.get(arc.id, 0.0) + pit.depth_mm
-        if not depth_sum * 2.0 * max(arc.length_m, 1.0) < inf:
+        if not depth_sum * 2.0 * arc.length_m < inf:
             fail(item, "depth_mm", where,
-                 f"small enough that 2 x max(1, length_m) x the summed pit depths "
-                 f"of arc {arc.id!r} is finite")
+                 f"small enough that the summed pit depths of arc {arc.id!r}, doubled "
+                 f"and then multiplied by its length_m, stay finite")
         surface = scenario.pits.get(arc.id)
         if surface is None:
             surface = scenario.pits[arc.id] = GroundTruthSurface(arc.id, arc.length_m)

@@ -305,8 +305,8 @@ class TestSimulate:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: pits[0].depth_mm must be small enough that 2 x max(1, length_m) x the "
-            "summed pit depths of arc 'ab' is finite, got 1e+306\n")
+            "error: pits[0].depth_mm must be small enough that the summed pit depths of "
+            "arc 'ab', doubled and then multiplied by its length_m, stay finite, got 1e+306\n")
         assert not (tmp_path / "out").exists()
 
     @staticmethod
@@ -337,17 +337,17 @@ class TestSimulate:
     def test_pit_whose_centroid_sum_overflowed_is_refused_by_its_weight(self, tmp_path,
                                                                          capsys):
         # 1.7e307 mm over [4, 6] m: the depth-weighted moment of its four
-        # cells overflows, and 2 x 10 m x 1.7e307 overflows too
+        # cells overflows, and 1.7e307 x 2 x 10 m overflows too
         net, scen = write_inputs(tmp_path, *self.deep_pit_inputs(1.7e307, 1.0))
         rc = main(["simulate", "--network", str(net), "--scenario", str(scen),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: pits[0].depth_mm must be small enough that 2 x max(1, length_m) x the "
-            "summed pit depths of arc 'ab' is finite, got 1.7e+307\n")
+            "error: pits[0].depth_mm must be small enough that the summed pit depths of "
+            "arc 'ab', doubled and then multiplied by its length_m, stay finite, got 1.7e+307\n")
 
     def test_pit_whose_centroid_sum_overflows_reports_its_centre(self, tmp_path, capsys):
-        # 8e306 mm over [1, 9] m passes the weight rule (2 x 10 x 8e306 is
+        # 8e306 mm over [1, 9] m passes the weight rule (8e306 x 2 x 10 is
         # finite), but the moment of its sixteen cells, 8e306 x 80, overflows:
         # the report still lies at 5 m, and ab weighs 8e307 on v2's route
         net, scen = write_inputs(tmp_path, *self.deep_pit_inputs(8e306, 4.0))

@@ -127,6 +127,8 @@ class TestUplink:
         assert uplink(world, "v1", 100) == 3
         assert not world.vehicles["v1"].queue
         assert len(world.server.registry) == 3
+        # a delivery is activity
+        assert world.vehicles["v1"].conn == ConnectionState(Phase.CONNECTED, 100, "ap1")
 
     def test_not_connected_delivers_zero(self):
         world = make_world([parked("v1", 0.0)])
@@ -150,6 +152,7 @@ class TestUplink:
         world.vehicles["v1"].conn = ConnectionState(Phase.CONNECTED, 0, "ap1")
         queue_envelopes(world, "v1", 2, world.config.shared_key)
         assert uplink(world, "v1", 100) == 0
+        assert world.vehicles["v1"].conn == ConnectionState(Phase.CONNECTED, 0, "ap1")
 
 
 # Oracle worlds: one vehicle on the arc P -> Q, whose length is 1 m unless

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -154,11 +155,12 @@ def pit(arc, depth):
             "reflectivity": 0.5}
 
 
-# on `ab`, 100 m long, the summed depths may reach max / 200; on a 0.5 m
-# arc, max / 2, as on a 1 m one
+# on `ab`, 100 m long, the summed depths may reach max / 200; on the 0.5 m
+# `bc`, max / 2, since the doubled sum must be finite before the length
+# scales it
 PIT_SUM_NET = [("A", 0, 0), ("B", 100, 0), ("C", 100.5, 0)], [("ab", "A", "B", 100.0),
                                                             ("bc", "B", "C", 0.5)]
-MAX = 1.7976931348623157e308
+MAX = sys.float_info.max
 
 
 @pytest.mark.parametrize("pits, refused", [
@@ -171,8 +173,8 @@ MAX = 1.7976931348623157e308
 ], ids=["at-the-limit", "past-the-limit", "two-at-the-limit", "per-arc-sums",
         "short-arc-at-the-limit", "short-arc-past-the-limit"])
 def test_pit_depths_whose_arc_weight_could_overflow_rejected(pits, refused):
-    # the arc's summed pit depths x 2 x max(1, length_m) must be finite: a
-    # DETECT that uplinks these pits then gives every arc a finite weight
+    # the arc's summed pit depths, doubled, then x length_m, must be finite:
+    # a DETECT that uplinks these pits then gives every arc a finite weight
     net = build_net(*PIT_SUM_NET)
     raw = variant(pits=pits)
     if refused is None:
@@ -182,8 +184,9 @@ def test_pit_depths_whose_arc_weight_could_overflow_rejected(pits, refused):
         scenario_from_dict(raw, net)
     arc = pits[refused]["arc"]
     assert str(err.value) == (
-        f"pits[{refused}].depth_mm must be small enough that 2 x max(1, length_m) x the "
-        f"summed pit depths of arc {arc!r} is finite, got {pits[refused]['depth_mm']!r}")
+        f"pits[{refused}].depth_mm must be small enough that the summed pit depths of "
+        f"arc {arc!r}, doubled and then multiplied by its length_m, stay finite, "
+        f"got {pits[refused]['depth_mm']!r}")
 
 
 def test_event_for_unknown_vehicle_rejected(net):
