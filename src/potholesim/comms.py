@@ -581,7 +581,7 @@ class Simulation:
         v.offset_m = 0.0
         v.at_ms = now_ms
         v.stopped = False
-        v.session.advance(arc_id)
+        v.session.current_arc = arc_id
         self._schedule_arrival(v.id, now_ms)
 
     def _on_move(self, now_ms: int, vehicle: str) -> None:

@@ -14,9 +14,9 @@ adjacent supra-threshold cells into one report per connected run:
     offset    = depth-weighted centroid of the run, in arc coordinates
     intensity = mean intensity over the run
 
-Grids default to a single lateral row; multi-row grids are collapsed
-per-column (max depth, mean intensity) before run finding.  A grid refuses
-a depth that is not a finite number >= 0 or an intensity outside [0, 1].
+The scanner sweeps one lateral row, and extraction takes one-row grids of
+one width.  A grid refuses a depth that is not a finite number >= 0 or an
+intensity outside [0, 1]; the scenario reader checks the pits.
 """
 
 from __future__ import annotations
@@ -41,20 +41,6 @@ class Pit(NamedTuple):
     reflectivity: float
 
 
-def check_pit(pit: Pit, arc: str, arc_length_m: float) -> None:
-    """Raise ValueError unless `pit` has a depth >= 0, a reflectivity in
-    [0, 1] and lies within arc `arc` of length `arc_length_m`."""
-    center, half, depth, reflectivity = pit
-    if depth < 0:
-        raise ValueError(f"pit depth {depth} < 0")
-    if not (0.0 <= reflectivity <= 1.0):
-        raise ValueError(f"pit reflectivity {reflectivity} outside [0, 1]")
-    if center - half < 0 or center + half > arc_length_m:
-        raise ValueError(
-            f"pit at {center}+-{half} m outside arc "
-            f"{arc!r} of length {arc_length_m} m")
-
-
 @dataclass
 class GroundTruthSurface:
     """Scenario-defined truth the sensor observes, for one arc."""
@@ -62,10 +48,6 @@ class GroundTruthSurface:
     arc: str
     arc_length_m: float
     pits: list[Pit] = field(default_factory=list)
-
-    def __post_init__(self):
-        for p in self.pits:
-            check_pit(p, self.arc, self.arc_length_m)
 
 
 @dataclass
@@ -125,8 +107,8 @@ def cell_count(span_m: float, cell_m: float) -> int:
 
 
 def sweep(surface: GroundTruthSurface, window: tuple[float, float],
-          cell_m: float, rows: int = 1) -> tuple[DepthMap, IntensityImage]:
-    """Sample the surface over a window into paired grids.
+          cell_m: float) -> tuple[DepthMap, IntensityImage]:
+    """Sample the surface over a window into a pair of one-row grids.
 
     Cell i spans [start + i*cell, start + (i+1)*cell) and samples the
     surface at its center.  Only whole cells are produced: a trailing
@@ -154,49 +136,42 @@ def sweep(surface: GroundTruthSurface, window: tuple[float, float],
             if lo <= center <= hi and pit.depth_mm > depth_row[c]:
                 depth_row[c] = pit.depth_mm
                 inten_row[c] = pit.reflectivity
-    dm = DepthMap(rows, cols, cell_m, depth_row * rows)
-    ii = IntensityImage(rows, cols, inten_row * rows)
-    return dm, ii
+    return DepthMap(1, cols, cell_m, depth_row), IntensityImage(1, cols, inten_row)
 
 
 def extract_potholes(dm: DepthMap, ii: IntensityImage, threshold_mm: float,
                      arc: str, window_start_m: float) -> list[PotholeDetection]:
-    """Threshold + longitudinal connected components over the depth map."""
-    if threshold_mm <= 0:
-        raise ValueError("threshold must be > 0")
-    if (dm.rows, dm.cols) != (ii.rows, ii.cols):
-        raise ValueError("depth map and intensity image dimensions differ")
-
-    n = dm.cols
-    col_depth = [max(col) for col in zip(*(dm.depths[r * n:(r + 1) * n]
-                                           for r in range(dm.rows)))]
-    col_inten = [sum(col) / ii.rows for col in zip(*(ii.values[r * n:(r + 1) * n]
-                                                     for r in range(ii.rows)))]
+    """Threshold + longitudinal connected components over a pair of
+    one-row grids of one width; `threshold_mm` is > 0."""
+    if not dm.rows == ii.rows == 1 or dm.cols != ii.cols:
+        raise ValueError(f"expected one-row grids of one width, got {dm.rows}x{dm.cols} "
+                         f"depths and {ii.rows}x{ii.cols} intensities")
+    depths, intensities = dm.depths, ii.values
 
     reports: list[PotholeDetection] = []
     c = 0
     while c < dm.cols:
-        if col_depth[c] < threshold_mm:
+        if depths[c] < threshold_mm:
             c += 1
             continue
         run_start = c
-        while c < dm.cols and col_depth[c] >= threshold_mm:
+        while c < dm.cols and depths[c] >= threshold_mm:
             c += 1
         run = range(run_start, c)
-        depth = max(col_depth[i] for i in run)
-        weight_sum = sum(col_depth[i] for i in run)
-        moment = sum(col_depth[i] * (window_start_m + (i + 0.5) * dm.cell_m) for i in run)
+        depth = max(depths[i] for i in run)
+        weight_sum = sum(depths[i] for i in run)
+        moment = sum(depths[i] * (window_start_m + (i + 0.5) * dm.cell_m) for i in run)
         if not (math.isfinite(weight_sum) and math.isfinite(moment)):
             # a sum overflowed: weigh each cell by its share of the run's
             # deepest one instead, which is > 0 since the threshold is
-            weights = [col_depth[i] / depth for i in run]
+            weights = [depths[i] / depth for i in run]
             weight_sum = sum(weights)
             moment = sum(w * (window_start_m + (i + 0.5) * dm.cell_m)
                          for w, i in zip(weights, run))
         centroid = moment / weight_sum
-        intensity = sum(col_inten[i] for i in run) / len(run)
+        intensity = sum(intensities[i] for i in run) / len(run)
         reports.append(PotholeDetection(
             arc, centroid, depth, intensity,
-            tuple(col_depth[i] for i in run),
-            tuple(col_inten[i] for i in run)))
+            tuple(depths[i] for i in run),
+            tuple(intensities[i] for i in run)))
     return reports

@@ -16,13 +16,14 @@ key and copied for each use; the keystream is XORed over the whole buffer
 as one integer; the location's compact JSON is written directly.  None of
 these changes the construction or a byte on the wire.
 
-An opened payload is decoded in one pass: `json.loads`, then each grid's
-cells converted by `map(float, ...)` as the grid is built.  A payload that
-is not a JSON object with every field, that nests deeper than the parser
-recurses, whose arc or vehicle id is not a string, whose offset is not a
-JSON number or timestamp not a JSON integer (a string, a bool, 7.9), or
-whose number overflows its conversion (an integer too large for a float),
-is refused as IntegrityError like a forged one.
+An opened payload is decoded in one pass: `json.loads`, then each grid,
+whose cells are scanned and copied when all are floats.  A payload that,
+or one of whose grids, holds other keys than the encoder writes, that
+nests deeper than the parser recurses, whose grid sizes are not JSON
+integers or `cell_m` or a cell not a JSON number (a string, a bool), whose
+arc or vehicle id is not a string, offset not a JSON number or timestamp
+not a JSON integer (7.9), or whose number overflows its conversion, is
+refused as IntegrityError like a forged one.
 
 This is a deliberately small reference construction for a simulator with
 a pre-shared key; it is NOT a reviewed, production-grade cipher and must
@@ -171,22 +172,41 @@ def _grid_to_dict(report: PlainReport) -> dict:
     }
 
 
-def _report_from_dict(raw: dict) -> PlainReport:
-    dm = raw["depth_map"]
-    ii = raw["intensity_image"]
-    depth_map = DepthMap(dm["rows"], dm["cols"], dm["cell_m"], list(map(float, dm["depths"])))
-    intensity_image = IntensityImage(ii["rows"], ii["cols"], list(map(float, ii["values"])))
+def _number(value, what: str) -> float:
+    """`value`, a JSON number, as a float; OverflowError past a float's range."""
+    if type(value) is float or type(value) is int:
+        return float(value)
+    raise TypeError(f"{what} is a {type(value).__name__}, not a number")
+
+
+def _cells(cells, what: str) -> list[float]:
+    """A copy of `cells`, JSON numbers, as floats; a sealed report's are floats."""
+    for cell in cells:
+        if type(cell) is not float:
+            return [_number(cell, what) for cell in cells]
+    return list(cells)
+
+
+def _report_from_dict(raw) -> PlainReport:
+    # the JSON types of the scenario rules (`inputs.finite`, `integer`), each
+    # testing the accepting case first and raising TypeError
+    dm, ii = raw["depth_map"], raw["intensity_image"]
     arc, offset, vehicle, timestamp = (raw["arc"], raw["offset_m"], raw["vehicle_id"],
                                        raw["timestamp_ms"])
-    # the JSON types of the scenario rules (`inputs.finite`, `integer`),
-    # testing the accepting case first; an arc that is a list or an object
-    # could not key the registry's arc index
+    rows, cols, cell_m, depths = dm["rows"], dm["cols"], dm["cell_m"], dm["depths"]
+    ii_rows, ii_cols, values = ii["rows"], ii["cols"], ii["values"]
+    # every key `_grid_to_dict` writes is read above (KeyError for a missing
+    # one), so an object of as many keys holds no other
+    if (len(raw), len(dm), len(ii)) != (6, 4, 3):
+        raise TypeError("the payload or a grid holds a key that the encoder does not write")
+    if not type(rows) is type(cols) is type(ii_rows) is type(ii_cols) is int:
+        raise TypeError(f"grid sizes {[rows, cols, ii_rows, ii_cols]!r} are not all integers")
+    depth_map = DepthMap(rows, cols, _number(cell_m, "cell_m"), _cells(depths, "a depth cell"))
+    intensity_image = IntensityImage(ii_rows, ii_cols, _cells(values, "an intensity cell"))
+    # an arc that is a list or an object could not key the registry's arc index
     if type(arc) is not str:
         raise TypeError(f"arc is a {type(arc).__name__}, not a string")
-    if type(offset) is not float:
-        if type(offset) is not int:
-            raise TypeError(f"offset_m is a {type(offset).__name__}, not a number")
-        offset = float(offset)
+    offset = _number(offset, "offset_m")
     if type(vehicle) is not str:
         raise TypeError(f"vehicle_id is a {type(vehicle).__name__}, not a string")
     if type(timestamp) is not int:
@@ -235,7 +255,7 @@ def decrypt(env: ReportEnvelope, key: bytes, claimed_location: Location) -> Plai
     except SensorValueError:
         raise
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-        # TypeError: a field of the wrong JSON type; OverflowError: an integer
-        # too large for a float; RecursionError: nesting deeper than the
-        # parser recurses
+        # KeyError: a missing key; TypeError: an unknown key or a field of
+        # the wrong JSON type; OverflowError: an integer too large for a
+        # float; RecursionError: nesting deeper than the parser recurses
         raise IntegrityError(f"payload did not decode: {exc}") from exc

@@ -166,9 +166,8 @@ class PotholeRegistry:
                 w.writerow([e.pothole_id, e.vehicle_id, e.timestamp_ms])
 
     @classmethod
-    def read_csv(cls, path: str | Path, net: StreetNetwork | None = None,
-                 dedup_radius_m: float = SimConfig.dedup_radius_m) -> "PotholeRegistry":
-        reg = cls(net, dedup_radius_m)
+    def read_csv(cls, path: str | Path, net: StreetNetwork | None = None) -> "PotholeRegistry":
+        reg = cls(net)
 
         def add(row: dict[str, str]) -> None:
             rec = PotholeRecord(

@@ -148,11 +148,6 @@ class RoutingSession:
     def next_node(self) -> str:
         return self.wnet.base.arc(self.current_arc).head
 
-    def advance(self, arc_id: str) -> None:
-        """Record that the vehicle entered a new arc."""
-        self.wnet.base.arc(arc_id)
-        self.current_arc = arc_id
-
     def clear(self) -> None:
         self.destination = None
         self.route = None
@@ -170,14 +165,14 @@ def modify_destination(session: RoutingSession, new_dest: str | None) -> Route |
     Setting a destination re-routes from the vehicle's next upcoming node
     and returns the fresh Route; clearing reverts to weight-display mode
     and returns the current arc weight; an unchanged destination is a
-    no-op.
+    no-op.  An unknown destination raises `route`'s UnknownNodeError
+    before the session changes.
     """
     if new_dest == session.destination:
         return session.display()
     if new_dest is None:
         session.clear()
         return session.wnet.weight(session.current_arc)
-    session.wnet.base.node(new_dest)
     fresh = route(session.wnet, session.next_node, new_dest)
     session.destination = new_dest
     session.route = fresh

@@ -25,12 +25,13 @@ section present is a list of objects.  `duration_ms`, `seed` and `t_ms`
 are integers; offsets, speeds, pit numbers and access point coordinates and
 ranges are finite numbers (not strings or booleans); `half_length_m` is
 >= 0, `depth_mm` too, `reflectivity` is in [0, 1] and a pit lies on its
-arc; the depths of an arc's pits sum to a total that, doubled and then
-multiplied by the arc's `length_m`, stays finite, so that no arc weight
-overflows; vehicle and access point ids and event vehicles are non-empty
-strings, ids of arcs and nodes are strings that the network knows, and
-`open` is a boolean.  Every rejection raises InputError naming the field,
-e.g. `pits[0].arc: unknown arc 'zz'`.
+arc (`center_m` at least `half_length_m` from both ends); the depths of an
+arc's pits sum to a total that, doubled and then multiplied by the arc's
+`length_m`, stays finite, so that no arc weight overflows; vehicle and
+access point ids and event vehicles are non-empty strings, ids of arcs and
+nodes are strings that the network knows, and `open` is a boolean.  Every
+rejection raises InputError naming the field, e.g. `pits[0].arc: unknown
+arc 'zz'`.  This reader alone holds the pit rules: the sensor trusts them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from math import inf
 from pathlib import Path
 from typing import NamedTuple
 
-from .detection import GroundTruthSurface, Pit, check_pit
+from .detection import GroundTruthSurface, Pit
 from .inputs import (NO_KEYS, InputError, fail, finite, integer, keys, lookup,
                      read_json, section, string)
 from .network import StreetNetwork
@@ -139,16 +140,22 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
         arc = lookup(net.arc, item, "arc", where, "arc")
         pit = Pit(finite(item, "center_m", where), finite(item, "half_length_m", where),
                   finite(item, "depth_mm", where), finite(item, "reflectivity", where))
-        if pit.half_length_m < 0:
+        center, half, depth, reflectivity = pit
+        if half < 0:
             fail(item, "half_length_m", where, ">= 0")
-        try:
-            check_pit(pit, arc.id, arc.length_m)
-        except ValueError as exc:
-            raise InputError(f"{where}: {exc}") from None
+        if depth < 0:
+            fail(item, "depth_mm", where, ">= 0")
+        if not (0.0 <= reflectivity <= 1.0):
+            fail(item, "reflectivity", where, "in [0, 1]")
+        # not `half <= center <= length - half`, whose subtraction rounds
+        # differently at the arc's end
+        if center - half < 0 or center + half > arc.length_m:
+            fail(item, "center_m", where, f"at least half_length_m ({half!r}) from both "
+                 f"ends of arc {arc.id!r} of length_m {arc.length_m!r}")
         # the sum behind an arc weight's mean depth, and the weight, the mean
         # times the length, then stay finite whatever the rounding (the
         # doubled sum is finite on its own, whatever the length)
-        depth_sum = depth_sums[arc.id] = depth_sums.get(arc.id, 0.0) + pit.depth_mm
+        depth_sum = depth_sums[arc.id] = depth_sums.get(arc.id, 0.0) + depth
         if not depth_sum * 2.0 * arc.length_m < inf:
             fail(item, "depth_mm", where,
                  f"small enough that the summed pit depths of arc {arc.id!r}, doubled "

@@ -591,7 +591,7 @@ class SingleHeapSimulation:
         v.offset_m = 0.0
         v.at_ms = now_ms
         v.stopped = False
-        v.session.advance(arc_id)
+        v.session.current_arc = arc_id
         self._schedule_arrival(v.id, now_ms)
 
     def _on_move(self, now_ms, vehicle):
@@ -756,18 +756,42 @@ def unchecked_grids(depths, intensities, cell_m: float = 0.5):
     return dm, ii
 
 
+def _oracle_is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _oracle_cells(cells) -> list[float]:
+    if not all(_oracle_is_number(cell) for cell in cells):
+        raise TypeError("a grid has a cell that is not a number")
+    return [float(cell) for cell in cells]
+
+
 def _oracle_report_from_dict(raw: dict) -> PlainReport:
     """The report in a decoded payload, one list comprehension per grid: the
     decode `geocrypto.decrypt` must agree with on every payload, in the
-    report it returns and in the error that refuses it."""
-    dm = raw["depth_map"]
-    ii = raw["intensity_image"]
-    depth_map = DepthMap(dm["rows"], dm["cols"], dm["cell_m"], [float(d) for d in dm["depths"]])
-    intensity_image = IntensityImage(ii["rows"], ii["cols"], [float(v) for v in ii["values"]])
+    report it returns and in the error that refuses it.  The shape of the
+    whole payload is checked first, then each grid's cells as it is built,
+    then the other fields."""
+    shape = {"depth_map": {"rows", "cols", "cell_m", "depths"},
+             "intensity_image": {"rows", "cols", "values"},
+             "arc": None, "offset_m": None, "vehicle_id": None, "timestamp_ms": None}
+    if not isinstance(raw, dict) or set(raw) != set(shape):
+        raise TypeError("the payload does not hold exactly the report's keys")
+    for grid in ("depth_map", "intensity_image"):
+        if not isinstance(raw[grid], dict) or set(raw[grid]) != shape[grid]:
+            raise TypeError(f"{grid} does not hold exactly {sorted(shape[grid])}")
+        if any(isinstance(raw[grid][k], bool) or not isinstance(raw[grid][k], int)
+               for k in ("rows", "cols")):
+            raise TypeError(f"{grid} has a size that is not an integer")
+    dm, ii = raw["depth_map"], raw["intensity_image"]
+    if not _oracle_is_number(dm["cell_m"]):
+        raise TypeError("cell_m is not a number")
+    depth_map = DepthMap(dm["rows"], dm["cols"], float(dm["cell_m"]), _oracle_cells(dm["depths"]))
+    intensity_image = IntensityImage(ii["rows"], ii["cols"], _oracle_cells(ii["values"]))
     if not isinstance(raw["arc"], str):
         raise TypeError("arc is not a string")
     offset = raw["offset_m"]
-    if isinstance(offset, bool) or not isinstance(offset, (int, float)):
+    if not _oracle_is_number(offset):
         raise TypeError("offset_m is not a number")
     if not isinstance(raw["vehicle_id"], str):
         raise TypeError("vehicle_id is not a string")
@@ -801,9 +825,10 @@ def oracle_decrypt(env: ReportEnvelope, key: bytes, claimed_location) -> PlainRe
     # which let their errors escape: a number that overflows (OverflowError:
     # an integer too large for a float), an arc that is not a string
     # (TypeError, later, from the registry's arc lookup) and nesting deeper
-    # than the parser recurses (RecursionError); the other is the JSON type
-    # of offset_m, vehicle_id and timestamp_ms, which that decode converted
-    # with float() and int(), or took as it came
+    # than the parser recurses (RecursionError); the others are the JSON
+    # types of every field, which that decode converted with float() and
+    # int(), or took as it came, and the keys beyond the encoder's, which it
+    # ignored
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise IntegrityError(f"payload did not decode: {exc}") from exc
 

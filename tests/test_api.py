@@ -1,5 +1,6 @@
-"""The package's surface: `__all__` lists only names that exist, and every
-function, method and class in `src/potholesim` is used by the package."""
+"""The package's surface: `__all__` lists only names that exist, every
+function, method and class in `src/potholesim` is used by the package, and
+every parameter default is one that some call in the package overrides."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,70 @@ def unreferenced_definitions(src: Path) -> list[str]:
             and not any(ref == name and key not in owners for ref, owners in refs)]
 
 
+# parameters with a default that no call in the package sets, each with its reason
+UNSET_DEFAULTS = {
+    "cli.main.argv": "the console entry point's: it runs with sys.argv",
+}
+
+
+def unset_defaults(src: Path) -> list[str]:
+    """The dotted names (module.Class.function.parameter) of the parameters
+    with a default in `src/*.py` that no call in `src` sets, by position or
+    by keyword.  A call is matched by the callee's name alone (`f(...)`,
+    `x.f(...)`, or a class's name for its `__init__`), so a name two
+    definitions share counts as a call of both.  A method's first parameter
+    is bound by the attribute access, and a starred argument sets every
+    parameter of its kind."""
+    params = []  # (dotted name, callee names, position or None, parameter name)
+    calls = []
+
+    def visit(node, scope: str, in_class: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}{child.name}.", child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if in_class and not static else 0
+                names = {child.name}
+                if in_class and child.name == "__init__":
+                    names = {in_class}
+                dotted = f"{scope}{child.name}."
+                for k, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                        len(positional) - len(args.defaults)):
+                    params.append((dotted + arg.arg, names, k - skip, arg.arg))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        params.append((dotted + arg.arg, names, None, arg.arg))
+                visit(child, f"{dotted}<locals>.", None)
+                continue
+            if isinstance(child, ast.Call):
+                calls.append(child)
+            visit(child, scope, in_class)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.", None)
+
+    def callee(call: ast.Call) -> str | None:
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    def sets(call: ast.Call, position: int | None, name: str) -> bool:
+        if any(kw.arg in (name, None) for kw in call.keywords):  # None: **kwargs
+            return True
+        if position is None:
+            return False
+        return (len(call.args) > position
+                or any(isinstance(a, ast.Starred) for a in call.args))
+
+    return [dotted for dotted, names, position, name in params
+            if not any(callee(call) in names and sets(call, position, name)
+                       for call in calls)]
+
+
 def test_every_exported_name_imports():
     namespace: dict = {}
     exec("from potholesim import *", namespace)  # fails on a stale name
@@ -68,3 +133,30 @@ def test_the_guard_flags_a_definition_only_it_uses(tmp_path):
     (tmp_path / "b.py").write_text("from .a import Used\nUsed().method()\n",
                                    encoding="utf-8")
     assert unreferenced_definitions(tmp_path) == ["a.Used.recursive"]
+
+
+def test_every_parameter_default_is_overridden_by_the_package():
+    assert sorted(unset_defaults(SRC)) == sorted(UNSET_DEFAULTS)
+
+
+def test_the_guard_flags_a_default_no_call_sets(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Thing:\n"
+        "    def __init__(self, size=1, colour='red'):\n"
+        "        self.size = size\n"
+        "    def grow(self, by=1, *, times=1):\n"
+        "        return by * times\n"
+        "    @staticmethod\n"
+        "    def make(size=1):\n"
+        "        return Thing(size)\n"
+        "def spread(first, second=0, third=0):\n"
+        "    return first + second + third\n"
+        "def relay(*args, **kwargs):\n"
+        "    return spread(*args), Thing(**kwargs)\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from .a import Thing\n"
+        "Thing.make(3).grow(times=2)\n", encoding="utf-8")
+    # `Thing(size)` and `Thing(**kwargs)` set both of __init__'s; `spread(*args)`
+    # sets every positional one; `grow(times=2)` leaves `by` unset, and the
+    # staticmethod `make(3)` binds `size` by position
+    assert unset_defaults(tmp_path) == ["a.Thing.grow.by"]

@@ -154,11 +154,12 @@ class TestSimulate:
          "vehicles[0].id must be a non-empty string, got ''"),
         ("access_points", [dict(SCENARIO["access_points"][0], id="")],
          "access_points[0].id must be a non-empty string, got ''"),
-        ("pits", [dict(SCENARIO["pits"][0], depth_mm=-1)], "pits[0]: pit depth -1.0 < 0"),
+        ("pits", [dict(SCENARIO["pits"][0], depth_mm=-1)],
+         "pits[0].depth_mm must be >= 0, got -1"),
         ("pits", [dict(SCENARIO["pits"][0], reflectivity=1.5)],
-         "pits[0]: pit reflectivity 1.5 outside [0, 1]"),
+         "pits[0].reflectivity must be in [0, 1], got 1.5"),
         ("pits", [SCENARIO["pits"][0], dict(SCENARIO["pits"][0], center_m=99.5)],
-         "pits[1]: pit at 99.5+-1.0 m outside arc 'ab'"),
+         "pits[1].center_m must be at least half_length_m (1.0) from both ends of arc 'ab'"),
     ], ids=["nan-ap-range", "inf-ap-x", "nan-speed", "non-object-vehicle", "null-events",
             "string-duration", "bool-seed", "null-t-ms", "null-start-offset", "number-waypoints",
             "nan-depth", "negative-half-length", "unknown-pit-arc", "unknown-start-arc",

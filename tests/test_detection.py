@@ -73,12 +73,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(surf, (0.0, 0.2), 0.5)      # shorter than one cell
 
-    def test_multi_row(self):
-        surf = surface([Pit(5.0, 1.0, 50.0, 0.4)])
-        dm, ii = sweep(surf, (0.0, 10.0), 0.5, rows=3)
-        assert dm.rows == 3 and len(dm.depths) == 60
-        assert dm.depths[9] == dm.depths[2 * dm.cols + 9] == 50.0
-
 
 class TestGridCells:
     """A grid refuses a cell no scanner reads, wherever it sits."""
@@ -135,7 +129,16 @@ class TestExtract:
     def test_mismatched_grids(self):
         dm = DepthMap(1, 4, 0.5, [0, 0, 0, 0])
         ii = IntensityImage(1, 5, [1, 1, 1, 1, 1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one-row grids of one width"):
+            extract_potholes(dm, ii, 10.0, "a1", 0.0)
+
+    @pytest.mark.parametrize("dm, ii", [
+        (DepthMap(2, 2, 0.5, [0, 20, 0, 20]), IntensityImage(2, 2, [1, 1, 1, 1])),
+        (DepthMap(1, 4, 0.5, [0, 20, 20, 0]), IntensityImage(2, 2, [1, 1, 1, 1])),
+    ], ids=["both", "intensities"])
+    def test_grids_of_two_rows_refused(self, dm, ii):
+        # the sensor sweeps one row; a received report's grids may hold more
+        with pytest.raises(ValueError, match="one-row grids of one width"):
             extract_potholes(dm, ii, 10.0, "a1", 0.0)
 
     def test_run_cells_ride_along(self):

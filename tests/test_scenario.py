@@ -146,8 +146,26 @@ def test_disconnected_waypoints_rejected(net):
 def test_pit_outside_arc_rejected(net):
     bad = variant(pits=[{"arc": "ab", "center_m": 99.9, "half_length_m": 1.0,
                          "depth_mm": 30.0, "reflectivity": 0.5}])
-    with pytest.raises(InputError, match=r"^pits\[0\]: pit at 99\.9\+-1\.0 m outside arc 'ab'"):
+    with pytest.raises(InputError) as err:
         scenario_from_dict(bad, net)
+    assert str(err.value) == ("pits[0].center_m must be at least half_length_m (1.0) from both "
+                              "ends of arc 'ab' of length_m 100.0, got 99.9")
+
+
+# the centers that put a 1 m pit flush with either end of the 100 m arc 'ab',
+# and the floats one ulp past them; the refusal's message is pinned in
+# `test_rule_names_its_field`
+@pytest.mark.parametrize("center, on_arc", [
+    (1.0, True), (99.0, True),
+    (math.nextafter(1.0, 0.0), False), (math.nextafter(99.0, math.inf), False),
+], ids=["flush-start", "flush-end", "ulp-before-start", "ulp-past-end"])
+def test_pit_flush_with_an_arc_end_accepted_and_one_ulp_past_refused(net, center, on_arc):
+    raw = variant(pits=[dict(BASE["pits"][0], center_m=center, half_length_m=1.0)])
+    if on_arc:
+        assert scenario_from_dict(raw, net).pits["ab"].pits[0].center_m == center
+    else:
+        with pytest.raises(InputError, match=r"^pits\[0\]"):
+            scenario_from_dict(raw, net)
 
 
 def pit(arc, depth):
@@ -272,11 +290,15 @@ def test_access_point_open_must_be_a_boolean(net, value):
      "vehicles[0].start_offset_m must be in [0, 100.0) on arc 'ab', got 100.0"),
     ("vehicles", dict(BASE["vehicles"][0], waypoints=[""]),
      "vehicles[0].waypoints[0] must be a non-empty string, got ''"),
-    ("pits", dict(BASE["pits"][0], depth_mm=-1), "pits[0]: pit depth -1.0 < 0"),
+    ("pits", dict(BASE["pits"][0], depth_mm=-1), "pits[0].depth_mm must be >= 0, got -1"),
     ("pits", dict(BASE["pits"][0], reflectivity=1.5),
-     "pits[0]: pit reflectivity 1.5 outside [0, 1]"),
+     "pits[0].reflectivity must be in [0, 1], got 1.5"),
     ("pits", dict(BASE["pits"][0], center_m=0.5),
-     "pits[0]: pit at 0.5+-1.0 m outside arc 'ab' of length 100.0 m"),
+     "pits[0].center_m must be at least half_length_m (1.0) from both ends of arc 'ab' "
+     "of length_m 100.0, got 0.5"),
+    ("pits", dict(BASE["pits"][0], center_m=math.nextafter(99.0, math.inf)),
+     "pits[0].center_m must be at least half_length_m (1.0) from both ends of arc 'ab' "
+     "of length_m 100.0, got 99.00000000000001"),
     ("access_points", dict(BASE["access_points"][0], id=""),
      "access_points[0].id must be a non-empty string, got ''"),
     ("access_points", dict(BASE["access_points"][0], range_m=0),
@@ -287,6 +309,7 @@ def test_access_point_open_must_be_a_boolean(net, value):
      "events[0].vehicle must be a non-empty string, got ''"),
 ], ids=["empty-vehicle-id", "huge-speed", "negative-speed", "offset-at-arc-end",
         "empty-waypoint", "negative-depth", "reflectivity-above-one", "pit-before-arc-start",
+        "pit-an-ulp-past-arc-end",
         "empty-ap-id", "zero-range", "unknown-kind", "empty-event-vehicle"])
 def test_rule_names_its_field(net, section, item, message):
     with pytest.raises(InputError) as err:

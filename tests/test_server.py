@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from helpers import (OracleIntake, close, enumerate_min_weight, oracle_encrypt, oracle_seal,
                      random_network, unchecked_grids)
 from potholesim.detection import DepthMap, IntensityImage
-from potholesim.geocrypto import PlainReport, ReportEnvelope, _grid_to_dict, encrypt
+from potholesim.geocrypto import (IntegrityError, PlainReport, ReportEnvelope, _grid_to_dict,
+                                  decrypt, encrypt)
 from potholesim.network import UnknownArcError
 from potholesim.registry import PotholeRegistry, read_events_csv
 from potholesim.server import (ConditionRequest, ConditionResponse, ErrorResponse,
@@ -123,14 +124,17 @@ class TestReportRules:
 
 def sealed_payload(arc, offset, field, literal):
     """An authentic envelope whose payload, a sealed 1x2 report, holds the
-    JSON text `literal` as `field` (a top-level key, or `depths` for the
-    first depth cell), and the location it claims."""
+    JSON text `literal` as `field`, and the location it claims.  `field` is
+    a dotted path from the top level: `offset_m`, `depth_map.rows` or
+    `intensity_image.values.1`, the second intensity cell; a key the report
+    lacks is added."""
     raw = _grid_to_dict(PlainReport(*unchecked_grids([30.0, 15.0], [0.4, 0.6]),
                                     arc, offset, "v1", 100))
-    if field == "depths":
-        raw["depth_map"]["depths"][0] = "@"
-    else:
-        raw[field] = "@"
+    *owners, key = field.split(".")
+    owner = raw
+    for name in owners:
+        owner = owner[name]
+    owner[int(key) if key.isdigit() else key] = "@"
     payload = json.dumps(raw, sort_keys=True, separators=(",", ":")).replace('"@"', literal)
     return oracle_seal(payload.encode(), KEY, (arc, offset), random.Random(1)), (arc, offset)
 
@@ -141,7 +145,7 @@ class TestOverflowingPayload:
 
     @pytest.mark.parametrize("field, literal", [
         ("timestamp_ms", "Infinity"), ("timestamp_ms", "-1e999"),
-        ("offset_m", HUGE_INTS[0]), ("depths", HUGE_INTS[0])],
+        ("offset_m", HUGE_INTS[0]), ("depth_map.depths.0", HUGE_INTS[0])],
         ids=["infinite-timestamp", "negative-infinite-timestamp", "huge-offset",
              "huge-depth-cell"])
     def test_refused_for_integrity(self, server, field, literal):
@@ -157,9 +161,13 @@ class TestMistypedPayload:
 
     @pytest.mark.parametrize("field, literal", [
         ("offset_m", '"1.0"'), ("offset_m", "true"), ("timestamp_ms", '"7"'),
-        ("timestamp_ms", "7.9"), ("vehicle_id", "7"), ("vehicle_id", '["v1"]')],
+        ("timestamp_ms", "7.9"), ("vehicle_id", "7"), ("vehicle_id", '["v1"]'),
+        ("depth_map.depths.0", '"30"'), ("intensity_image.values.1", "true"),
+        ("depth_map.rows", "true"), ("intensity_image.cols", "2.0"),
+        ("depth_map.cell_m", '"0.5"'), ("depth_map.depths", '{"30":1,"15":1}')],
         ids=["string-offset", "bool-offset", "string-timestamp", "fractional-timestamp",
-             "number-vehicle", "list-vehicle"])
+             "number-vehicle", "list-vehicle", "string-depth-cell", "bool-intensity-cell",
+             "bool-rows", "float-cols", "string-cell-m", "object-depths"])
     def test_refused_for_integrity(self, server, field, literal):
         assert server.receive_envelope(*sealed_payload("ab", 20.0, field, literal),
                                        "v1", 100) is None
@@ -171,6 +179,38 @@ class TestMistypedPayload:
         assert server.receive_envelope(*sealed_payload("ab", 20.0, "offset_m", literal),
                                        "v1", 100) == ("1", True)
         assert server.registry.records["1"].offset_m == 20.0
+
+    def test_integer_cell_read_as_a_float(self, server):
+        env, loc = sealed_payload("ab", 20.0, "depth_map.depths.0", "30")
+        depths = decrypt(env, KEY, loc).depth_map.depths
+        assert depths == [30.0, 15.0] and type(depths[0]) is float
+        assert server.receive_envelope(env, loc, "v1", 100) == ("1", True)
+
+    def test_integer_cell_size_read_as_a_float(self, server):
+        env, loc = sealed_payload("ab", 20.0, "depth_map.cell_m", "1")
+        cell_m = decrypt(env, KEY, loc).depth_map.cell_m
+        assert cell_m == 1.0 and type(cell_m) is float
+
+
+class TestUnknownPayloadKeys:
+    """A payload or grid key that the encoder does not write is refused as
+    integrity, and a payload that is not an object is too."""
+
+    @pytest.mark.parametrize("field", ["extra", "cell_m", "depth_map.values",
+                                       "intensity_image.cell_m", "intensity_image.extra"])
+    def test_unknown_key_refused(self, server, field):
+        assert server.receive_envelope(*sealed_payload("ab", 20.0, field, "0.5"),
+                                       "v1", 100) is None
+        assert len(server.registry) == 0 and server.snapshot_seq == 0
+        assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
+
+    @pytest.mark.parametrize("payload", [b"[]", b"7", b"null", b'"x"', b"[{}]"])
+    def test_payload_that_is_not_an_object_refused(self, server, payload):
+        env = oracle_seal(payload, KEY, ("ab", 20.0), random.Random(1))
+        with pytest.raises(IntegrityError, match="payload did not decode"):
+            decrypt(env, KEY, ("ab", 20.0))
+        assert server.receive_envelope(env, ("ab", 20.0), "v1", 100) is None
+        assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
 
 
 class TestUndecodablePayload:
@@ -351,10 +391,12 @@ def assert_same_intake(server, reference, args):
 
 # the last one nests deeper than the parser recurses
 LITERALS = ["NaN", *INFINITIES, *HUGE_INTS, '"20"', '"x"', '""', "true", "false", "null",
-            "[]", "{}", "[1]", "0", "-1", "0.5", "1.5", "2", '"1.0"', '"7"', "7.9",
+            "[]", "{}", "[1]", "0", "-1", "0.5", "1.5", "2", '"1.0"', '"7"', "7.9", '"0.5"',
             "[" * 10_000 + "]" * 10_000]
-# mostly numbers outside a grid's bounds, which the sensor rules refuse
-CELL_LITERALS = ["NaN", *INFINITIES, "-1", "1.5", "2", "-0.5", '"x"', "null", *HUGE_INTS]
+# mostly numbers outside a grid's bounds, which the sensor rules refuse, and
+# cells of another JSON type, which the decode refuses
+CELL_LITERALS = ["NaN", *INFINITIES, "-1", "1.5", "2", "-0.5", '"x"', "null", *HUGE_INTS,
+                 '"30"', "true", "1", "0"]
 
 
 def raw_payload(rng: random.Random, net) -> tuple[bytes, tuple[str, float]]:
@@ -378,7 +420,7 @@ def raw_payload(rng: random.Random, net) -> tuple[bytes, tuple[str, float]]:
         literals[placeholder], owner[key] = rng.choice(choices), placeholder
 
     for grid, cells_key in [("depth_map", "depths"), ("intensity_image", "values")]:
-        change = rng.choice(["none"] * 4 + ["cell", "cell", "count", "field", "grid"])
+        change = rng.choice(["none"] * 4 + ["cell", "cell", "count", "field", "grid", "key"])
         if change == "cell":
             put(raw[grid][cells_key], rng.randrange(cells), CELL_LITERALS)
         elif change == "count":  # a cell count other than rows x cols
@@ -388,6 +430,10 @@ def raw_payload(rng: random.Random, net) -> tuple[bytes, tuple[str, float]]:
             put(raw[grid], rng.choice(sorted(raw[grid])))
         elif change == "grid":
             put(raw, grid)
+        elif change == "key":  # a key of the other grid, of neither, or its own
+            put(raw[grid], rng.choice(["cell_m", "depths", "values", "extra"]))
+    if rng.random() < 0.05:  # a key the top level does not hold
+        put(raw, rng.choice(["cell_m", "rows", "extra"]))
     for key in rng.sample(["offset_m", "timestamp_ms", "arc", "vehicle_id"],
                           rng.choice([0, 0, 1, 2])):
         put(raw, key)
