@@ -180,11 +180,13 @@ def _number(value, what: str) -> float:
 
 
 def _cells(cells, what: str) -> list[float]:
-    """A copy of `cells`, JSON numbers, as floats; a sealed report's are floats."""
+    """`cells`, JSON numbers, as floats: the decoded list itself when all are
+    floats, as a sealed report's are.  Cells that are not a list pass only
+    when there are none, which no grid's size admits."""
     for cell in cells:
         if type(cell) is not float:
             return [_number(cell, what) for cell in cells]
-    return list(cells)
+    return cells
 
 
 def _report_from_dict(raw) -> PlainReport:
@@ -197,16 +199,19 @@ def _report_from_dict(raw) -> PlainReport:
     ii_rows, ii_cols, values = ii["rows"], ii["cols"], ii["values"]
     # every key `_grid_to_dict` writes is read above (KeyError for a missing
     # one), so an object of as many keys holds no other
-    if (len(raw), len(dm), len(ii)) != (6, 4, 3):
+    if len(raw) != 6 or len(dm) != 4 or len(ii) != 3:
         raise TypeError("the payload or a grid holds a key that the encoder does not write")
     if not type(rows) is type(cols) is type(ii_rows) is type(ii_cols) is int:
         raise TypeError(f"grid sizes {[rows, cols, ii_rows, ii_cols]!r} are not all integers")
-    depth_map = DepthMap(rows, cols, _number(cell_m, "cell_m"), _cells(depths, "a depth cell"))
+    if type(cell_m) is not float:
+        cell_m = _number(cell_m, "cell_m")
+    depth_map = DepthMap(rows, cols, cell_m, _cells(depths, "a depth cell"))
     intensity_image = IntensityImage(ii_rows, ii_cols, _cells(values, "an intensity cell"))
     # an arc that is a list or an object could not key the registry's arc index
     if type(arc) is not str:
         raise TypeError(f"arc is a {type(arc).__name__}, not a string")
-    offset = _number(offset, "offset_m")
+    if type(offset) is not float:
+        offset = _number(offset, "offset_m")
     if type(vehicle) is not str:
         raise TypeError(f"vehicle_id is a {type(vehicle).__name__}, not a string")
     if type(timestamp) is not int:

@@ -147,7 +147,7 @@ def test_the_guard_flags_a_default_no_call_sets(tmp_path):
         "    def grow(self, by=1, *, times=1):\n"
         "        return by * times\n"
         "    @staticmethod\n"
-        "    def make(size=1):\n"
+        "    def make(size=1, colour='red'):\n"
         "        return Thing(size)\n"
         "def spread(first, second=0, third=0):\n"
         "    return first + second + third\n"
@@ -156,7 +156,8 @@ def test_the_guard_flags_a_default_no_call_sets(tmp_path):
     (tmp_path / "b.py").write_text(
         "from .a import Thing\n"
         "Thing.make(3).grow(times=2)\n", encoding="utf-8")
-    # `Thing(size)` and `Thing(**kwargs)` set both of __init__'s; `spread(*args)`
-    # sets every positional one; `grow(times=2)` leaves `by` unset, and the
-    # staticmethod `make(3)` binds `size` by position
-    assert unset_defaults(tmp_path) == ["a.Thing.grow.by"]
+    # `Thing(size)` sets `size` and `Thing(**kwargs)` every keyword of
+    # __init__; `spread(*args)` sets every positional parameter; `grow(times=2)`
+    # leaves `by` unset; the staticmethod call `make(3)` binds its first
+    # parameter, `size`, and leaves `colour` unset
+    assert unset_defaults(tmp_path) == ["a.Thing.grow.by", "a.Thing.make.colour"]
