@@ -181,8 +181,7 @@ def _number(value, what: str) -> float:
 
 def _cells(cells, what: str) -> list[float]:
     """`cells`, JSON numbers, as floats: the decoded list itself when all are
-    floats, as a sealed report's are.  Cells that are not a list pass only
-    when there are none, which no grid's size admits."""
+    floats; a non-list passes only when empty, which no grid's size admits."""
     for cell in cells:
         if type(cell) is not float:
             return [_number(cell, what) for cell in cells]
@@ -190,8 +189,7 @@ def _cells(cells, what: str) -> list[float]:
 
 
 def _report_from_dict(raw) -> PlainReport:
-    # the JSON types of the scenario rules (`inputs.finite`, `integer`), each
-    # testing the accepting case first and raising TypeError
+    # the JSON types of `inputs.finite` and `integer`, accepting case first
     dm, ii = raw["depth_map"], raw["intensity_image"]
     arc, offset, vehicle, timestamp = (raw["arc"], raw["offset_m"], raw["vehicle_id"],
                                        raw["timestamp_ms"])
