@@ -71,9 +71,7 @@ def unset_defaults(src: Path) -> list[str]:
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                              for d in child.decorator_list)
                 skip = 1 if in_class and not static else 0
-                names = {child.name}
-                if in_class and child.name == "__init__":
-                    names = {in_class}
+                names = {in_class if in_class and child.name == "__init__" else child.name}
                 dotted = f"{scope}{child.name}."
                 for k, arg in enumerate(positional[len(positional) - len(args.defaults):],
                                         len(positional) - len(args.defaults)):
