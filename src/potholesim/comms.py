@@ -12,9 +12,10 @@ scenario and seed give a bit-identical trace.
     entry queued so far.  Ticks run in (t_ms, seq) order, so every queued
     tick is due within one latency of the one running and the FIFO stays
     sorted by (t_ms, seq) without any heap operation;
-  * the heap -- every other event, as (t_ms, seq, kind, payload), where
-    the kind names the handler and the payload holds its arguments after
-    the time.
+  * the heap -- every other event, as (t_ms, seq, handler, payload), where
+    the handler is the `Simulation` method that runs it and the payload its
+    arguments after the time, the first the event's `VehicleState`: set-up
+    looks each scenario event's vehicle up once, and the events carry it.
 
 The loop runs the first tick while it sorts before the top of the heap and
 pops the heap otherwise.  Seqs are unique, so the comparison never reaches
@@ -125,8 +126,9 @@ vehicle would fail the closed distance test.  A world whose
 margin: it holds nothing and rejects no vehicle by box.
 
 Trace format: one line per processed event, `t=<ms> <EVENT_KIND> <details>`
-with a fixed field order per kind.  A DEST_CHANGE whose destination is
-unreachable ends in ` unreachable` and clears the vehicle's destination.
+with a fixed field order per kind, which each handler writes.  A DEST_CHANGE
+whose destination is unreachable ends in ` unreachable` and clears the
+vehicle's destination.
 """
 
 from __future__ import annotations
@@ -135,6 +137,7 @@ import heapq
 import itertools
 import random
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import frexp, hypot, inf, ldexp
 from sys import float_info
@@ -236,17 +239,6 @@ class VehicleState:
     # `World._scan`); `World.set_arc` and a MOVE clear the hold
     held: str | None = None
     hold_ms: int = 0
-
-
-class EventKind:
-    """Event kinds; each is also the word that opens its trace lines."""
-
-    MOVE = "MOVE"
-    DETECT = "DETECT"
-    P2P_BROADCAST = "P2P_BROADCAST"
-    PHASE_TIMEOUT = "PHASE_TIMEOUT"
-    UPLINK = "UPLINK"
-    DEST_CHANGE = "DEST_CHANGE"
 
 
 # the candidate margin, relative to the range plus the segment's extent, and
@@ -500,57 +492,46 @@ class Simulation:
         self.config = config
         self.duration_ms = scenario.duration_ms
         self.trace: list[str] = []
-        self._heap: list[tuple[int, int, str, tuple]] = []
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._ticks: deque[tuple[int, int, VehicleState]] = deque()
         self._seq = itertools.count()  # the seqs of both queues
 
         for ev in scenario.events:
+            v = self.world.vehicle(ev.vehicle)
             if ev.kind == "DEST_CHANGE":
-                self._schedule(ev.t_ms, EventKind.DEST_CHANGE, ev.vehicle, ev.dest)
+                self._schedule(ev.t_ms, self._on_dest_change, v, ev.dest)
             else:
-                self._schedule(ev.t_ms, EventKind.DETECT, ev.vehicle)
+                self._schedule(ev.t_ms, self._on_detect, v)
         first_tick_ms = config.phase_latency_ms
-        for vid, v in self.world.vehicles.items():
+        for v in self.world.vehicles.values():
             if v.speed_mps > 0:
-                self._schedule_arrival(vid, 0)
+                self._schedule_arrival(v, 0)
             if first_tick_ms < self.duration_ms:
                 self._ticks.append((first_tick_ms, next(self._seq), v))
 
-    def _schedule(self, t_ms: int, kind: str, *payload) -> None:
-        """Queue the handler of `kind` to run at `t_ms` with `payload` as
-        its arguments after the time."""
+    def _schedule(self, t_ms: int, handler: Callable[..., None], *payload) -> None:
+        """Queue `handler` to run at `t_ms` with `payload` as its arguments
+        after the time."""
         if t_ms >= self.duration_ms:
             return
-        heapq.heappush(self._heap, (t_ms, next(self._seq), kind, payload))
+        heapq.heappush(self._heap, (t_ms, next(self._seq), handler, payload))
 
-    def _schedule_arrival(self, vid: str, now_ms: int) -> None:
-        v = self.world.vehicle(vid)
-        arc = self.world.net.arcs[v.arc]
-        ms = (arc.length_m - v.offset_m) / v.speed_mps * 1000.0
+    def _schedule_arrival(self, v: VehicleState, now_ms: int) -> None:
+        ms = (self.world.net.arcs[v.arc].length_m - v.offset_m) / v.speed_mps * 1000.0
         if ms < self.duration_ms:  # a later arrival, inf included, never runs
-            self._schedule(now_ms + int(round(ms)), EventKind.MOVE, vid)
-
-    def _emit(self, t_ms: int, kind: str, details: str) -> None:
-        self.trace.append(f"t={t_ms} {kind} {details}")
+            self._schedule(now_ms + int(round(ms)), self._on_move, v)
 
     def run(self) -> World:
-        handlers = {
-            EventKind.MOVE: self._on_move,
-            EventKind.DETECT: self._on_detect,
-            EventKind.P2P_BROADCAST: self._on_broadcast,
-            EventKind.UPLINK: self._on_uplink,
-            EventKind.DEST_CHANGE: self._on_dest_change,
-        }
         heap, pop = self._heap, heapq.heappop
         ticks, seq, emit = self._ticks, self._seq, self.trace.append
-        scan, schedule = self.world._scan, self._schedule
+        scan, schedule, on_uplink = self.world._scan, self._schedule, self._on_uplink
         latency, loss_timeout_ms = self.config.phase_latency_ms, self.config.loss_timeout_ms
         end_ms = self.duration_ms
         scanning, connected = Phase.SCANNING, Phase.CONNECTED
         while ticks or heap:
             if not ticks or (heap and heap[0] < ticks[0]):
-                t, _, kind, payload = pop(heap)
-                handlers[kind](t, *payload)
+                t, _, handler, payload = pop(heap)
+                handler(t, *payload)
                 continue
             # PHASE_TIMEOUT: one connection step, then the next tick
             t, _, v = ticks.popleft()
@@ -569,7 +550,7 @@ class Simulation:
             emit(f"t={t} PHASE_TIMEOUT vehicle={v.id} phase={conn.phase} "
                  f"ap={conn.peer or '-'}")
             if conn.phase == connected and visible == conn.peer and v.queue:
-                schedule(t, EventKind.UPLINK, v.id)
+                schedule(t, on_uplink, v)
             if t + latency < end_ms:
                 ticks.append((t + latency, next(seq), v))
         return self.world
@@ -582,13 +563,13 @@ class Simulation:
         v.at_ms = now_ms
         v.stopped = False
         v.session.current_arc = arc_id
-        self._schedule_arrival(v.id, now_ms)
+        self._schedule_arrival(v, now_ms)
 
-    def _on_move(self, now_ms: int, vehicle: str) -> None:
+    def _on_move(self, now_ms: int, v: VehicleState) -> None:
         net = self.world.net
-        v = self.world.vehicle(vehicle)
-        node = net.arc(v.arc).head
-        v.offset_m = net.arc(v.arc).length_m
+        arc = net.arcs[v.arc]
+        node = arc.head
+        v.offset_m = arc.length_m
         v.at_ms = now_ms
         v.hold_ms = 0
         if v.waypoints and v.waypoints[0] == node:
@@ -599,22 +580,20 @@ class Simulation:
         if s.destination is not None:
             if node == s.destination:
                 s.clear()  # reached; fall back to waypoint driving
-            elif s.pending_arcs and net.arc(s.pending_arcs[0]).tail == node:
+            elif s.pending_arcs and net.arcs[s.pending_arcs[0]].tail == node:
                 next_arc = s.pending_arcs.pop(0)
         if next_arc is None and s.destination is None and v.waypoints:
-            candidates = net.arcs_between(node, v.waypoints[0])
-            if candidates:
-                next_arc = candidates[0].id
+            ids = net.pairs.get((node, v.waypoints[0]))
+            if ids:
+                next_arc = ids[0]
 
         if next_arc is not None:
             self._enter_arc(v, next_arc, now_ms)
         else:
             v.stopped = True
-        self._emit(now_ms, EventKind.MOVE,
-                   f"vehicle={vehicle} node={node} arc={next_arc or '-'}")
+        self.trace.append(f"t={now_ms} MOVE vehicle={v.id} node={node} arc={next_arc or '-'}")
 
-    def _on_detect(self, now_ms: int, vehicle: str) -> None:
-        v = self.world.vehicle(vehicle)
+    def _on_detect(self, now_ms: int, v: VehicleState) -> None:
         detections = self.world.sense(v.arc)
         fresh = 0
         for det in detections:
@@ -624,47 +603,43 @@ class Simulation:
                 intensity_image=IntensityImage(1, len(det.cells_intensity),
                                                list(det.cells_intensity)),
                 arc=det.arc, offset_m=det.offset_m,
-                vehicle_id=vehicle, timestamp_ms=now_ms)
+                vehicle_id=v.id, timestamp_ms=now_ms)
             env = encrypt(report, self.config.shared_key, self.world.rng)
             v.queue.append((env, (det.arc, det.offset_m)))
             key = f"{det.arc}:{fmt_num(det.offset_m)}"
             if key not in v.warning_cache:
                 v.warning_cache.add(key)
                 fresh += 1
-                self._schedule(now_ms, EventKind.P2P_BROADCAST, vehicle, key)
-        self._emit(now_ms, EventKind.DETECT,
-                   f"vehicle={vehicle} arc={v.arc} reports={len(detections)} new={fresh}")
+                self._schedule(now_ms, self._on_broadcast, v, key)
+        self.trace.append(f"t={now_ms} DETECT vehicle={v.id} arc={v.arc} "
+                          f"reports={len(detections)} new={fresh}")
 
-    def _on_broadcast(self, now_ms: int, vehicle: str, pothole: str) -> None:
-        receivers = p2p_broadcast(self.world, vehicle, pothole, now_ms)
-        self._emit(now_ms, EventKind.P2P_BROADCAST,
-                   f"vehicle={vehicle} pothole={pothole} "
-                   f"receivers={','.join(receivers) or '-'}")
+    def _on_broadcast(self, now_ms: int, v: VehicleState, pothole: str) -> None:
+        receivers = p2p_broadcast(self.world, v.id, pothole, now_ms)
+        self.trace.append(f"t={now_ms} P2P_BROADCAST vehicle={v.id} pothole={pothole} "
+                          f"receivers={','.join(receivers) or '-'}")
 
-    def _on_uplink(self, now_ms: int, vehicle: str) -> None:
-        delivered = uplink(self.world, vehicle, now_ms)
-        queued = len(self.world.vehicle(vehicle).queue)
-        self._emit(now_ms, EventKind.UPLINK,
-                   f"vehicle={vehicle} delivered={delivered} queued={queued}")
+    def _on_uplink(self, now_ms: int, v: VehicleState) -> None:
+        delivered = uplink(self.world, v.id, now_ms)
+        self.trace.append(f"t={now_ms} UPLINK vehicle={v.id} delivered={delivered} "
+                          f"queued={len(v.queue)}")
 
-    def _on_dest_change(self, now_ms: int, vehicle: str, dest: str | None) -> None:
-        v = self.world.vehicle(vehicle)
+    def _on_dest_change(self, now_ms: int, v: VehicleState, dest: str | None) -> None:
         s = v.session
         try:
             modify_destination(s, dest)
         except UnreachableError:
             s.clear()  # no route: back to weight-display mode
-            self._emit(now_ms, EventKind.DEST_CHANGE,
-                       f"vehicle={vehicle} dest={dest} unreachable")
+            self.trace.append(f"t={now_ms} DEST_CHANGE vehicle={v.id} dest={dest} unreachable")
             return
         if dest is not None and v.stopped and v.speed_mps > 0:
-            resting = self.world.net.arc(v.arc).head
+            arcs = self.world.net.arcs
+            resting = arcs[v.arc].head
             if s.destination == resting:
                 s.clear()
-            elif s.pending_arcs and self.world.net.arc(s.pending_arcs[0]).tail == resting:
+            elif s.pending_arcs and arcs[s.pending_arcs[0]].tail == resting:
                 self._enter_arc(v, s.pending_arcs.pop(0), now_ms)
-        self._emit(now_ms, EventKind.DEST_CHANGE,
-                   f"vehicle={vehicle} dest={dest or '-'}")
+        self.trace.append(f"t={now_ms} DEST_CHANGE vehicle={v.id} dest={dest or '-'}")
 
     def write_trace(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

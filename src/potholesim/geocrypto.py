@@ -21,9 +21,10 @@ whose cells are scanned and copied when all are floats.  A payload that,
 or one of whose grids, holds other keys than the encoder writes, that
 nests deeper than the parser recurses, whose grid sizes are not JSON
 integers or `cell_m` or a cell not a JSON number (a string, a bool), whose
-arc or vehicle id is not a string, offset not a JSON number or timestamp
-not a JSON integer (7.9), or whose number overflows its conversion, is
-refused as IntegrityError like a forged one.
+`cell_m` is not finite or is finer than `config.MIN_CELL_M`, whose arc or
+vehicle id is not a string, offset not a JSON number or timestamp not a
+JSON integer (7.9), or whose number overflows its conversion, is refused
+as IntegrityError like a forged one.
 
 This is a deliberately small reference construction for a simulator with
 a pre-shared key; it is NOT a reviewed, production-grade cipher and must
@@ -39,8 +40,10 @@ import json
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from math import inf
 from typing import NamedTuple
 
+from .config import MIN_CELL_M
 from .detection import DepthMap, IntensityImage, SensorValueError
 
 NONCE_LEN = 16
@@ -203,6 +206,8 @@ def _report_from_dict(raw) -> PlainReport:
         raise TypeError(f"grid sizes {[rows, cols, ii_rows, ii_cols]!r} are not all integers")
     if type(cell_m) is not float:
         cell_m = _number(cell_m, "cell_m")
+    if not MIN_CELL_M <= cell_m < inf:  # also refuses NaN
+        raise ValueError(f"cell_m must be a finite number >= {MIN_CELL_M}, got {cell_m!r}")
     depth_map = DepthMap(rows, cols, cell_m, _cells(depths, "a depth cell"))
     intensity_image = IntensityImage(ii_rows, ii_cols, _cells(values, "an intensity cell"))
     # an arc that is a list or an object could not key the registry's arc index

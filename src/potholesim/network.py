@@ -3,9 +3,10 @@
 A street network is a set of nodes (intersections, with planar coordinates
 in meters) joined by directed arcs (street segments / lanes) that carry an
 explicit physical length.  Parallel arcs between the same ordered node pair
-are first-class: the network keeps a pair index mapping (tail, head) to the
-list of parallel arcs, and the weighting layer keeps, per pair, the least
-arc the router relaxes over.
+are first-class.  Three public indexes, which the other modules read
+directly, map (tail, head) to its arc ids in id order (`pairs`) and each
+node to its sorted heads (`heads`) and tails (`tails`); `node()` and
+`arc()` check ids that come from outside.
 
 Networks are immutable after load: nodes and arcs are NamedTuples, so a
 record is a plain tuple that unpacks in field order.  Anything that changes
@@ -15,7 +16,8 @@ and lengths.
 File format (JSON, strict -- unknown keys are rejected), read by
 `load_network`; the package never writes one.  Ids are non-empty strings and
 coordinates and lengths finite numbers; every rejection raises InputError
-naming the field, e.g. `nodes[1].x must be a finite number, got nan`.
+naming the field, e.g. `nodes[1].x must be a finite number, got nan`,
+`nodes[2].id: duplicate node id 'u'` or `arcs[0].head: unknown node 'ghost'`.
 
     {
       "nodes": [{"id": "A", "x": 0.0, "y": 0.0}, ...],
@@ -66,36 +68,39 @@ class StreetNetwork:
         isfinite = math.isfinite
         self.nodes: dict[str, Node] = {}
         by_id = self.nodes
-        for n in nodes:
+        for i, n in enumerate(nodes):
             node_id, x, y = n
             if node_id in by_id:
-                raise InputError(f"duplicate node id {node_id!r}")
+                raise InputError(f"nodes[{i}].id: duplicate node id {node_id!r}")
             if not (isfinite(x) and isfinite(y)):
-                raise InputError(f"node {node_id!r} has non-finite coordinates")
+                axis, value = ("x", x) if not isfinite(x) else ("y", y)
+                raise InputError(f"nodes[{i}].{axis} must be a finite number, got {value!r}")
             by_id[node_id] = n
 
         self.arcs: dict[str, Arc] = {}
-        # (tail, head) -> its arc ids, sorted; weighting reads it too
-        self._pairs: dict[tuple[str, str], list[str]] = {}
-        arcs_by_id, pairs = self.arcs, self._pairs
-        for a in arcs:
+        # (tail, head) -> its arc ids, sorted
+        self.pairs: dict[tuple[str, str], list[str]] = {}
+        arcs_by_id, pairs = self.arcs, self.pairs
+        for i, a in enumerate(arcs):
             arc_id, tail, head, length = a
             if arc_id in arcs_by_id:
-                raise InputError(f"duplicate arc id {arc_id!r}")
+                raise InputError(f"arcs[{i}].id: duplicate arc id {arc_id!r}")
             tail_node = by_id.get(tail)
             if tail_node is None:
-                raise InputError(f"arc {arc_id!r} references missing node {tail!r}")
+                raise InputError(f"arcs[{i}].tail: unknown node {tail!r}")
             head_node = by_id.get(head)
             if head_node is None:
-                raise InputError(f"arc {arc_id!r} references missing node {head!r}")
+                raise InputError(f"arcs[{i}].head: unknown node {head!r}")
             if tail == head:
-                raise InputError(f"arc {arc_id!r} is a self-loop at {tail!r}")
+                raise InputError(f"arcs[{i}].head must differ from its tail (no self-loops), "
+                                 f"got {head!r}")
             if not (isfinite(length) and length > 0):
-                raise InputError(f"arc {arc_id!r} has non-positive length {length!r}")
+                rule = "> 0" if isfinite(length) else "a finite number"
+                raise InputError(f"arcs[{i}].length_m must be {rule}, got {length!r}")
             if not (isfinite(head_node.x - tail_node.x)
                     and isfinite(head_node.y - tail_node.y)):
-                raise InputError(f"arc {arc_id!r} from {tail!r} to {head!r} has a "
-                                 f"coordinate difference too large for a float")
+                raise InputError(f"arcs[{i}].head must lie within a float's range of tail "
+                                 f"{tail!r} on both axes, got {head!r}")
             arcs_by_id[arc_id] = a
             ids = pairs.get((tail, head))
             if ids is None:
@@ -105,13 +110,13 @@ class StreetNetwork:
         for ids in pairs.values():
             ids.sort()
 
-        # tail node -> sorted head list and head node -> sorted tail list,
+        # tail node -> its sorted heads and head node -> its sorted tails,
         # for deterministic adjacency walks in either direction
-        self._out: dict[str, list[str]] = {n: [] for n in by_id}
-        self._in: dict[str, list[str]] = {n: [] for n in by_id}
+        self.heads: dict[str, list[str]] = {n: [] for n in by_id}
+        self.tails: dict[str, list[str]] = {n: [] for n in by_id}
         for (u, v) in sorted(pairs):
-            self._out[u].append(v)
-            self._in[v].append(u)
+            self.heads[u].append(v)
+            self.tails[v].append(u)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -125,42 +130,11 @@ class StreetNetwork:
         except KeyError:
             raise UnknownArcError(arc_id) from None
 
-    def arcs_between(self, u: str, v: str) -> list[Arc]:
-        """All arcs with tail u and head v, in arc-id order (empty if none)."""
-        if u not in self.nodes:
-            raise UnknownNodeError(u)
-        if v not in self.nodes:
-            raise UnknownNodeError(v)
-        return [self.arcs[a] for a in self._pairs.get((u, v), [])]
-
-    def successors(self, u: str) -> list[str]:
-        """Head nodes reachable from u over a single arc, sorted."""
-        if u not in self.nodes:
-            raise UnknownNodeError(u)
-        return self._out[u]
-
-    def predecessors(self, v: str) -> list[str]:
-        """Tail nodes that reach v over a single arc, sorted."""
-        if v not in self.nodes:
-            raise UnknownNodeError(v)
-        return self._in[v]
-
-    def out_arcs(self, u: str) -> list[Arc]:
-        """All arcs with tail u, in arc-id order."""
-        arcs = []
-        for v in self.successors(u):
-            arcs.extend(self.arcs[a] for a in self._pairs[(u, v)])
-        arcs.sort(key=lambda a: a.id)
-        return arcs
-
 
 def load_network(path: str | Path) -> StreetNetwork:
-    """Load and validate a network file.
-
-    Raises InputError on malformed input and on semantic problems (dangling
-    node references, non-positive lengths, duplicate ids, self-loops, and
-    arcs whose head minus tail coordinates overflow a float).
-    """
+    """Load and validate a network file: InputError names a malformed field,
+    a duplicate id, an unknown node, a self-loop, a length <= 0 or an arc
+    whose head minus tail coordinates overflow a float."""
     return network_from_dict(read_json(path))
 
 

@@ -78,7 +78,7 @@ class PotholeRegistry:
         self.records: dict[str, PotholeRecord] = {}
         self.events: list[UpdateEvent] = []
         # arc id -> its pothole ids in minting order; weighting reads it too
-        self._by_arc: dict[str, list[str]] = {}
+        self.by_arc: dict[str, list[str]] = {}
         self._next_id = 1
 
     def __len__(self) -> int:
@@ -105,7 +105,7 @@ class PotholeRegistry:
 
         match: PotholeRecord | None = None
         best = self.dedup_radius_m
-        for pid in self._by_arc.get(report.arc, ()):
+        for pid in self.by_arc.get(report.arc, ()):
             rec = self.records[pid]
             dist = abs(rec.offset_m - report.offset_m)
             if dist <= best:
@@ -128,14 +128,14 @@ class PotholeRegistry:
             id=pid, arc=report.arc, offset_m=report.offset_m,
             depth_mm=report.depth_mm, intensity=report.intensity,
             first_seen_ms=now_ms, last_seen_ms=now_ms)
-        self._by_arc.setdefault(report.arc, []).append(pid)
+        self.by_arc.setdefault(report.arc, []).append(pid)
         self.events.append(UpdateEvent(pid, vehicle_id, now_ms))
         return pid, True
 
     def pothole_ids(self, arc_id: str) -> tuple[str, ...]:
         """Ids of the potholes on the given arc, in minting order; the arc
         is not checked."""
-        return tuple(self._by_arc.get(arc_id, ()))
+        return tuple(self.by_arc.get(arc_id, ()))
 
     def lookup(self, pothole_id: str) -> PotholeRecord:
         try:
@@ -183,11 +183,11 @@ class PotholeRegistry:
             if rec.id in reg.records:
                 raise InputError(f"duplicate pothole id {rec.id!r}")
             reg.records[rec.id] = rec
-            reg._by_arc.setdefault(rec.arc, []).append(rec.id)
+            reg.by_arc.setdefault(rec.arc, []).append(rec.id)
             reg._next_id = max(reg._next_id, int(rec.id) + 1)
 
         _read_rows(path, cls.RECORD_FIELDS, add)
-        for ids in reg._by_arc.values():
+        for ids in reg.by_arc.values():
             ids.sort(key=int)  # restore minting order regardless of row order
         return reg
 

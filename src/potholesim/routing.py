@@ -12,7 +12,8 @@ exactly zero: among weight-equal paths it returns the one with minimum
 total physical length, and among those the lexicographically smallest
 arc-id sequence.  Its searches run on exact rational arithmetic, so tie
 detection never depends on float rounding; the reported totals are plain
-float sums over the chosen arcs.
+float sums over the chosen arcs.  The path is rebuilt from the pair minima
+alone, keeping at each node the least id among those on an optimal path.
 
 Route trace format: one line `arc_id tail head weight length` per arc,
 then `TOTAL weight length`.
@@ -53,7 +54,7 @@ def _lex_dijkstra(wnet: WeightedNetwork, start: str, forward: bool) -> dict[str,
     any (weight, length)-optimal path.
     """
     net = wnet.base
-    neighbours = net.successors if forward else net.predecessors
+    neighbours = net.heads if forward else net.tails
 
     zero = Fraction(0)
     dist: dict[str, LexDist] = {start: (zero, zero)}
@@ -64,7 +65,7 @@ def _lex_dijkstra(wnet: WeightedNetwork, start: str, forward: bool) -> dict[str,
         if u in settled or (dw, dl) > dist[u]:
             continue
         settled.add(u)
-        for v in neighbours(u):
+        for v in neighbours[u]:
             w, l, _ = wnet.min_weights[(u, v) if forward else (v, u)]
             cand = (dw + Fraction(w), dl + Fraction(l))
             if v not in dist or cand < dist[v]:
@@ -98,26 +99,24 @@ def route(wnet: WeightedNetwork, source: str, dest: str) -> Route:
     # Every prefix of an optimal path is itself (weight, length)-optimal, so
     # standing at u the accumulated cost equals dist[u]; an arc e=(u,v) lies
     # on some optimal path iff dist[u] + cost(e) + rdist[v] hits the target.
-    # Taking the smallest feasible arc id at each step yields the
-    # lexicographically least optimal arc sequence.
+    # Only a pair's minimum can (a worse parallel arc overshoots, and among
+    # tied ones the minimum has the least id).  Taking the smallest feasible
+    # arc id at each step yields the lexicographically least optimal sequence.
     arcs: list[str] = []
     u = source
     while u != dest:
         du = dist[u]
-        chosen = None
-        for arc in net.out_arcs(u):
-            r = rdist.get(arc.head)
-            if r is None:
-                continue
-            w = Fraction(wnet.arc_weights[arc.id])
-            l = Fraction(arc.length_m)
-            if (du[0] + w + r[0], du[1] + l + r[1]) == target:
-                chosen = arc
-                break
+        chosen = head = None
+        for v in net.heads[u]:
+            r = rdist.get(v)
+            w, l, arc_id = wnet.min_weights[u, v]
+            if r is not None and (chosen is None or arc_id < chosen) and (
+                    du[0] + Fraction(w) + r[0], du[1] + Fraction(l) + r[1]) == target:
+                chosen, head = arc_id, v
         if chosen is None or len(arcs) > len(net.arcs):
             raise AssertionError("optimal-path reconstruction lost the target")
-        arcs.append(chosen.id)
-        u = chosen.head
+        arcs.append(chosen)
+        u = head
 
     total_w = 0.0
     total_l = 0.0

@@ -128,7 +128,7 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
             # the waypoints are known nodes: the pair index lists every
             # pair that an arc joins
             for a, b in zip(waypoints, waypoints[1:]):
-                if (a, b) not in net._pairs:
+                if (a, b) not in net.pairs:
                     raise InputError(f"{waypoints_where}: no arc joins {a!r} -> {b!r}")
         vehicles[vid] = VehicleSpec(vid, arc.id, offset, speed, waypoints)
     scenario.vehicles.extend(vehicles.values())

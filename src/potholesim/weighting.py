@@ -64,7 +64,7 @@ def _arc_weight(arc: Arc, registry: PotholeRegistry) -> float:
     """w(e) = d(e) * l(e) from the registry's current potholes on `arc`;
     0.0 for a clean arc, as d(e) = 0 times a finite length gives.  The
     registry lists an arc only once it has a pothole."""
-    pids = registry._by_arc.get(arc.id)
+    pids = registry.by_arc.get(arc.id)
     if pids is None:
         return 0.0
     return _mean_depth(pids, registry) * arc.length_m
@@ -89,7 +89,7 @@ def preprocess(net: StreetNetwork, registry: PotholeRegistry) -> WeightedNetwork
     weights = dict.fromkeys(net.arcs, 0.0)  # in the network's arc order
     wnet = WeightedNetwork(net, weights, {})
     min_weights, arcs = wnet.min_weights, net.arcs
-    for pair, ids in net._pairs.items():
+    for pair, ids in net.pairs.items():
         for arc_id in ids:
             weights[arc_id] = _arc_weight(arcs[arc_id], registry)
         min_weights[pair] = _pair_minimum(wnet, ids)
@@ -105,7 +105,7 @@ def apply_update(wnet: WeightedNetwork, arc_id: str, registry: PotholeRegistry) 
     arc = wnet.base.arc(arc_id)
     wnet.arc_weights[arc_id] = _arc_weight(arc, registry)
     pair = (arc.tail, arc.head)
-    wnet.min_weights[pair] = _pair_minimum(wnet, wnet.base._pairs[pair])
+    wnet.min_weights[pair] = _pair_minimum(wnet, wnet.base.pairs[pair])
     return wnet
 
 
@@ -117,7 +117,7 @@ def csv_rows(wnet: WeightedNetwork, registry: PotholeRegistry) -> list[list]:
     rows = [CSV_FIELDS]
     for arc_id in sorted(wnet.base.arcs):
         arc = wnet.base.arcs[arc_id]
-        pids = registry._by_arc.get(arc_id, ())
+        pids = registry.by_arc.get(arc_id, ())
         rows.append([arc.id, arc.tail, arc.head, arc.length_m, len(pids),
                      _mean_depth(pids, registry) if pids else 0.0, wnet.arc_weights[arc_id]])
     return rows

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from potholesim.comms import Phase, World, step_connection, uplink
-from potholesim.config import SimConfig
+from potholesim.config import MIN_CELL_M, SimConfig
 from potholesim.detection import (DepthMap, GroundTruthSurface, IntensityImage,
                                   PotholeDetection, SensorValueError, cell_count,
                                   extract_potholes, sweep)
@@ -73,6 +73,16 @@ def random_registry(rng: random.Random, net: StreetNetwork,
     return reg
 
 
+def out_arcs_by_tail(net: StreetNetwork) -> dict[str, list[Arc]]:
+    """Every node's out-arcs in arc-id order, built from `net.arcs` alone, so
+    that no oracle shares the network's indexes with the router it checks."""
+    out: dict[str, list[Arc]] = {node_id: [] for node_id in net.nodes}
+    for arc_id in sorted(net.arcs):
+        arc = net.arcs[arc_id]
+        out[arc.tail].append(arc)
+    return out
+
+
 def enumerate_min_weight(wnet: WeightedNetwork, source: str, dest: str) -> float:
     """Exhaustive minimum path weight over simple node paths (pair-min arcs).
 
@@ -83,17 +93,22 @@ def enumerate_min_weight(wnet: WeightedNetwork, source: str, dest: str) -> float
     """
     if source == dest:
         return 0.0
-    net = wnet.base
+    # node -> {head: the least weight of the arcs to it}
+    hops: dict[str, dict[str, float]] = {}
+    for u, arcs in out_arcs_by_tail(wnet.base).items():
+        least = hops[u] = {}
+        for arc in arcs:
+            w = wnet.arc_weights[arc.id]
+            least[arc.head] = min(least.get(arc.head, w), w)
     best = math.inf
 
     def dfs(u: str, used: frozenset, acc: float) -> None:
         nonlocal best
         if acc > best:
             return
-        for v in net.successors(u):
+        for v, w in sorted(hops[u].items()):
             if v in used:
                 continue
-            w = min(wnet.arc_weights[a.id] for a in net.arcs_between(u, v))
             if v == dest:
                 best = min(best, acc + w)
             else:
@@ -107,7 +122,7 @@ def dijkstra_all_arcs(wnet: WeightedNetwork, source: str) -> dict[str, Fraction]
     """Exact least total weight from `source` to every node it reaches,
     relaxing every parallel arc on its own: the reference for `route`'s
     one relaxation per node pair.  Unreachable nodes are absent."""
-    net = wnet.base
+    out = out_arcs_by_tail(wnet.base)
     dist = {source: Fraction(0)}
     settled: set[str] = set()
     heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
@@ -116,7 +131,7 @@ def dijkstra_all_arcs(wnet: WeightedNetwork, source: str) -> dict[str, Fraction]
         if u in settled:
             continue
         settled.add(u)
-        for arc in net.out_arcs(u):
+        for arc in out[u]:
             cand = d + Fraction(wnet.arc_weights[arc.id])
             if arc.head not in dist or cand < dist[arc.head]:
                 dist[arc.head] = cand
@@ -138,7 +153,7 @@ def enumerate_best_route(wnet: WeightedNetwork, source: str, dest: str):
     """
     if source == dest:
         return (Fraction(0), Fraction(0), ())
-    net = wnet.base
+    out = out_arcs_by_tail(wnet.base)
     best = None
 
     def dfs(u, used, acc_w, acc_l, arcs):
@@ -148,7 +163,7 @@ def enumerate_best_route(wnet: WeightedNetwork, source: str, dest: str):
             if best is None or cand < best:
                 best = cand
             return
-        for arc in net.out_arcs(u):
+        for arc in out[u]:
             if arc.head in used:
                 continue
             dfs(arc.head, used | {arc.head},
@@ -531,9 +546,9 @@ class SingleHeapSimulation:
 
     The world is the production `World`, but its vehicle positions come from
     `vehicle_position_by_formula`, its access point lookups from
-    `visible_ap_by_scan` and its broadcasts from `p2p_broadcast_by_scan`, so
-    this reference shares no caching, indexing or bounds with the code it
-    checks.
+    `visible_ap_by_scan`, its broadcasts from `p2p_broadcast_by_scan` and
+    its waypoint arcs from `out_arcs_by_tail`, so this reference shares no
+    caching, indexing or bounds with the code it checks.
     """
 
     def __init__(self, net, scenario, config=SimConfig()):
@@ -544,6 +559,7 @@ class SingleHeapSimulation:
         self.config = config
         self.duration_ms = scenario.duration_ms
         self.trace: list[str] = []
+        self._out = out_arcs_by_tail(net)
         self._heap: list = []
         self._seq = 0
         for ev in scenario.events:
@@ -610,9 +626,9 @@ class SingleHeapSimulation:
             elif s.pending_arcs and net.arc(s.pending_arcs[0]).tail == node:
                 next_arc = s.pending_arcs.pop(0)
         if next_arc is None and s.destination is None and v.waypoints:
-            candidates = net.arcs_between(node, v.waypoints[0])
+            candidates = [a.id for a in self._out[node] if a.head == v.waypoints[0]]
             if candidates:
-                next_arc = candidates[0].id
+                next_arc = candidates[0]
         if next_arc is not None:
             self._enter_arc(v, next_arc, now_ms)
         else:
@@ -786,7 +802,10 @@ def _oracle_report_from_dict(raw: dict) -> PlainReport:
     dm, ii = raw["depth_map"], raw["intensity_image"]
     if not _oracle_is_number(dm["cell_m"]):
         raise TypeError("cell_m is not a number")
-    depth_map = DepthMap(dm["rows"], dm["cols"], float(dm["cell_m"]), _oracle_cells(dm["depths"]))
+    cell_m = float(dm["cell_m"])
+    if not (math.isfinite(cell_m) and cell_m >= MIN_CELL_M):
+        raise ValueError("cell_m is not a finite number >= the finest scanner cell")
+    depth_map = DepthMap(dm["rows"], dm["cols"], cell_m, _oracle_cells(dm["depths"]))
     intensity_image = IntensityImage(ii["rows"], ii["cols"], _oracle_cells(ii["values"]))
     if not isinstance(raw["arc"], str):
         raise TypeError("arc is not a string")

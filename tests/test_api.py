@@ -1,6 +1,7 @@
 """The package's surface: `__all__` lists only names that exist, every
-function, method and class in `src/potholesim` is used by the package, and
-every parameter default is one that some call in the package overrides."""
+function, method and class in `src/potholesim` is used by the package,
+every parameter default is one that some call in the package overrides,
+and no module reads an underscore attribute that another module defines."""
 
 import ast
 from pathlib import Path
@@ -105,6 +106,39 @@ def unset_defaults(src: Path) -> list[str]:
                        for call in calls)]
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def foreign_private_reads(src: Path) -> list[str]:
+    """`reader: _name (definer)` for each module of `src/*.py` that reads an
+    attribute `_name` (`obj._name`, dunders aside) that it does not define
+    and another module does.  A module defines `_name` by assigning
+    `obj._name`, or by a function, class or assignment of that name at its
+    top level or in a class body.  A name no module defines (`_asdict`)
+    belongs to a library and is not flagged."""
+    defined: dict[str, set[str]] = {}  # module -> the private names it defines
+    read: dict[str, set[str]] = {}  # module -> the private attributes it reads
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = defined[path.stem] = set()
+        reads = read[path.stem] = set()
+        scopes = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for stmt in (stmt for body in scopes for stmt in body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr):
+                (names if isinstance(node.ctx, ast.Store) else reads).add(node.attr)
+    return sorted(f"{reader}: {attr} ({definer})"
+                  for reader, attrs in read.items() for attr in attrs
+                  if attr not in defined[reader]
+                  for definer, names in defined.items() if attr in names)
+
+
 def test_every_exported_name_imports():
     namespace: dict = {}
     exec("from potholesim import *", namespace)  # fails on a stale name
@@ -159,3 +193,29 @@ def test_the_guard_flags_a_default_no_call_sets(tmp_path):
     # leaves `by` unset; the staticmethod call `make(3)` binds its first
     # parameter, `size`, and leaves `colour` unset
     assert unset_defaults(tmp_path) == ["a.Thing.grow.by", "a.Thing.make.colour"]
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    assert foreign_private_reads(SRC) == []
+
+
+def test_the_guard_flags_a_private_attribute_another_module_defines(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n"
+        "class Box:\n"
+        "    _kind = 'box'\n"
+        "    def __init__(self):\n"
+        "        self._items = []\n"
+        "    def _check(self):\n"
+        "        return len(self._items) < _LIMIT\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "class Crate:\n"
+        "    def __init__(self):\n"
+        "        self._own = 1\n"
+        "box, crate = a.Box(), Crate()\n"
+        "print(box._items, box._check(), a._LIMIT, box._kind, crate._own,\n"
+        "      box.__class__, a.Box._asdict)\n", encoding="utf-8")
+    # `_own` is b's own, `_asdict` no module defines and `__class__` is a dunder
+    assert foreign_private_reads(tmp_path) == [
+        "b: _LIMIT (a)", "b: _check (a)", "b: _items (a)", "b: _kind (a)"]

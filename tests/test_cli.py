@@ -178,6 +178,37 @@ class TestSimulate:
         assert err.startswith("error: ") and named in err and "Traceback" not in err
         assert not (tmp / "nope").exists()
 
+    @pytest.mark.parametrize("edits, named", [
+        ([("nodes", None, {"id": "A", "x": 1.0, "y": 1.0})],
+         "nodes[4].id: duplicate node id 'A'"),
+        ([("nodes", 1, {"x": float("nan")})], "nodes[1].x must be a finite number, got nan"),
+        ([("arcs", None, {"id": "ab", "tail": "B", "head": "C", "length_m": 1.0})],
+         "arcs[4].id: duplicate arc id 'ab'"),
+        ([("arcs", 0, {"tail": "ghost"})], "arcs[0].tail: unknown node 'ghost'"),
+        ([("arcs", 0, {"head": "ghost"})], "arcs[0].head: unknown node 'ghost'"),
+        ([("arcs", 0, {"head": "A"})],
+         "arcs[0].head must differ from its tail (no self-loops), got 'A'"),
+        ([("arcs", 1, {"length_m": -3.0})], "arcs[1].length_m must be > 0, got -3.0"),
+        ([("arcs", 1, {"length_m": 0})], "arcs[1].length_m must be > 0, got 0.0"),
+    ], ids=["duplicate-node", "nan-x", "duplicate-arc", "unknown-tail", "unknown-head",
+            "self-loop", "negative-length", "zero-length"])
+    def test_malformed_network_exits_one_naming_the_field(self, files, capsys, edits, named):
+        # the coordinate-overflow rule: test_overflowing_arc_geometry_exits_one_naming_the_arc
+        _, scen, tmp = files
+        network = copy.deepcopy(NETWORK)
+        for section, index, fields in edits:  # index None: a new record
+            if index is None:
+                network[section].append(fields)
+            else:
+                network[section][index].update(fields)
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps(network))
+        rc = main(["simulate", "--network", str(bad), "--scenario", str(scen),
+                   "--out-dir", str(tmp / "nope")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (tmp / "nope").exists()
+
     @pytest.mark.parametrize("which, content, named", [
         ("network", json.dumps(dict(NETWORK, nodes=[NETWORK["nodes"][0],
                                                     dict(NETWORK["nodes"][1], x=10**400)])),
@@ -247,8 +278,8 @@ class TestSimulate:
         rc = main(["simulate", "--network", str(net), "--scenario", str(scen),
                    "--out-dir", str(tmp / "nope")])
         assert rc == 1
-        assert capsys.readouterr().err == ("error: arc 'ab' from 'A' to 'B' has a coordinate "
-                                           "difference too large for a float\n")
+        assert capsys.readouterr().err == ("error: arcs[0].head must lie within a float's "
+                                           "range of tail 'A' on both axes, got 'B'\n")
         assert not (tmp / "nope").exists()
 
     OUTPUTS = {"trace.txt", "registry.csv", "events.csv", "weighted_network.csv",

@@ -1,10 +1,11 @@
 import json
+import math
 import re
 
 import pytest
 
 from potholesim.inputs import InputError
-from potholesim.network import UnknownNodeError, load_network
+from potholesim.network import Arc, Node, StreetNetwork, UnknownNodeError, load_network
 
 
 def write_net(tmp_path, payload):
@@ -29,14 +30,14 @@ class TestLoadNetwork:
     def test_dangling_node_reference(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))
         bad["arcs"][0]["head"] = "ghost"
-        with pytest.raises(InputError, match=r"^arc 'a1' references missing node 'ghost'$"):
+        with pytest.raises(InputError, match=r"^arcs\[0\]\.head: unknown node 'ghost'$"):
             load_network(write_net(tmp_path, bad))
 
     def test_parallel_arcs_admitted(self, tmp_path):
         two = json.loads(json.dumps(MINIMAL))
         two["arcs"].append({"id": "a2", "tail": "u", "head": "v", "length_m": 5.0})
         net = load_network(write_net(tmp_path, two))
-        assert [a.id for a in net.arcs_between("u", "v")] == ["a1", "a2"]
+        assert net.pairs == {("u", "v"): ["a1", "a2"]}
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "net.json"
@@ -54,20 +55,23 @@ class TestLoadNetwork:
     def test_non_positive_length(self, tmp_path, length):
         bad = json.loads(json.dumps(MINIMAL))
         bad["arcs"][0]["length_m"] = length
-        with pytest.raises(InputError, match=r"^arc 'a1' has non-positive length"):
+        with pytest.raises(InputError) as err:
             load_network(write_net(tmp_path, bad))
+        assert str(err.value) == f"arcs[0].length_m must be > 0, got {length!r}"
 
     def test_duplicate_ids(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))
         bad["nodes"].append({"id": "u", "x": 1.0, "y": 1.0})
-        with pytest.raises(InputError, match=r"^duplicate node id 'u'$"):
+        with pytest.raises(InputError, match=r"^nodes\[2\]\.id: duplicate node id 'u'$"):
             load_network(write_net(tmp_path, bad))
 
     def test_self_loop_rejected(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))
         bad["arcs"][0]["head"] = "u"
-        with pytest.raises(InputError, match=r"^arc 'a1' is a self-loop at 'u'$"):
+        with pytest.raises(InputError) as err:
             load_network(write_net(tmp_path, bad))
+        assert str(err.value) == ("arcs[0].head must differ from its tail (no self-loops), "
+                                  "got 'u'")
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_overflowing_coordinate_difference_rejected(self, tmp_path, axis):
@@ -77,8 +81,8 @@ class TestLoadNetwork:
         bad["nodes"][1][axis] = 1.7e308
         with pytest.raises(InputError) as err:
             load_network(write_net(tmp_path, bad))
-        assert str(err.value) == ("arc 'a1' from 'u' to 'v' has a coordinate difference "
-                                  "too large for a float")
+        assert str(err.value) == ("arcs[0].head must lie within a float's range of tail 'u' "
+                                  "on both axes, got 'v'")
 
     @pytest.mark.parametrize("section, index, key, value, message", [
         ("nodes", 1, "x", 10**400, "nodes[1].x must be a finite number, got 1" + "0" * 400),
@@ -118,27 +122,55 @@ class TestLoadNetwork:
         assert [a._asdict() for a in net.arcs.values()] == MINIMAL["arcs"]
 
 
+@pytest.mark.parametrize("nodes, arcs, message", [
+    ([Node("u", 0.0, 0.0), Node("v", math.nan, 0.0)], [],
+     "nodes[1].x must be a finite number, got nan"),
+    ([Node("u", 0.0, -math.inf)], [], "nodes[0].y must be a finite number, got -inf"),
+    ([Node("u", 0.0, 0.0), Node("v", 1.0, 0.0)], [Arc("a1", "u", "v", math.inf)],
+     "arcs[0].length_m must be a finite number, got inf"),
+], ids=["nan-x", "inf-y", "inf-length"])
+def test_constructor_names_a_non_finite_field(nodes, arcs, message):
+    # the loader refuses these first; a network built in code reaches this check
+    with pytest.raises(InputError) as err:
+        StreetNetwork(nodes, arcs)
+    assert str(err.value) == message
+
+
 class TestArcsBetween:
+    """`pairs` lists the arcs between an ordered node pair."""
+
     def test_no_arcs_between(self, parallel_net):
-        assert parallel_net.arcs_between("u", "u") == []
+        assert ("u", "u") not in parallel_net.pairs
+        assert sorted(parallel_net.pairs) == [("u", "v"), ("v", "u")]
 
     def test_parallel_arcs_in_id_order(self, parallel_net):
-        assert [a.id for a in parallel_net.arcs_between("u", "v")] == ["a1", "a2"]
+        assert parallel_net.pairs[("u", "v")] == ["a1", "a2"]
 
     def test_directedness(self, parallel_net):
-        assert [a.id for a in parallel_net.arcs_between("v", "u")] == ["r1"]
+        assert parallel_net.pairs[("v", "u")] == ["r1"]
 
     def test_unknown_node(self, parallel_net):
+        # the indexes hold only known nodes; `node()` checks an id from outside
+        assert "ghost" not in parallel_net.heads and "ghost" not in parallel_net.tails
         with pytest.raises(UnknownNodeError):
-            parallel_net.arcs_between("u", "ghost")
+            parallel_net.node("ghost")
 
 
 def test_predecessors_sorted_and_directed(triangle_net):
-    assert triangle_net.predecessors("d") == ["m", "s"]
-    assert triangle_net.predecessors("s") == []
-    with pytest.raises(UnknownNodeError):
-        triangle_net.predecessors("ghost")
+    assert triangle_net.tails == {"s": [], "m": ["s"], "d": ["m", "s"]}
 
 
-def test_out_arcs_sorted(parallel_net):
-    assert [a.id for a in parallel_net.out_arcs("u")] == ["a1", "a2"]
+def test_successors_sorted_and_directed(triangle_net):
+    assert triangle_net.heads == {"s": ["d", "m"], "m": ["d"], "d": []}
+
+
+def test_parallel_arcs_make_one_neighbour(parallel_net):
+    assert parallel_net.heads == {"u": ["v"], "v": ["u"]}
+    assert parallel_net.tails == {"u": ["v"], "v": ["u"]}
+
+
+def test_isolated_node_has_empty_lists():
+    net = StreetNetwork([Node("u", 0.0, 0.0), Node("v", 1.0, 0.0), Node("w", 2.0, 0.0)],
+                        [Arc("a1", "u", "v", 1.0)])
+    assert net.heads["w"] == [] and net.tails["w"] == []
+    assert list(net.heads) == list(net.tails) == ["u", "v", "w"]

@@ -192,6 +192,25 @@ class TestMistypedPayload:
         assert cell_m == 1.0 and type(cell_m) is float
 
 
+class TestCellSize:
+    """An authentic payload's `cell_m` must be a finite number no finer than
+    the finest scanner cell, `config.MIN_CELL_M`."""
+
+    @pytest.mark.parametrize("literal", ["NaN", "-1.0", "0", "0.0009"],
+                             ids=["nan", "negative", "zero", "below-least"])
+    def test_refused_for_integrity(self, server, literal):
+        env, loc = sealed_payload("ab", 20.0, "depth_map.cell_m", literal)
+        assert server.receive_envelope(env, loc, "v1", 100) is None
+        assert len(server.registry) == 0 and server.snapshot_seq == 0
+        assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
+
+    @pytest.mark.parametrize("literal", ["0.001", "1e300"], ids=["least", "huge"])
+    def test_accepted(self, server, literal):
+        env, loc = sealed_payload("ab", 20.0, "depth_map.cell_m", literal)
+        assert decrypt(env, KEY, loc).depth_map.cell_m == float(literal)
+        assert server.receive_envelope(env, loc, "v1", 100) == ("1", True)
+
+
 class TestUnknownPayloadKeys:
     """A payload or grid key that the encoder does not write is refused as
     integrity, and a payload that is not an object is too."""

@@ -222,7 +222,7 @@ def _loaded_state(tmp_path, with_registry: bool) -> str:
     state = (
         [(k, n.id, n.x, n.y) for k, n in net.nodes.items()],
         [(k, a.id, a.tail, a.head, a.length_m) for k, a in net.arcs.items()],
-        list(net._pairs.items()), list(net._out.items()), list(net._in.items()),
+        list(net.pairs.items()), list(net.heads.items()), list(net.tails.items()),
         list(wnet.arc_weights.items()), list(wnet.min_weights.items()))
     return hashlib.sha256(repr(state).encode()).hexdigest()
 
