@@ -496,12 +496,14 @@ class Simulation:
         self._ticks: deque[tuple[int, int, VehicleState]] = deque()
         self._seq = itertools.count()  # the seqs of both queues
 
+        # the scenario reader checked each event's vehicle id
+        vehicles, schedule = self.world.vehicles, self._schedule
+        on_dest_change, on_detect = self._on_dest_change, self._on_detect
         for ev in scenario.events:
-            v = self.world.vehicle(ev.vehicle)
             if ev.kind == "DEST_CHANGE":
-                self._schedule(ev.t_ms, self._on_dest_change, v, ev.dest)
+                schedule(ev.t_ms, on_dest_change, vehicles[ev.vehicle], ev.dest)
             else:
-                self._schedule(ev.t_ms, self._on_detect, v)
+                schedule(ev.t_ms, on_detect, vehicles[ev.vehicle])
         first_tick_ms = config.phase_latency_ms
         for v in self.world.vehicles.values():
             if v.speed_mps > 0:

@@ -66,41 +66,45 @@ class StreetNetwork:
 
     def __init__(self, nodes: list[Node], arcs: list[Arc]):
         isfinite = math.isfinite
+        # every earlier record is stored, so a refused record's position in
+        # its list is the count stored so far (cheaper than enumerate)
         self.nodes: dict[str, Node] = {}
         by_id = self.nodes
-        for i, n in enumerate(nodes):
+        for n in nodes:
             node_id, x, y = n
             if node_id in by_id:
-                raise InputError(f"nodes[{i}].id: duplicate node id {node_id!r}")
+                raise InputError(f"nodes[{len(by_id)}].id: duplicate node id {node_id!r}")
             if not (isfinite(x) and isfinite(y)):
                 axis, value = ("x", x) if not isfinite(x) else ("y", y)
-                raise InputError(f"nodes[{i}].{axis} must be a finite number, got {value!r}")
+                raise InputError(f"nodes[{len(by_id)}].{axis} must be a finite number, "
+                                 f"got {value!r}")
             by_id[node_id] = n
 
         self.arcs: dict[str, Arc] = {}
         # (tail, head) -> its arc ids, sorted
         self.pairs: dict[tuple[str, str], list[str]] = {}
         arcs_by_id, pairs = self.arcs, self.pairs
-        for i, a in enumerate(arcs):
+        for a in arcs:
             arc_id, tail, head, length = a
             if arc_id in arcs_by_id:
-                raise InputError(f"arcs[{i}].id: duplicate arc id {arc_id!r}")
+                raise InputError(f"arcs[{len(arcs_by_id)}].id: duplicate arc id {arc_id!r}")
             tail_node = by_id.get(tail)
             if tail_node is None:
-                raise InputError(f"arcs[{i}].tail: unknown node {tail!r}")
+                raise InputError(f"arcs[{len(arcs_by_id)}].tail: unknown node {tail!r}")
             head_node = by_id.get(head)
             if head_node is None:
-                raise InputError(f"arcs[{i}].head: unknown node {head!r}")
+                raise InputError(f"arcs[{len(arcs_by_id)}].head: unknown node {head!r}")
             if tail == head:
-                raise InputError(f"arcs[{i}].head must differ from its tail (no self-loops), "
-                                 f"got {head!r}")
+                raise InputError(f"arcs[{len(arcs_by_id)}].head must differ from its tail "
+                                 f"(no self-loops), got {head!r}")
             if not (isfinite(length) and length > 0):
                 rule = "> 0" if isfinite(length) else "a finite number"
-                raise InputError(f"arcs[{i}].length_m must be {rule}, got {length!r}")
+                raise InputError(f"arcs[{len(arcs_by_id)}].length_m must be {rule}, "
+                                 f"got {length!r}")
             if not (isfinite(head_node.x - tail_node.x)
                     and isfinite(head_node.y - tail_node.y)):
-                raise InputError(f"arcs[{i}].head must lie within a float's range of tail "
-                                 f"{tail!r} on both axes, got {head!r}")
+                raise InputError(f"arcs[{len(arcs_by_id)}].head must lie within a float's "
+                                 f"range of tail {tail!r} on both axes, got {head!r}")
             arcs_by_id[arc_id] = a
             ids = pairs.get((tail, head))
             if ids is None:
