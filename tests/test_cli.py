@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -731,3 +732,33 @@ def test_one_mutated_field_never_ends_in_a_traceback(mutation):
     assert "Traceback" not in err
     if rc:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def every_mutation():
+    """Every single-field mutation of the network and scenario documents, in
+    a fixed order: each object gains an unknown key, and each value is
+    deleted or set to each of JSON_VALUES."""
+    for name, doc in FUZZ_JSON.items():
+        for path in [()] + [p for p in json_paths(doc) if isinstance(at(doc, p), dict)]:
+            yield name, path, "add", None
+        for path in json_paths(doc):
+            yield name, path, "delete", None
+            for value in JSON_VALUES:
+                if path != ("duration_ms",) or value is not BIG:
+                    yield name, path, "set", value
+
+
+# recorded once, before the loaders were reworked for speed; a changed
+# exit code or message for any one mutation changes it
+REFUSALS_DIGEST = "bf29647e427e5cb9891a283e58a752ef1b987758c309205b0dc2d7517e62eb4b"
+
+
+def test_every_mutated_field_keeps_its_exit_code_and_message():
+    digest = hashlib.sha256()
+    count = 0
+    for name, path, op, value in every_mutation():
+        rc, err = run_mutated(name, "simulate", path, op, value)
+        digest.update(f"{name} {path!r} {op} {value!r} {rc} {err!r}\n".encode())
+        count += 1
+    assert count == 1185
+    assert digest.hexdigest() == REFUSALS_DIGEST
