@@ -2,10 +2,14 @@
 
 Every rule raises InputError, which the command line reports as exit 1
 with one `error: ...` line.  A field is named like `pits[0].arc`,
-`vehicles[0].waypoints[1]` or, at the top level, `seed`.  Each rule tests
-the accepting case first and returns at once; only a value that fails goes
-on to the diagnostic tail, which builds the field name, the key sets or
-the message.  The readers pass their key sets as module-level frozensets.
+`vehicles[0].waypoints[1]` or, at the top level, `seed`.  The readers pass
+a field's place as `where`: a name as it is (`"scenario"`, `""` for the
+top level) or the parts of one (`("vehicles", 0, "waypoints")`), which
+`field_name` joins.  Each rule tests the accepting case first and returns
+at once; only a value that fails goes on to the diagnostic tail, which
+builds the field name, the key sets or the message, so that a field's name
+is built only when a rule refuses it.  The readers pass their key sets as
+module-level frozensets.
 JSON values and CSV text share each rule and differ only in the parse
 step: a JSON number is an int or float (never a bool or a string), while
 CSV text is read by `float()` or matched as a decimal integer.
@@ -37,19 +41,34 @@ def read_json(path: str | Path):
 
 NO_KEYS: frozenset[str] = frozenset()  # for `keys`: a record with no optional key
 
+# a field's place: a name as it is, or the parts of one (a key or an index each)
+Where = str | tuple[str | int, ...]
 
-def keys(obj, required: frozenset[str], optional: frozenset[str], where: str) -> None:
+
+def field_name(where: Where, *parts: str | int) -> str:
+    """The name of the field at `where`, then `parts`: `("arcs", 12)` and
+    `"tail"` give `arcs[12].tail`."""
+    name = ""
+    for part in ((where,) if isinstance(where, str) else where) + parts:
+        if isinstance(part, int):
+            name = f"{name}[{part}]"
+        else:
+            name = f"{name}.{part}" if name else part
+    return name
+
+
+def keys(obj, required: frozenset[str], optional: frozenset[str], where: Where) -> None:
     """Refuse `obj` unless it is an object with every required key and no
     key outside `required | optional`."""
     if not isinstance(obj, dict):
-        raise InputError(f"{where} must be an object, got {obj!r}")
+        raise InputError(f"{field_name(where)} must be an object, got {obj!r}")
     present = obj.keys()
     if present == required or (present >= required and present - required <= optional):
         return
     unknown = present - required - optional
     if unknown:
-        raise InputError(f"unknown keys {sorted(unknown)} in {where}")
-    raise InputError(f"missing keys {sorted(required - present)} in {where}")
+        raise InputError(f"unknown keys {sorted(unknown)} in {field_name(where)}")
+    raise InputError(f"missing keys {sorted(required - present)} in {field_name(where)}")
 
 
 def section(raw: dict, name: str) -> list:
@@ -61,18 +80,12 @@ def section(raw: dict, name: str) -> list:
     return items
 
 
-def _name(where: str, key: str | int) -> str:
-    if isinstance(key, int):
-        return f"{where}[{key}]"
-    return f"{where}.{key}" if where else key
-
-
-def fail(item, key: str | int, where: str, rule: str) -> NoReturn:
+def fail(item, key: str | int, where: Where, rule: str) -> NoReturn:
     """Raise InputError: the field `item[key]` of `where` must be `rule`."""
-    raise InputError(f"{_name(where, key)} must be {rule}, got {item[key]!r}")
+    raise InputError(f"{field_name(where, key)} must be {rule}, got {item[key]!r}")
 
 
-def finite(item, key: str | int, where: str) -> float:
+def finite(item, key: str | int, where: Where) -> float:
     """`item[key]`, a JSON number, as a finite float."""
     value = item[key]
     if type(value) is float and math.isfinite(value):
@@ -89,7 +102,7 @@ def finite_text(row: dict[str, str], key: str) -> float:
     return _finite(number, row, key, "")
 
 
-def _finite(number: float | int | None, item, key: str | int, where: str) -> float:
+def _finite(number: float | int | None, item, key: str | int, where: Where) -> float:
     try:
         if number is not None and math.isfinite(number):
             return float(number)
@@ -98,7 +111,7 @@ def _finite(number: float | int | None, item, key: str | int, where: str) -> flo
     fail(item, key, where, "a finite number")
 
 
-def integer(item, key: str | int, where: str) -> int:
+def integer(item, key: str | int, where: Where) -> int:
     """`item[key]`, a JSON integer."""
     value = item[key]
     if type(value) is int:
@@ -116,7 +129,7 @@ def integer_text(row: dict[str, str], key: str) -> int:
         fail(row, key, "", f"an integer of at most {sys.get_int_max_str_digits()} digits")
 
 
-def string(item, key: str | int, where: str) -> str:
+def string(item, key: str | int, where: Where) -> str:
     """`item[key]`, a non-empty string of printable characters.  The output
     files cannot hold a lone surrogate (a JSON escape can make one), a line
     break would split a trace line, and the CSV writers leave a carriage
@@ -129,11 +142,11 @@ def string(item, key: str | int, where: str) -> str:
     fail(item, key, where, "printable text")
 
 
-def lookup(find, item, key: str | int, where: str, what: str):
+def lookup(find, item, key: str | int, where: Where, what: str):
     """`find(item[key])`, where `item[key]` is the id of a `what` (an arc,
     a node ...) and `find` raises LookupError for an unknown id."""
     value = string(item, key, where)
     try:
         return find(value)
     except LookupError:
-        raise InputError(f"{_name(where, key)}: unknown {what} {value!r}") from None
+        raise InputError(f"{field_name(where, key)}: unknown {what} {value!r}") from None

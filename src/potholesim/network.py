@@ -28,10 +28,11 @@ naming the field, e.g. `nodes[1].x must be a finite number, got nan`,
 from __future__ import annotations
 
 import math
+from bisect import insort
 from pathlib import Path
 from typing import NamedTuple
 
-from .inputs import NO_KEYS, InputError, finite, keys, read_json, section, string
+from .inputs import NO_KEYS, InputError, finite, keys, lookup, read_json, section, string
 
 
 class UnknownNodeError(LookupError):
@@ -65,62 +66,76 @@ class StreetNetwork:
     """
 
     def __init__(self, nodes: list[Node], arcs: list[Arc]):
-        isfinite = math.isfinite
-        # every earlier record is stored, so a refused record's position in
-        # its list is the count stored so far (cheaper than enumerate)
+        """The network of `nodes` and `arcs`, held to every rule of a network
+        file: InputError names a record's position and field as
+        `load_network` would."""
+        self._load({"nodes": [n._asdict() for n in nodes],
+                    "arcs": [a._asdict() for a in arcs]})
+
+    def _load(self, raw) -> None:
+        """Check the network document `raw` and fill the indexes in one pass
+        over its records (see `load_network`)."""
+        keys(raw, NETWORK_KEYS, NO_KEYS, "network file")
+        # a record is built as the tuple it is, without the NamedTuple's
+        # Python-level __new__
+        new, isfinite = tuple.__new__, math.isfinite
         self.nodes: dict[str, Node] = {}
-        by_id = self.nodes
-        for n in nodes:
-            node_id, x, y = n
-            if node_id in by_id:
-                raise InputError(f"nodes[{len(by_id)}].id: duplicate node id {node_id!r}")
-            if not (isfinite(x) and isfinite(y)):
-                axis, value = ("x", x) if not isfinite(x) else ("y", y)
-                raise InputError(f"nodes[{len(by_id)}].{axis} must be a finite number, "
-                                 f"got {value!r}")
-            by_id[node_id] = n
+        nodes = self.nodes
+        for i, item in enumerate(section(raw, "nodes")):
+            where = ("nodes", i)
+            keys(item, NODE_KEYS, NO_KEYS, where)
+            node_id = string(item, "id", where)
+            node = new(Node, (node_id, finite(item, "x", where), finite(item, "y", where)))
+            if node_id in nodes:
+                raise InputError(f"nodes[{i}].id: duplicate node id {node_id!r}")
+            nodes[node_id] = node
 
         self.arcs: dict[str, Arc] = {}
         # (tail, head) -> its arc ids, sorted
         self.pairs: dict[tuple[str, str], list[str]] = {}
-        arcs_by_id, pairs = self.arcs, self.pairs
-        for a in arcs:
-            arc_id, tail, head, length = a
-            if arc_id in arcs_by_id:
-                raise InputError(f"arcs[{len(arcs_by_id)}].id: duplicate arc id {arc_id!r}")
-            tail_node = by_id.get(tail)
-            if tail_node is None:
-                raise InputError(f"arcs[{len(arcs_by_id)}].tail: unknown node {tail!r}")
-            head_node = by_id.get(head)
-            if head_node is None:
-                raise InputError(f"arcs[{len(arcs_by_id)}].head: unknown node {head!r}")
-            if tail == head:
-                raise InputError(f"arcs[{len(arcs_by_id)}].head must differ from its tail "
-                                 f"(no self-loops), got {head!r}")
-            if not (isfinite(length) and length > 0):
-                rule = "> 0" if isfinite(length) else "a finite number"
-                raise InputError(f"arcs[{len(arcs_by_id)}].length_m must be {rule}, "
-                                 f"got {length!r}")
-            if not (isfinite(head_node.x - tail_node.x)
-                    and isfinite(head_node.y - tail_node.y)):
-                raise InputError(f"arcs[{len(arcs_by_id)}].head must lie within a float's "
-                                 f"range of tail {tail!r} on both axes, got {head!r}")
-            arcs_by_id[arc_id] = a
-            ids = pairs.get((tail, head))
-            if ids is None:
-                pairs[tail, head] = [arc_id]
-            else:
-                ids.append(arc_id)
-        for ids in pairs.values():
-            ids.sort()
-
         # tail node -> its sorted heads and head node -> its sorted tails,
         # for deterministic adjacency walks in either direction
-        self.heads: dict[str, list[str]] = {n: [] for n in by_id}
-        self.tails: dict[str, list[str]] = {n: [] for n in by_id}
-        for (u, v) in sorted(pairs):
-            self.heads[u].append(v)
-            self.tails[v].append(u)
+        self.heads: dict[str, list[str]] = {n: [] for n in nodes}
+        self.tails: dict[str, list[str]] = {n: [] for n in nodes}
+        arcs, pairs, heads, tails = self.arcs, self.pairs, self.heads, self.tails
+        for i, item in enumerate(section(raw, "arcs")):
+            where = ("arcs", i)
+            keys(item, ARC_KEYS, NO_KEYS, where)
+            arc_id = string(item, "id", where)
+            if arc_id in arcs:
+                raise InputError(f"arcs[{i}].id: duplicate arc id {arc_id!r}")
+            # every node id passed the string rule when its node was read, so
+            # a known id needs no second check; `lookup` names any other value
+            tail, head = item["tail"], item["head"]
+            tail_node = nodes.get(tail) if type(tail) is str else None
+            if tail_node is None:
+                tail_node = lookup(nodes.__getitem__, item, "tail", where, "node")
+            head_node = nodes.get(head) if type(head) is str else None
+            if head_node is None:
+                head_node = lookup(nodes.__getitem__, item, "head", where, "node")
+            if tail == head:
+                raise InputError(f"arcs[{i}].head must differ from its tail "
+                                 f"(no self-loops), got {head!r}")
+            length = finite(item, "length_m", where)
+            if not length > 0:
+                raise InputError(f"arcs[{i}].length_m must be > 0, got {length!r}")
+            _, tail_x, tail_y = tail_node
+            _, head_x, head_y = head_node
+            if not (isfinite(head_x - tail_x) and isfinite(head_y - tail_y)):
+                raise InputError(f"arcs[{i}].head must lie within a float's range of "
+                                 f"tail {tail!r} on both axes, got {head!r}")
+            arcs[arc_id] = new(Arc, (arc_id, tail, head, length))
+            pair = (tail, head)
+            ids = pairs.get(pair)
+            if ids is None:
+                pairs[pair] = [arc_id]
+                heads[tail].append(head)
+                tails[head].append(tail)
+            else:
+                insort(ids, arc_id)
+        for adjacent in (heads, tails):
+            for ends in adjacent.values():
+                ends.sort()
 
     def node(self, node_id: str) -> Node:
         try:
@@ -148,17 +163,6 @@ ARC_KEYS = frozenset({"id", "tail", "head", "length_m"})
 
 
 def network_from_dict(raw) -> StreetNetwork:
-    keys(raw, NETWORK_KEYS, NO_KEYS, "network file")
-    nodes = []
-    for i, item in enumerate(section(raw, "nodes")):
-        where = f"nodes[{i}]"
-        keys(item, NODE_KEYS, NO_KEYS, where)
-        nodes.append(Node(string(item, "id", where), finite(item, "x", where),
-                          finite(item, "y", where)))
-    arcs = []
-    for i, item in enumerate(section(raw, "arcs")):
-        where = f"arcs[{i}]"
-        keys(item, ARC_KEYS, NO_KEYS, where)
-        arcs.append(Arc(string(item, "id", where), string(item, "tail", where),
-                        string(item, "head", where), finite(item, "length_m", where)))
-    return StreetNetwork(nodes, arcs)
+    net = StreetNetwork.__new__(StreetNetwork)
+    net._load(raw)
+    return net

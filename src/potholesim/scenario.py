@@ -42,9 +42,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .detection import GroundTruthSurface, Pit
-from .inputs import (NO_KEYS, InputError, fail, finite, integer, keys, lookup,
+from .inputs import (NO_KEYS, InputError, fail, field_name, finite, integer, keys, lookup,
                      read_json, section, string)
 from .network import StreetNetwork
+
+
+# builds a record as the tuple it is, without the NamedTuple's Python-level
+# __new__ (for the scenario's most numerous records, its events)
+_new = tuple.__new__
 
 
 class VehicleSpec(NamedTuple):
@@ -103,11 +108,11 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
 
     vehicles: dict[str, VehicleSpec] = {}
     for i, item in enumerate(section(raw, "vehicles")):
-        where = f"vehicles[{i}]"
+        where = ("vehicles", i)
         keys(item, VEHICLE_KEYS, NO_KEYS, where)
         vid = string(item, "id", where)
         if vid in vehicles:
-            raise InputError(f"{where}.id: duplicate vehicle id {vid!r}")
+            raise InputError(f"vehicles[{i}].id: duplicate vehicle id {vid!r}")
         arc = lookup(net.arc, item, "start_arc", where, "arc")
         offset = finite(item, "start_offset_m", where)
         if not (0.0 <= offset < arc.length_m):
@@ -118,9 +123,16 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
         if not isinstance(item["waypoints"], list):
             fail(item, "waypoints", where, "a list")
         waypoints = tuple(item["waypoints"])
-        waypoints_where = f"{where}.waypoints"
-        for k in range(len(waypoints)):
-            lookup(net.node, waypoints, k, waypoints_where, "node")
+        # known node ids passed the string rule when the network was read;
+        # `lookup`, item by item, names the first waypoint that is not one
+        try:
+            known = net.nodes.keys() >= set(waypoints)
+        except TypeError:  # an unhashable waypoint
+            known = False
+        waypoints_where = (*where, "waypoints")
+        if not known:
+            for k in range(len(waypoints)):
+                lookup(net.node, waypoints, k, waypoints_where, "node")
         if waypoints:
             if waypoints[0] != arc.head:
                 fail(waypoints, 0, waypoints_where,
@@ -129,13 +141,14 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
             # pair that an arc joins
             for a, b in zip(waypoints, waypoints[1:]):
                 if (a, b) not in net.pairs:
-                    raise InputError(f"{waypoints_where}: no arc joins {a!r} -> {b!r}")
+                    raise InputError(f"{field_name(waypoints_where)}: no arc joins "
+                                     f"{a!r} -> {b!r}")
         vehicles[vid] = VehicleSpec(vid, arc.id, offset, speed, waypoints)
     scenario.vehicles.extend(vehicles.values())
 
     depth_sums: dict[str, float] = {}  # arc id -> the depths of its pits so far
     for i, item in enumerate(section(raw, "pits")):
-        where = f"pits[{i}]"
+        where = ("pits", i)
         keys(item, PIT_KEYS, NO_KEYS, where)
         arc = lookup(net.arc, item, "arc", where, "arc")
         pit = Pit(finite(item, "center_m", where), finite(item, "half_length_m", where),
@@ -167,11 +180,11 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
 
     seen_aps: set[str] = set()
     for i, item in enumerate(section(raw, "access_points")):
-        where = f"access_points[{i}]"
+        where = ("access_points", i)
         keys(item, ACCESS_POINT_KEYS, NO_KEYS, where)
         ap_id = string(item, "id", where)
         if ap_id in seen_aps:
-            raise InputError(f"{where}.id: duplicate access point id {ap_id!r}")
+            raise InputError(f"access_points[{i}].id: duplicate access point id {ap_id!r}")
         seen_aps.add(ap_id)
         x, y = finite(item, "x", where), finite(item, "y", where)
         range_m = finite(item, "range_m", where)
@@ -181,23 +194,28 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
             fail(item, "open", where, "true or false")
         scenario.access_points.append(AccessPointSpec(ap_id, x, y, range_m, item["open"]))
 
+    # as with the waypoints, an id known to `vehicles` or the network passed
+    # the string rule when it was read; `lookup` names any other value
+    events, nodes = scenario.events, net.nodes
     for i, item in enumerate(section(raw, "events")):
-        where = f"events[{i}]"
+        where = ("events", i)
         keys(item, EVENT_KEYS, DEST_KEY, where)
         t = integer(item, "t_ms", where)
         if not (0 <= t < scenario.duration_ms):
             fail(item, "t_ms", where, "in [0, duration_ms)")
-        vid = lookup(vehicles.__getitem__, item, "vehicle", where, "vehicle").id
+        vid = item["vehicle"]
+        if not (type(vid) is str and vid in vehicles):
+            vid = lookup(vehicles.__getitem__, item, "vehicle", where, "vehicle").id
         kind = item["kind"]
         dest = item.get("dest")
         if kind == "DETECT":
             if "dest" in item:
-                raise InputError(f"{where}: DETECT takes no dest")
+                raise InputError(f"events[{i}]: DETECT takes no dest")
         elif kind == "DEST_CHANGE":
-            if dest is not None:
+            if dest is not None and not (type(dest) is str and dest in nodes):
                 lookup(net.node, item, "dest", where, "node")
         else:
             fail(item, "kind", where, "DETECT or DEST_CHANGE")
-        scenario.events.append(TimedEvent(t, kind, vid, dest))
+        events.append(_new(TimedEvent, (t, kind, vid, dest)))
 
     return scenario

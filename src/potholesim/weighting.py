@@ -13,9 +13,9 @@ mm*m and are recomputed per arc whenever the registry ingests a report for
 that arc, which keeps the incremental state identical to a full rebuild.
 Both paths share two steps: the arc weight, which sums the arc's depths in
 minting order from the registry's per-arc index, and the pair minimum over
-the arcs the network's pair index lists.  `preprocess` weighs each pair's
-arcs and then takes that pair's minimum once; `apply_update` weighs one arc
-and retakes its pair's minimum.
+the arcs the network's pair index lists.  `preprocess` weighs the arcs the
+registry lists (every other arc is clean) and then takes each pair's
+minimum once; `apply_update` weighs one arc and retakes its pair's minimum.
 
 Dump format (CSV): arc_id, tail, head, length_m, pothole_count,
 avg_damage_mm, weight.
@@ -82,16 +82,19 @@ def _pair_minimum(wnet: WeightedNetwork, ids: list[str]) -> tuple[float, float, 
 def preprocess(net: StreetNetwork, registry: PotholeRegistry) -> WeightedNetwork:
     """Weight every arc from the current registry and set each pair minimum.
 
-    Pair by pair, it weighs the pair's arcs and then takes the pair's
-    minimum once, through the same two steps as `apply_update`; the state
+    Every arc starts at the clean weight 0.0, and only the arcs the
+    registry lists are weighed; then each pair's minimum is taken once.
+    Both go through the same two steps as `apply_update`, so the state
     comes out identical to re-weighting every arc with `apply_update`.
     """
-    weights = dict.fromkeys(net.arcs, 0.0)  # in the network's arc order
-    wnet = WeightedNetwork(net, weights, {})
-    min_weights, arcs = wnet.min_weights, net.arcs
-    for pair, ids in net.pairs.items():
-        for arc_id in ids:
+    arcs = net.arcs
+    weights = dict.fromkeys(arcs, 0.0)  # in the network's arc order
+    for arc_id in registry.by_arc:
+        if arc_id in weights:
             weights[arc_id] = _arc_weight(arcs[arc_id], registry)
+    wnet = WeightedNetwork(net, weights, {})
+    min_weights = wnet.min_weights
+    for pair, ids in net.pairs.items():
         min_weights[pair] = _pair_minimum(wnet, ids)
     return wnet
 
