@@ -18,6 +18,12 @@ File format (JSON, strict -- unknown keys are rejected), read by
 coordinates and lengths finite numbers; every rejection raises InputError
 naming the field, e.g. `nodes[1].x must be a finite number, got nan`,
 `nodes[2].id: duplicate node id 'u'` or `arcs[0].head: unknown node 'ghost'`.
+The records are read in one pass, nodes before arcs and each in file order,
+and each record is checked in full before the next: a node's id, x, y and
+then whether its id is a duplicate; an arc's id, whether that id is a
+duplicate, tail, head, the self-loop, length_m and the coordinate range.  So
+an input with several faults is refused for its first faulty record.
+`StreetNetwork(nodes, arcs)` holds its records to the same rules.
 
     {
       "nodes": [{"id": "A", "x": 0.0, "y": 0.0}, ...],
@@ -77,13 +83,15 @@ class StreetNetwork:
         over its records (see `load_network`)."""
         keys(raw, NETWORK_KEYS, NO_KEYS, "network file")
         # a record is built as the tuple it is, without the NamedTuple's
-        # Python-level __new__
+        # Python-level __new__; and a record with exactly the keys its kind
+        # takes passes `keys` without the call
         new, isfinite = tuple.__new__, math.isfinite
         self.nodes: dict[str, Node] = {}
         nodes = self.nodes
         for i, item in enumerate(section(raw, "nodes")):
             where = ("nodes", i)
-            keys(item, NODE_KEYS, NO_KEYS, where)
+            if type(item) is not dict or item.keys() != NODE_KEYS:
+                keys(item, NODE_KEYS, NO_KEYS, where)
             node_id = string(item, "id", where)
             node = new(Node, (node_id, finite(item, "x", where), finite(item, "y", where)))
             if node_id in nodes:
@@ -100,7 +108,8 @@ class StreetNetwork:
         arcs, pairs, heads, tails = self.arcs, self.pairs, self.heads, self.tails
         for i, item in enumerate(section(raw, "arcs")):
             where = ("arcs", i)
-            keys(item, ARC_KEYS, NO_KEYS, where)
+            if type(item) is not dict or item.keys() != ARC_KEYS:
+                keys(item, ARC_KEYS, NO_KEYS, where)
             arc_id = string(item, "id", where)
             if arc_id in arcs:
                 raise InputError(f"arcs[{i}].id: duplicate arc id {arc_id!r}")

@@ -30,7 +30,8 @@ def test_traced_metrics_cover_the_loop_and_the_server_layers():
     per_layer = json.loads((_root / "BENCHMARK.json").read_text())["per_layer"]
     names = {m["name"] for m in bench_pairs.traced_metrics(per_layer)}
     for layer in ("comms.uplink", "server.receive_envelope", "server.query", "geocrypto.decrypt",
-                  "registry.ingest_report", "weighting.preprocess", "weighting.apply_update"):
+                  "registry.ingest_report", "weighting.preprocess", "weighting.apply_update",
+                  "network.load_network", "scenario.load_scenario"):
         assert {f"{layer}.calls", f"{layer}.busy_s"} <= names
     assert {"comms.loop.self_s", "trace.pass_s"} <= names
     assert not [n for n in names if n.endswith(".us_p50") or n.startswith("routing.")

@@ -5,7 +5,8 @@ import re
 import pytest
 
 from potholesim.inputs import InputError
-from potholesim.network import Arc, Node, StreetNetwork, UnknownNodeError, load_network
+from potholesim.network import (Arc, Node, StreetNetwork, UnknownNodeError, load_network,
+                                network_from_dict)
 
 
 def write_net(tmp_path, payload):
@@ -130,9 +131,85 @@ class TestLoadNetwork:
      "arcs[0].length_m must be a finite number, got inf"),
 ], ids=["nan-x", "inf-y", "inf-length"])
 def test_constructor_names_a_non_finite_field(nodes, arcs, message):
-    # the loader refuses these first; a network built in code reaches this check
+    # a network built in code is held to the rules of a network file
     with pytest.raises(InputError) as err:
         StreetNetwork(nodes, arcs)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("nodes, arcs, message", [
+    ([Node(1, 0.0, 0.0)], [], "nodes[0].id must be a non-empty string, got 1"),
+    ([Node("u", "0", 0.0)], [], "nodes[0].x must be a finite number, got '0'"),
+    ([Node("u", 0.0, 0.0), Node("v", 1.0, 0.0)], [Arc("a1", ["u"], "v", 1.0)],
+     "arcs[0].tail must be a non-empty string, got ['u']"),
+    ([Node("u", 0.0, 0.0), Node("v", 1.0, 0.0)], [Arc("a1", "u", "v", True)],
+     "arcs[0].length_m must be a finite number, got True"),
+], ids=["int-id", "string-x", "list-tail", "bool-length"])
+def test_constructor_names_a_mistyped_field(nodes, arcs, message):
+    with pytest.raises(InputError) as err:
+        StreetNetwork(nodes, arcs)
+    assert str(err.value) == message
+
+
+def test_constructor_stores_integer_coordinates_and_lengths_as_floats():
+    net = StreetNetwork([Node("u", 0, 0), Node("v", 3, 4)], [Arc("a1", "u", "v", 5)])
+    assert net.nodes["v"] == Node("v", 3.0, 4.0) and type(net.nodes["v"].x) is float
+    assert type(net.arcs["a1"].length_m) is float
+
+
+# arcs out of id order, a parallel pair whose larger id comes first, and an
+# isolated node: the indexes' insertion order and sorting both show
+INDEX_NODES = [("w", 2.0, 1.0), ("u", 0.0, 0.0), ("v", 1.0, 0.0), ("z", 5.0, 5.0)]
+INDEX_ARCS = [("b2", "u", "v", 2.0), ("a9", "v", "w", 1.5), ("b1", "u", "v", 3.0),
+              ("c0", "w", "u", 2.5), ("a1", "u", "w", 2.0), ("d4", "v", "u", 1.0)]
+
+
+def test_loaded_records_are_named_tuples_indexed_as_built_directly():
+    raw = {"nodes": [dict(zip(Node._fields, n)) for n in INDEX_NODES],
+           "arcs": [dict(zip(Arc._fields, a)) for a in INDEX_ARCS]}
+    loaded = network_from_dict(raw)
+    built = StreetNetwork([Node(*n) for n in INDEX_NODES], [Arc(*a) for a in INDEX_ARCS])
+    for net in (loaded, built):
+        assert all(type(n) is Node for n in net.nodes.values())
+        assert all(type(a) is Arc for a in net.arcs.values())
+        assert [n._asdict() for n in net.nodes.values()] == raw["nodes"]
+        assert [a._asdict() for a in net.arcs.values()] == raw["arcs"]
+        assert net.arcs["b1"].length_m == 3.0 and net.nodes["w"].y == 1.0
+    # the pairs in the order of their first arc, each pair's ids sorted; every
+    # node with its sorted heads and tails, in node order
+    pairs = [(("u", "v"), ["b1", "b2"]), (("v", "w"), ["a9"]), (("w", "u"), ["c0"]),
+             (("u", "w"), ["a1"]), (("v", "u"), ["d4"])]
+    heads = [("w", ["u"]), ("u", ["v", "w"]), ("v", ["u", "w"]), ("z", [])]
+    tails = [("w", ["u", "v"]), ("u", ["v", "w"]), ("v", ["u"]), ("z", [])]
+    for net in (loaded, built):
+        assert list(net.pairs.items()) == pairs
+        assert list(net.heads.items()) == heads
+        assert list(net.tails.items()) == tails
+        assert list(net.nodes) == ["w", "u", "v", "z"]
+        assert list(net.arcs) == [a[0] for a in INDEX_ARCS]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # a later record's field fault is not reached: the duplicate node comes first
+    (lambda raw: (raw["nodes"].append({"id": "u", "x": 1.0, "y": 1.0}),
+                  raw["arcs"][0].update(tail=["u"])),
+     "nodes[2].id: duplicate node id 'u'"),
+    # within an arc, the id (and whether it is a duplicate) comes before its tail
+    (lambda raw: raw["arcs"].append({"id": "a1", "tail": "ghost", "head": "v",
+                                     "length_m": -1.0}),
+     "arcs[1].id: duplicate arc id 'a1'"),
+    (lambda raw: raw["arcs"].append({"id": "a2", "tail": "ghost", "head": [],
+                                     "length_m": -1.0}),
+     "arcs[1].tail: unknown node 'ghost'"),
+    (lambda raw: raw["arcs"].append({"id": "a2", "tail": "u", "head": "u",
+                                     "length_m": "x"}),
+     "arcs[1].head must differ from its tail (no self-loops), got 'u'"),
+], ids=["node-before-arc", "duplicate-id-first", "tail-before-head", "self-loop-before-length"])
+def test_several_faults_name_the_first_faulty_record(edit, message):
+    raw = json.loads(json.dumps(MINIMAL))
+    edit(raw)
+    with pytest.raises(InputError) as err:
+        network_from_dict(raw)
     assert str(err.value) == message
 
 

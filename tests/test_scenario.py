@@ -6,7 +6,7 @@ import pytest
 
 from helpers import build_net
 from potholesim.inputs import InputError
-from potholesim.scenario import load_scenario, scenario_from_dict
+from potholesim.scenario import TimedEvent, load_scenario, scenario_from_dict
 
 
 @pytest.fixture
@@ -40,6 +40,17 @@ def test_valid_scenario_loads(tmp_path, net):
     assert s.vehicles[0].id == "v1"
     assert s.pits["ab"].pits[0].depth_mm == 30.0
     assert s.events[0].kind == "DETECT"
+
+
+def test_loaded_events_are_named_tuples(net):
+    raw = variant(events=[{"t_ms": 10, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": "B"},
+                          {"t_ms": 20, "kind": "DETECT", "vehicle": "v1"}])
+    events = scenario_from_dict(raw, net).events
+    assert all(type(e) is TimedEvent for e in events)
+    assert [e._asdict() for e in events] == [
+        {"t_ms": 10, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": "B"},
+        {"t_ms": 20, "kind": "DETECT", "vehicle": "v1", "dest": None}]
+    assert events[0] == TimedEvent(10, "DEST_CHANGE", "v1", "B")
 
 
 def test_unknown_key_rejected(net):
