@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 import math
 import random
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (OracleIntake, close, enumerate_min_weight, oracle_encrypt, oracle_seal,
                      random_network, unchecked_grids)
+from test_cli import JSON_VALUES, at, json_paths
 from potholesim.detection import DepthMap, IntensityImage
 from potholesim.geocrypto import (IntegrityError, PlainReport, ReportEnvelope, _grid_to_dict,
                                   decrypt, encrypt)
@@ -230,6 +233,49 @@ class TestUnknownPayloadKeys:
             decrypt(env, KEY, ("ab", 20.0))
         assert server.receive_envelope(env, ("ab", 20.0), "v1", 100) is None
         assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
+
+
+def payload_mutations():
+    """Every single-field mutation of a 1x4 report's payload, in a fixed
+    order: each object gains an unknown key, and each value, a grid cell
+    too, is deleted or set to each of JSON_VALUES."""
+    raw = _grid_to_dict(PlainReport(*unchecked_grids([30.0, 15.0, 0.0, 42.5],
+                                                     [0.4, 0.6, 1.0, 0.25]),
+                                    "ab", 20.0, "v1", 100))
+    for path in [()] + [p for p in json_paths(raw) if isinstance(at(raw, p), dict)]:
+        yield raw, path, "add", None
+    for path in json_paths(raw):
+        yield raw, path, "delete", None
+        for value in JSON_VALUES:
+            yield raw, path, "set", value
+
+
+# recorded once, before the server's records were reworked for speed; a changed
+# outcome or refusal reason for any one mutation changes it
+PAYLOAD_OUTCOMES_DIGEST = "a225a7d8cbc26f10c9d4a82265d459fa932f8d78300047dbd9465e23256b2cf7"
+
+
+def test_every_mutated_payload_field_keeps_its_outcome(diamond_net):
+    digest = hashlib.sha256()
+    count = 0
+    for raw, path, op, value in payload_mutations():
+        doc = copy.deepcopy(raw)
+        if op == "add":
+            at(doc, path)["unexpected"] = 1
+        elif op == "delete":
+            del at(doc, path[:-1])[path[-1]]
+        else:
+            at(doc, path[:-1])[path[-1]] = value
+        payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        registry = PotholeRegistry(diamond_net)
+        server = Server(diamond_net, registry, preprocess(diamond_net, registry), KEY)
+        outcome = server.receive_envelope(
+            oracle_seal(payload, KEY, ("ab", 20.0), random.Random(1)), ("ab", 20.0), "v1", 100)
+        counters = {name: n for name, n in vars(server.stats).items() if n}
+        digest.update(f"{path!r} {op} {value!r} {outcome!r} {counters!r}\n".encode())
+        count += 1
+    assert count == 318
+    assert digest.hexdigest() == PAYLOAD_OUTCOMES_DIGEST
 
 
 class TestUndecodablePayload:
