@@ -16,10 +16,11 @@ than the parent median by more than its bound in `BENCHMARK.json` is marked
 Untraced runs report the end-to-end metrics.  With `--trace`, the runs are
 traced and report the event loop's own time (`comms.loop.self_s`), the
 traced pass (`trace.pass_s`) and the calls and busy time of each traced
-function of the event loop, of the server's intake and query path
-(`comms.*`, `server.*`, `registry.*`, `geocrypto.*` and `weighting.*`) and
-of the loaders that set-up runs (`network.*` and `scenario.*`), so a change
-in an end-to-end metric can be attributed to the layer it came from.
+function of the event loop and the scanner it drives (`comms.*` and
+`detection.*`), of the server's intake and query path (`server.*`,
+`registry.*`, `geocrypto.*` and `weighting.*`) and of the loaders that
+set-up runs (`network.*` and `scenario.*`), so a change in an end-to-end
+metric can be attributed to the layer it came from.
 
     python3 scripts/bench_pairs.py --parent REV --workload query_mix --seed 5 --pairs 10
     python3 scripts/bench_pairs.py --parent REV --workload query_mix --seed 5 --seed 7 --pairs 10
@@ -40,8 +41,8 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 # the layers whose calls and busy time a traced comparison reports
-TRACED_LAYERS = ("comms.", "server.", "registry.", "geocrypto.", "weighting.", "network.",
-                 "scenario.")
+TRACED_LAYERS = ("comms.", "detection.", "server.", "registry.", "geocrypto.", "weighting.",
+                 "network.", "scenario.")
 
 
 def git(root: Path, *args: str) -> str:

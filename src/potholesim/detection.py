@@ -126,12 +126,14 @@ def sweep(surface: GroundTruthSurface, window: tuple[float, float],
         raise ValueError(f"window [{start}, {end}) shorter than one {cell_m} m cell")
     depth_row = [0.0] * cols
     inten_row = [1.0] * cols
-    # rasterize per pit rather than scanning pits per cell; the per-cell scan
-    # is kept as the test oracle
+    # rasterize each pit over the cells it may cover (the test oracle scans per
+    # cell): bounds widened a cell each side and clamped in floats before int()
     for pit in surface.pits:
         lo = pit.center_m - pit.half_length_m
         hi = pit.center_m + pit.half_length_m
-        for c in range(cols):
+        first = int(min(max((lo - start) / cell_m - 1.0, 0.0), cols))
+        last = int(min(max((hi - start) / cell_m + 1.0, 0.0), cols))
+        for c in range(first, last):
             center = start + (c + 0.5) * cell_m
             if lo <= center <= hi and pit.depth_mm > depth_row[c]:
                 depth_row[c] = pit.depth_mm

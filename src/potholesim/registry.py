@@ -77,8 +77,9 @@ class PotholeRegistry:
         self.dedup_radius_m = dedup_radius_m
         self.records: dict[str, PotholeRecord] = {}
         self.events: list[UpdateEvent] = []
-        # arc id -> its pothole ids in minting order; weighting reads it too
-        self.by_arc: dict[str, list[str]] = {}
+        # arc id -> its pothole ids in minting order, a tuple that a mint
+        # replaces rather than changes; weighting and the server read it too
+        self.by_arc: dict[str, tuple[str, ...]] = {}
         self._next_id = 1
 
     def __len__(self) -> int:
@@ -128,14 +129,13 @@ class PotholeRegistry:
             id=pid, arc=report.arc, offset_m=report.offset_m,
             depth_mm=report.depth_mm, intensity=report.intensity,
             first_seen_ms=now_ms, last_seen_ms=now_ms)
-        self.by_arc.setdefault(report.arc, []).append(pid)
+        self.by_arc[report.arc] = self.by_arc.get(report.arc, ()) + (pid,)
         self.events.append(UpdateEvent(pid, vehicle_id, now_ms))
         return pid, True
 
     def pothole_ids(self, arc_id: str) -> tuple[str, ...]:
-        """Ids of the potholes on the given arc, in minting order; the arc
-        is not checked."""
-        return tuple(self.by_arc.get(arc_id, ()))
+        """The arc's pothole ids in minting order: the registry's own tuple, arc unchecked."""
+        return self.by_arc.get(arc_id, ())
 
     def lookup(self, pothole_id: str) -> PotholeRecord:
         try:
@@ -187,8 +187,8 @@ class PotholeRegistry:
             reg._next_id = max(reg._next_id, int(rec.id) + 1)
 
         _read_rows(path, cls.RECORD_FIELDS, add)
-        for ids in reg.by_arc.values():
-            ids.sort(key=int)  # restore minting order regardless of row order
+        # each arc's ids as a tuple in minting order, regardless of row order
+        reg.by_arc = {arc: tuple(sorted(ids, key=int)) for arc, ids in reg.by_arc.items()}
         return reg
 
 

@@ -13,13 +13,16 @@ snapshot's sequence number.  Query dispatch is a fixed request-kind ->
 handler mapping; there is no cost-based planning.  A condition query is
 answered straight from the indexes the intake keeps: the weight from
 `wnet.arc_weights`, which holds every arc of the network and so is the one
-unknown-arc check, and the pothole ids, in minting order, from
-`registry.pothole_ids`, which reads the registry's per-arc index.
+unknown-arc check, and the pothole ids, in minting order, as the
+registry's own per-arc tuple, which a mint replaces rather than changes,
+so a reply keeps its snapshot's ids.  Requests and replies are NamedTuples
+and so compare equal to plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import geocrypto, routing, weighting
 from .detection import PotholeDetection, SensorValueError
@@ -49,33 +52,28 @@ _REJECTED = {EnvelopeFormatError: "rejected_format", LocationMismatchError: "rej
              IntegrityError: "rejected_integrity"}
 
 
-@dataclass(frozen=True)
-class RouteRequest:
+class RouteRequest(NamedTuple):
     source: str
     dest: str
 
 
-@dataclass(frozen=True)
-class ConditionRequest:
+class ConditionRequest(NamedTuple):
     arc: str
 
 
-@dataclass(frozen=True)
-class RouteResponse:
+class RouteResponse(NamedTuple):
     route: Route
     snapshot_seq: int
 
 
-@dataclass(frozen=True)
-class ConditionResponse:
+class ConditionResponse(NamedTuple):
     arc: str
     weight: float
     potholes: tuple[str, ...]
     snapshot_seq: int
 
 
-@dataclass(frozen=True)
-class ErrorResponse:
+class ErrorResponse(NamedTuple):
     message: str
     snapshot_seq: int
 
@@ -123,11 +121,7 @@ class Server:
     def query(self, request: RouteRequest | ConditionRequest):
         """Answer a route or condition query against the current snapshot."""
         try:
-            if isinstance(request, RouteRequest):
-                rt = routing.route(self.wnet, request.source, request.dest)
-                self.stats.queries_answered += 1
-                return RouteResponse(rt, self.snapshot_seq)
-            if isinstance(request, ConditionRequest):
+            if isinstance(request, ConditionRequest):  # the more frequent kind
                 arc = request.arc
                 weight = self.wnet.arc_weights.get(arc)  # every arc has a weight
                 if weight is None:
@@ -135,6 +129,10 @@ class Server:
                 pids = self.registry.pothole_ids(arc)
                 self.stats.queries_answered += 1
                 return ConditionResponse(arc, weight, pids, self.snapshot_seq)
+            if isinstance(request, RouteRequest):
+                rt = routing.route(self.wnet, request.source, request.dest)
+                self.stats.queries_answered += 1
+                return RouteResponse(rt, self.snapshot_seq)
             raise TypeError(f"unsupported request {request!r}")
         # ValueError: an arc weight that `route` refuses
         except (UnknownNodeError, UnknownArcError, UnreachableError, TypeError,

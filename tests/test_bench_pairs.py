@@ -29,7 +29,8 @@ def test_past_bound(parent, change, better, bound, past):
 def test_traced_metrics_cover_the_loop_and_the_server_layers():
     per_layer = json.loads((_root / "BENCHMARK.json").read_text())["per_layer"]
     names = {m["name"] for m in bench_pairs.traced_metrics(per_layer)}
-    for layer in ("comms.uplink", "server.receive_envelope", "server.query", "geocrypto.decrypt",
+    for layer in ("comms.uplink", "detection.sweep", "detection.extract_potholes",
+                  "server.receive_envelope", "server.query", "geocrypto.decrypt",
                   "registry.ingest_report", "weighting.preprocess", "weighting.apply_update",
                   "network.load_network", "scenario.load_scenario"):
         assert {f"{layer}.calls", f"{layer}.busy_s"} <= names

@@ -2,11 +2,11 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from potholesim.detection import (DepthMap, GroundTruthSurface, IntensityImage,
-                                  Pit, SensorValueError, extract_potholes, sweep)
+                                  Pit, SensorValueError, cell_count, extract_potholes, sweep)
 
 
 def surface(pits, length=10.0, arc="a1"):
@@ -18,16 +18,19 @@ def cell_centers(start, cols, cell):
 
 
 def oracle_grid(surf, start, cols, cell):
-    """Per-cell scan over all pits: the deepest covering pit wins."""
+    """Per-cell scan over all pits.  A cell reads pavement (0 mm, 1.0) until
+    a pit that covers its centre, `center_m - half_length_m <= c <= center_m
+    + half_length_m`, is deeper: the deepest covering pit wins, the first
+    listed on a tie, and a pit 0 mm deep reads as pavement."""
     depths, intens = [], []
     for center in cell_centers(start, cols, cell):
-        best = None
+        depth, inten = 0.0, 1.0
         for pit in surf.pits:
-            covers = abs(center - pit.center_m) <= pit.half_length_m
-            if covers and (best is None or pit.depth_mm > best.depth_mm):
-                best = pit
-        depths.append(best.depth_mm if best else 0.0)
-        intens.append(best.reflectivity if best else 1.0)
+            lo, hi = pit.center_m - pit.half_length_m, pit.center_m + pit.half_length_m
+            if lo <= center <= hi and pit.depth_mm > depth:
+                depth, inten = pit.depth_mm, pit.reflectivity
+        depths.append(depth)
+        intens.append(inten)
     return depths, intens
 
 
@@ -212,3 +215,52 @@ def test_offsets_within_window(start, span):
     dm, ii = sweep(surf, (start, end), 0.5)
     for rep in extract_potholes(dm, ii, 10.0, "a1", start):
         assert start <= rep.offset_m <= end
+
+
+@st.composite
+def sweep_inputs(draw):
+    """(pits, start, end, cell_m) on a 50 m arc: a window starting anywhere in
+    its first half, and pits that overlap, cross either end of the window or
+    end on a cell centre, nudged by one ulp to either side or not at all."""
+    cell = draw(st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0]))
+    start = draw(st.sampled_from([0.0, 0.1, 7.3]) | st.floats(0.0, 25.0))
+    cols = draw(st.integers(1, 40))
+    end = min(50.0, start + cols * cell)
+    pits = []
+    for _ in range(draw(st.integers(0, 8))):
+        half = draw(st.sampled_from([0.0, 0.25, 0.75]) | st.floats(0.0, 4.0))
+        kind = draw(st.sampled_from(["anywhere", "window end", "cell centre"]))
+        if kind == "anywhere":
+            center = draw(st.floats(max(0.0, start - 5.0), min(50.0, end + 5.0)))
+        elif kind == "window end":
+            center = draw(st.sampled_from([start, end])) + draw(st.floats(-2.0, 2.0))
+        else:  # one end of the pit on the centre of a cell, or near one
+            on = start + (draw(st.integers(-2, cols + 1)) + 0.5) * cell
+            center = on + draw(st.sampled_from([half, -half]))
+        nudge = draw(st.sampled_from(["none", "center", "half"]))
+        if nudge == "center":
+            center = math.nextafter(center, draw(st.sampled_from([-math.inf, math.inf])))
+        elif nudge == "half":
+            half = math.nextafter(half, draw(st.sampled_from([0.0, math.inf])))
+        depth = draw(st.sampled_from([0.0, 30.0, 55.5]) | st.floats(0.0, 100.0))
+        pits.append(Pit(center, half, depth, draw(st.floats(0.0, 1.0))))
+    return pits, start, end, cell
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_inputs())
+# pit ends on the 4.25 m cell centre, one ulp inside it and one ulp outside
+@example(([Pit(5.0, 0.75, 50.0, 0.4)], 0.0, 10.0, 0.5))
+@example(([Pit(math.nextafter(5.0, 0.0), 0.75, 50.0, 0.4)], 0.0, 10.0, 0.5))
+@example(([Pit(math.nextafter(5.0, 9.0), 0.75, 50.0, 0.4)], 0.0, 10.0, 0.5))
+# a half length one ulp short of the cell centre, whose span rounds onto it
+@example(([Pit(5.0, math.nextafter(0.75, 0.0), 50.0, 0.4)], 0.0, 10.0, 0.5))
+# overlapping pits of one depth, and one 0 mm deep, in a window from 2.5 m
+@example(([Pit(3.0, 1.0, 0.0, 0.1), Pit(4.0, 1.0, 30.0, 0.7), Pit(4.5, 1.0, 30.0, 0.2)],
+          2.5, 7.5, 0.5))
+def test_sweep_matches_the_per_cell_scan(inputs):
+    pits, start, end, cell = inputs
+    surf = GroundTruthSurface("a1", 50.0, pits)
+    dm, ii = sweep(surf, (start, end), cell)
+    assert dm.cols == cell_count(end - start, cell)
+    assert (dm.depths, ii.values) == oracle_grid(surf, start, dm.cols, cell)

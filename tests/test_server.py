@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (OracleIntake, close, enumerate_min_weight, oracle_encrypt, oracle_seal,
-                     random_network, unchecked_grids)
+from helpers import (OracleIntake, close, enumerate_min_weight, ingest, oracle_encrypt,
+                     oracle_seal, random_network, unchecked_grids)
 from test_cli import JSON_VALUES, at, json_paths
 from potholesim.detection import DepthMap, IntensityImage
 from potholesim.geocrypto import (IntegrityError, PlainReport, ReportEnvelope, _grid_to_dict,
@@ -374,12 +375,54 @@ class TestQuery:
             "ValueError: weight inf on arc 'ab' is not a finite number >= 0", 0)
         assert server.stats.queries_failed == 1 and server.stats.queries_answered == 0
 
+    def test_reply_reprs_and_field_names(self, server):
+        server.receive_envelope(*sealed_report("ab", 20.0, 30.0), "v1", 100)
+        replies = [
+            (RouteRequest("A", "D"), ["source", "dest"],
+             "RouteRequest(source='A', dest='D')"),
+            (ConditionRequest("ab"), ["arc"], "ConditionRequest(arc='ab')"),
+            (server.query(RouteRequest("A", "D")), ["route", "snapshot_seq"],
+             "RouteResponse(route=Route(source='A', dest='D', arcs=('ac', 'cd'), "
+             "total_weight=0.0, total_length_m=160.0), snapshot_seq=1)"),
+            (server.query(ConditionRequest("ab")), ["arc", "weight", "potholes", "snapshot_seq"],
+             "ConditionResponse(arc='ab', weight=3000.0, potholes=('1',), snapshot_seq=1)"),
+            (server.query(ConditionRequest("zz")), ["message", "snapshot_seq"],
+             "ErrorResponse(message='UnknownArcError: zz', snapshot_seq=1)")]
+        for reply, fields, text in replies:
+            assert list(inspect.signature(type(reply)).parameters) == fields
+            assert repr(reply) == text
+
+    def test_condition_reply_keeps_its_snapshot(self, server):
+        rng = random.Random(4)
+        server.receive_envelope(*sealed_report("ab", 60.0, 30.0, rng=rng), "v1", 100)
+        server.receive_envelope(*sealed_report("ab", 20.0, 50.0, rng=rng), "v1", 200)
+        first = server.query(ConditionRequest("ab"))
+        server.receive_envelope(*sealed_report("ab", 20.3, 40.0, rng=rng), "v2", 300)  # a merge
+        server.receive_envelope(*sealed_report("ab", 90.0, 10.0, rng=rng), "v2", 400)
+        assert first == ConditionResponse("ab", 4000.0, ("1", "2"), 2)
+        assert server.query(ConditionRequest("ab")) == ConditionResponse(
+            "ab", 3000.0, ("1", "2", "3"), 4)
+
     def test_unreachable_destination(self, diamond_net):
         registry = PotholeRegistry(diamond_net)
         wnet = preprocess(diamond_net, registry)
         server = Server(diamond_net, registry, wnet, KEY)
         resp = server.query(RouteRequest("D", "A"))  # diamond arcs all point away from A
         assert isinstance(resp, ErrorResponse)
+
+
+def test_registry_read_from_shuffled_rows_keeps_minting_order(diamond_net, tmp_path):
+    registry = PotholeRegistry(diamond_net)
+    for i in range(12):  # ids 1..12 alternate between two arcs
+        ingest(registry, "ab" if i % 2 else "cd", 5.0 + 7.0 * i, 20.0)
+    registry.write_csv(tmp_path / "registry.csv")
+    header, *rows = (tmp_path / "registry.csv").read_text().splitlines(keepends=True)
+    random.Random(5).shuffle(rows)
+    (tmp_path / "shuffled.csv").write_text(header + "".join(rows))
+    again = PotholeRegistry.read_csv(tmp_path / "shuffled.csv", diamond_net)
+    assert again.by_arc == {"cd": ("1", "3", "5", "7", "9", "11"),
+                            "ab": ("2", "4", "6", "8", "10", "12")}
+    assert again.pothole_ids("ab") == ("2", "4", "6", "8", "10", "12")
 
 
 # -- against the reference intake --------------------------------------------
