@@ -115,7 +115,7 @@ def sweep(surface: GroundTruthSurface, window: tuple[float, float],
     sub-cell remainder of the window is not sensed, which keeps every
     sampled offset strictly inside the window.  Where pits overlap, the
     deepest one wins both depth and reflectivity; ties go to the pit
-    listed first.
+    listed first, and a pit 0 mm deep reads as undamaged pavement.
     """
     start, end = window
     if not (0.0 <= start < end <= surface.arc_length_m):
