@@ -236,19 +236,21 @@ class TestUnknownPayloadKeys:
         assert server.stats == ServerStats(envelopes_rejected=1, rejected_integrity=1)
 
 
-def payload_mutations():
-    """Every single-field mutation of a 1x4 report's payload, in a fixed
-    order: each object gains an unknown key, and each value, a grid cell
-    too, is deleted or set to each of JSON_VALUES."""
-    raw = _grid_to_dict(PlainReport(*unchecked_grids([30.0, 15.0, 0.0, 42.5],
+PAYLOAD = _grid_to_dict(PlainReport(*unchecked_grids([30.0, 15.0, 0.0, 42.5],
                                                      [0.4, 0.6, 1.0, 0.25]),
                                     "ab", 20.0, "v1", 100))
-    for path in [()] + [p for p in json_paths(raw) if isinstance(at(raw, p), dict)]:
-        yield raw, path, "add", None
-    for path in json_paths(raw):
-        yield raw, path, "delete", None
+
+
+def payload_mutations():
+    """Every single-field mutation of PAYLOAD, a 1x4 report, in a fixed
+    order: each object gains an unknown key, and each value, a grid cell
+    too, is deleted or set to each of JSON_VALUES."""
+    for path in [()] + [p for p in json_paths(PAYLOAD) if isinstance(at(PAYLOAD, p), dict)]:
+        yield path, "add", None
+    for path in json_paths(PAYLOAD):
+        yield path, "delete", None
         for value in JSON_VALUES:
-            yield raw, path, "set", value
+            yield path, "set", value
 
 
 # recorded once, before the server's records were reworked for speed; a changed
@@ -259,8 +261,8 @@ PAYLOAD_OUTCOMES_DIGEST = "a225a7d8cbc26f10c9d4a82265d459fa932f8d78300047dbd9465
 def test_every_mutated_payload_field_keeps_its_outcome(diamond_net):
     digest = hashlib.sha256()
     count = 0
-    for raw, path, op, value in payload_mutations():
-        doc = copy.deepcopy(raw)
+    for path, op, value in payload_mutations():
+        doc = copy.deepcopy(PAYLOAD)
         if op == "add":
             at(doc, path)["unexpected"] = 1
         elif op == "delete":
