@@ -740,7 +740,8 @@ def run_mutated(name, command, path, op, value):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main([command, *map(str, args)])
-    return rc, err.getvalue()
+    # a CSV refusal names its file: keep the temporary directory out of it
+    return rc, err.getvalue().replace(tmp, "<tmp>")
 
 
 @settings(max_examples=200, deadline=None)
@@ -757,9 +758,11 @@ def test_one_mutated_field_never_ends_in_a_traceback(mutation):
 
 
 def every_mutation():
-    """Every single-field mutation of the network and scenario documents, in
-    a fixed order: each object gains an unknown key, and each value is
-    deleted or set to each of JSON_VALUES."""
+    """Every single-field mutation of the four inputs, in a fixed order.  In
+    the network and scenario documents each object gains an unknown key, and
+    each value is deleted or set to each of JSON_VALUES.  In the registry and
+    events CSVs each cell of the data row is set to each of CSV_VALUES or
+    deleted, and the row gains an extra cell holding each of CSV_VALUES."""
     for name, doc in FUZZ_JSON.items():
         for path in [()] + [p for p in json_paths(doc) if isinstance(at(doc, p), dict)]:
             yield name, path, "add", None
@@ -768,6 +771,14 @@ def every_mutation():
             for value in JSON_VALUES:
                 if path != ("duration_ms",) or value is not BIG:
                     yield name, path, "set", value
+    for name, rows in FUZZ_CSV.items():
+        width = len(rows[1])
+        for column in range(width):
+            yield name, (1, column), "missing", None
+            for value in CSV_VALUES:
+                yield name, (1, column), "set", value
+        for value in CSV_VALUES:
+            yield name, (1, width), "extra", value
 
 
 # recorded once, before the loaders were reworked for speed; a changed
@@ -779,8 +790,29 @@ def test_every_mutated_field_keeps_its_exit_code_and_message():
     digest = hashlib.sha256()
     count = 0
     for name, path, op, value in every_mutation():
+        if name not in FUZZ_JSON:
+            continue
         rc, err = run_mutated(name, "simulate", path, op, value)
         digest.update(f"{name} {path!r} {op} {value!r} {rc} {err!r}\n".encode())
         count += 1
     assert count == 1185
     assert digest.hexdigest() == REFUSALS_DIGEST
+
+
+# recorded before the simulated vehicles' queries moved onto `Server.query`;
+# a changed exit code or message for any one mutation changes it
+CSV_REFUSALS_DIGEST = "df383b6ab48d1845af0f24d6560ed7ed2a5b5f2f09d4eb11ffd037f6183e37e9"
+
+
+def test_every_mutated_csv_cell_keeps_its_exit_code_and_message():
+    digest = hashlib.sha256()
+    count = 0
+    for name, path, op, value in every_mutation():
+        if name not in FUZZ_CSV:
+            continue
+        for command in COMMANDS[name]:
+            rc, err = run_mutated(name, command, path, op, value)
+            digest.update(f"{name} {command} {path!r} {op} {value!r} {rc} {err!r}\n".encode())
+            count += 1
+    assert count == 47 * 3 + 23
+    assert digest.hexdigest() == CSV_REFUSALS_DIGEST
