@@ -20,7 +20,10 @@ function of the event loop and the scanner it drives (`comms.*` and
 `detection.*`), of the server's intake and query path (`server.*`,
 `registry.*`, `geocrypto.*` and `weighting.*`) and of the loaders that
 set-up runs (`network.*` and `scenario.*`), so a change in an end-to-end
-metric can be attributed to the layer it came from.
+metric can be attributed to the layer it came from.  They also report the
+median `Server.query` call (`server.query.us_p50`): most queries ask for a
+road condition, and the few route queries, which the sessions' routes nest
+inside, outweigh them in `server.query.busy_s`.
 
     python3 scripts/bench_pairs.py --parent REV --workload query_mix --seed 5 --pairs 10
     python3 scripts/bench_pairs.py --parent REV --workload query_mix --seed 5 --seed 7 --pairs 10
@@ -77,10 +80,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: bool) ->
 
 
 def traced_metrics(per_layer: list[dict]) -> list[dict]:
-    """The loop's own time, the traced pass and the calls and busy time of
-    each function of `TRACED_LAYERS`."""
+    """The loop's own time, the traced pass, the median query and the calls
+    and busy time of each function of `TRACED_LAYERS`."""
     return [m for m in per_layer
-            if m["name"] in ("comms.loop.self_s", "trace.pass_s")
+            if m["name"] in ("comms.loop.self_s", "trace.pass_s", "server.query.us_p50")
             or (m["name"].startswith(TRACED_LAYERS)
                 and m["name"].endswith((".calls", ".busy_s")))]
 

@@ -13,9 +13,9 @@ from .geocrypto import PlainReport, ReportEnvelope, decrypt, encrypt
 from .maintenance import priority_report
 from .network import StreetNetwork, load_network
 from .registry import PotholeRegistry
-from .routing import Route, RoutingSession, modify_destination, route
+from .routing import Route, route
 from .scenario import Scenario, load_scenario
-from .server import Server
+from .server import RoutingSession, Server, modify_destination
 from .weighting import WeightedNetwork, apply_update, preprocess
 
 __version__ = "0.1.0"

@@ -127,8 +127,8 @@ margin: it holds nothing and rejects no vehicle by box.
 
 Trace format: one line per processed event, `t=<ms> <EVENT_KIND> <details>`
 with a fixed field order per kind, which each handler writes.  A DEST_CHANGE
-whose destination is unreachable ends in ` unreachable` and clears the
-vehicle's destination.
+whose route request the server refuses (in a run, only an unreachable
+destination can be) ends in ` unreachable` and clears the destination.
 """
 
 from __future__ import annotations
@@ -150,9 +150,9 @@ from .detection import (DepthMap, GroundTruthSurface, IntensityImage, PotholeDet
 from .geocrypto import Location, PlainReport, ReportEnvelope, encrypt
 from .network import StreetNetwork
 from .registry import PotholeRegistry
-from .routing import RoutingSession, UnreachableError, fmt_num, modify_destination
+from .routing import fmt_num
 from .scenario import AccessPointSpec, Scenario
-from .server import Server
+from .server import ErrorResponse, RoutingSession, Server, modify_destination
 
 
 class UnknownVehicleError(LookupError):
@@ -307,7 +307,7 @@ class World:
 
         self.vehicles: dict[str, VehicleState] = {}
         for spec in scenario.vehicles:
-            session = RoutingSession(wnet, spec.start_arc)
+            session = RoutingSession(self.server, spec.start_arc)
             v = self.vehicles[spec.id] = VehicleState(
                 id=spec.id, arc=spec.start_arc, offset_m=spec.start_offset_m,
                 at_ms=0, speed_mps=spec.speed_mps, waypoints=list(spec.waypoints),
@@ -628,9 +628,7 @@ class Simulation:
 
     def _on_dest_change(self, now_ms: int, v: VehicleState, dest: str | None) -> None:
         s = v.session
-        try:
-            modify_destination(s, dest)
-        except UnreachableError:
+        if isinstance(modify_destination(s, dest), ErrorResponse):
             s.clear()  # no route: back to weight-display mode
             self.trace.append(f"t={now_ms} DEST_CHANGE vehicle={v.id} dest={dest} unreachable")
             return

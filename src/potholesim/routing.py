@@ -16,14 +16,14 @@ float sums over the chosen arcs.  The path is rebuilt from the pair minima
 alone, keeping at each node the least id among those on an optimal path.
 
 Route trace format: one line `arc_id tail head weight length` per arc,
-then `TOTAL weight length`.
+then `TOTAL weight length`.  Vehicles ask for routes through `Server.query`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .weighting import WeightedNetwork
@@ -124,59 +124,6 @@ def route(wnet: WeightedNetwork, source: str, dest: str) -> Route:
         total_w += wnet.arc_weights[arc_id]
         total_l += net.arcs[arc_id].length_m
     return Route(source, dest, tuple(arcs), total_w, total_l)
-
-
-@dataclass
-class RoutingSession:
-    """Event-driven per-vehicle routing state.
-
-    The session is anchored at the vehicle's next upcoming node (the head
-    of its current arc): a vehicle mid-arc always completes the arc before
-    a new route takes effect.  With no destination set the session is in
-    weight-display mode and reports the current arc's weight; node-crossing
-    events re-evaluate the mode instead of any polling loop.
-    """
-
-    wnet: WeightedNetwork
-    current_arc: str
-    destination: str | None = None
-    route: Route | None = None
-    pending_arcs: list[str] = field(default_factory=list)
-
-    @property
-    def next_node(self) -> str:
-        return self.wnet.base.arc(self.current_arc).head
-
-    def clear(self) -> None:
-        self.destination = None
-        self.route = None
-        self.pending_arcs = []
-
-    def display(self) -> Route | float:
-        if self.destination is not None and self.route is not None:
-            return self.route
-        return self.wnet.weight(self.current_arc)
-
-
-def modify_destination(session: RoutingSession, new_dest: str | None) -> Route | float:
-    """Set, change or clear the session destination.
-
-    Setting a destination re-routes from the vehicle's next upcoming node
-    and returns the fresh Route; clearing reverts to weight-display mode
-    and returns the current arc weight; an unchanged destination is a
-    no-op.  An unknown destination raises `route`'s UnknownNodeError
-    before the session changes.
-    """
-    if new_dest == session.destination:
-        return session.display()
-    if new_dest is None:
-        session.clear()
-        return session.wnet.weight(session.current_arc)
-    fresh = route(session.wnet, session.next_node, new_dest)
-    session.destination = new_dest
-    session.route = fresh
-    session.pending_arcs = list(fresh.arcs)
-    return fresh
 
 
 def fmt_num(x: float) -> str:

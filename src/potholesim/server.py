@@ -1,4 +1,4 @@
-"""Central server: envelope intake and road-condition queries.
+"""Central server: envelope intake, and the road-condition queries vehicles ask.
 
 Each accepted envelope follows the fixed path decrypt -> ingest -> re-weight
 the affected arc, so the weighted network is always consistent with the
@@ -16,12 +16,13 @@ answered straight from the indexes the intake keeps: the weight from
 unknown-arc check, and the pothole ids, in minting order, as the
 registry's own per-arc tuple, which a mint replaces rather than changes,
 so a reply keeps its snapshot's ids.  Requests and replies are NamedTuples
-and so compare equal to plain tuples of their fields.
+and so compare equal to plain tuples of their fields.  A vehicle's
+`RoutingSession` gets its routes and arc weights through `query` alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import geocrypto, routing, weighting
@@ -36,7 +37,7 @@ from .routing import Route, UnreachableError
 @dataclass
 class ServerStats:
     """Counters since start-up.  `envelopes_rejected` is the total of the
-    four `rejected_*` reasons."""
+    four `rejected_*` reasons.  `queries_*` count the sessions' queries too."""
 
     envelopes_accepted: int = 0
     envelopes_rejected: int = 0
@@ -139,3 +140,60 @@ class Server:
                 ValueError) as exc:
             self.stats.queries_failed += 1
             return ErrorResponse(f"{type(exc).__name__}: {exc}", self.snapshot_seq)
+
+
+@dataclass
+class RoutingSession:
+    """The in-vehicle unit: event-driven routing state that asks `server`.
+
+    The session is anchored at the vehicle's next upcoming node (the head
+    of its current arc): a vehicle mid-arc always completes the arc before
+    a new route takes effect.  With no destination set the session is in
+    weight-display mode and reports the current arc's weight; node-crossing
+    events re-evaluate the mode instead of any polling loop.
+    """
+
+    server: Server
+    current_arc: str
+    destination: str | None = None
+    route: Route | None = None
+    pending_arcs: list[str] = field(default_factory=list)
+
+    @property
+    def next_node(self) -> str:
+        return self.server.net.arc(self.current_arc).head
+
+    def clear(self) -> None:
+        self.destination = None
+        self.route = None
+        self.pending_arcs = []
+
+    def display(self) -> Route | float:
+        if self.destination is not None and self.route is not None:
+            return self.route
+        return self.server.query(ConditionRequest(self.current_arc)).weight
+
+
+def modify_destination(session: RoutingSession,
+                       new_dest: str | None) -> Route | float | ErrorResponse:
+    """Set, change or clear the session destination.
+
+    Setting a destination asks the server for a route from the vehicle's
+    next upcoming node and returns the fresh Route; clearing reverts to
+    weight-display mode and returns the current arc weight; an unchanged
+    destination is a no-op.  A route request the server refuses (an
+    unknown or unreachable destination) leaves the session unchanged and
+    returns the server's ErrorResponse.
+    """
+    if new_dest == session.destination:
+        return session.display()
+    if new_dest is None:
+        session.clear()
+        return session.display()
+    reply = session.server.query(RouteRequest(session.next_node, new_dest))
+    if isinstance(reply, ErrorResponse):
+        return reply
+    fresh = session.route = reply.route
+    session.destination = new_dest
+    session.pending_arcs = list(fresh.arcs)
+    return fresh

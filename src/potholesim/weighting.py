@@ -45,10 +45,6 @@ class WeightedNetwork:
     arc_weights: dict[str, float]
     min_weights: dict[tuple[str, str], tuple[float, float, str]]
 
-    def weight(self, arc_id: str) -> float:
-        self.base.arc(arc_id)
-        return self.arc_weights[arc_id]
-
 
 def _mean_depth(pids: list[str], registry: PotholeRegistry) -> float:
     """The mean depth of the potholes `pids` (at least one), summed in

@@ -29,8 +29,8 @@ from potholesim.geocrypto import (LEN_FIELD, NONCE_LEN, TAG_LEN, EnvelopeFormatE
 from potholesim.inputs import InputError
 from potholesim.network import Arc, Node, StreetNetwork, UnknownArcError
 from potholesim.registry import PotholeRegistry
-from potholesim.routing import UnreachableError, fmt_num, modify_destination
-from potholesim.server import ServerStats
+from potholesim.routing import fmt_num
+from potholesim.server import ErrorResponse, ServerStats, modify_destination
 from potholesim.weighting import WeightedNetwork, preprocess
 
 
@@ -687,9 +687,7 @@ class SingleHeapSimulation:
     def _on_dest_change(self, now_ms, vehicle, dest):
         v = self.world.vehicle(vehicle)
         s = v.session
-        try:
-            modify_destination(s, dest)
-        except UnreachableError:
+        if isinstance(modify_destination(s, dest), ErrorResponse):
             s.clear()
             self._emit(now_ms, "DEST_CHANGE", f"vehicle={vehicle} dest={dest} unreachable")
             return

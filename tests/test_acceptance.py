@@ -92,9 +92,9 @@ def test_criterion_2_weight_formula_oracle():
                 depths = [r.depth_mm for r in reg.records.values() if r.arc == arc_id]
                 if depths:
                     expected = (sum(depths) / len(depths)) * net.arcs[arc_id].length_m
-                    assert close(wnet.weight(arc_id), expected, REL_TOL)
+                    assert close(wnet.arc_weights[arc_id], expected, REL_TOL)
                 else:
-                    assert wnet.weight(arc_id) == 0.0
+                    assert wnet.arc_weights[arc_id] == 0.0
                 instances += 1
         assert instances >= 1000
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import enumerate_best_route, grid_inputs, write_inputs
+from potholesim import Simulation, load_network, load_scenario
 from potholesim.cli import main
 
 NETWORK = {
@@ -38,6 +39,11 @@ SCENARIO = {
                        "range_m": 30.0, "open": True}],
     "events": [{"t_ms": 1000, "kind": "DETECT", "vehicle": "v1"}],
 }
+
+# SCENARIO with a route to D set at t=2000 and cleared at t=9000
+FUZZ_SCENARIO = dict(SCENARIO, events=SCENARIO["events"] + [
+    {"t_ms": 2000, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": "D"},
+    {"t_ms": 9000, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": None}])
 
 
 @pytest.fixture
@@ -308,22 +314,20 @@ class TestSimulate:
     OUTPUTS = {"trace.txt", "registry.csv", "events.csv", "weighted_network.csv",
                "maintenance_report.csv", "route_v1.txt"}
 
+    # only A->B and C->B: from the vehicle's anchor B nothing reaches C
+    UNREACHABLE = (
+        {"nodes": [{"id": n, "x": x, "y": 0.0}
+                   for n, x in (("A", 0.0), ("B", 100.0), ("C", 200.0))],
+         "arcs": [{"id": "ab", "tail": "A", "head": "B", "length_m": 100.0},
+                  {"id": "cb", "tail": "C", "head": "B", "length_m": 100.0}]},
+        {"duration_ms": 15_000, "seed": 1,
+         "vehicles": [{"id": "v1", "start_arc": "ab", "start_offset_m": 0.0,
+                       "speed_mps": 10.0, "waypoints": ["B"]}],
+         "events": [{"t_ms": 1000, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": "C"}]},
+    )
+
     def test_unreachable_dest_change_keeps_running(self, tmp_path):
-        # only A->B and C->B: from the vehicle's anchor B nothing reaches C
-        network = {
-            "nodes": [{"id": n, "x": x, "y": 0.0}
-                      for n, x in (("A", 0.0), ("B", 100.0), ("C", 200.0))],
-            "arcs": [{"id": "ab", "tail": "A", "head": "B", "length_m": 100.0},
-                     {"id": "cb", "tail": "C", "head": "B", "length_m": 100.0}],
-        }
-        scenario = {
-            "duration_ms": 15_000, "seed": 1,
-            "vehicles": [{"id": "v1", "start_arc": "ab", "start_offset_m": 0.0,
-                          "speed_mps": 10.0, "waypoints": ["B"]}],
-            "events": [{"t_ms": 1000, "kind": "DEST_CHANGE", "vehicle": "v1",
-                        "dest": "C"}],
-        }
-        net, scen = write_inputs(tmp_path, network, scenario)
+        net, scen = write_inputs(tmp_path, *self.UNREACHABLE)
         out = tmp_path / "out"
         assert main(["simulate", "--network", str(net), "--scenario", str(scen),
                      "--out-dir", str(out)]) == 0
@@ -332,6 +336,27 @@ class TestSimulate:
         trace = (out / "trace.txt").read_text().splitlines()
         assert "t=1000 DEST_CHANGE vehicle=v1 dest=C unreachable" in trace
         assert "t=10000 MOVE vehicle=v1 node=B arc=-" in trace
+
+    @pytest.mark.parametrize("inputs, failed, answered", [
+        (UNREACHABLE, 1, 1),
+        # a route to D at t=2000, then a clear at t=9000
+        ((NETWORK, FUZZ_SCENARIO), 0, 3),
+    ], ids=["unreachable", "route-then-clear"])
+    def test_server_counts_the_sessions_queries(self, tmp_path, inputs, failed, answered):
+        net, scen = write_inputs(tmp_path, *inputs)
+        network = load_network(net)
+        sim = Simulation(network, load_scenario(scen, network))
+        world = sim.run()
+        displayed = world.vehicles["v1"].session.display()  # as `simulate` writes it
+        dest_changes = [line.split()[3:] for line in sim.trace if " DEST_CHANGE " in line]
+        unreachable = sum(fields[1:] == ["unreachable"] for fields in dest_changes)
+        routes = sum(fields[0] != "dest=-" and len(fields) == 1 for fields in dest_changes)
+        displays = sum(fields == ["dest=-"] for fields in dest_changes)
+        displays += isinstance(displayed, float)
+        stats = world.server.stats
+        assert (stats.queries_failed, stats.queries_answered) == (failed, answered)
+        assert stats.queries_failed == unreachable
+        assert stats.queries_answered == routes + displays
 
     def test_infinite_arc_weight_at_a_dest_change_exits_one_naming_the_arc(self, tmp_path,
                                                                              capsys):
@@ -641,12 +666,7 @@ class TestCsvInputs:
 # `error: ...` line and no traceback.  `duration_ms` is never raised, since
 # a long valid run is not malformed.
 
-FUZZ_JSON = {
-    "network": NETWORK,
-    "scenario": dict(SCENARIO, events=SCENARIO["events"] + [
-        {"t_ms": 2000, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": "D"},
-        {"t_ms": 9000, "kind": "DEST_CHANGE", "vehicle": "v1", "dest": None}]),
-}
+FUZZ_JSON = {"network": NETWORK, "scenario": FUZZ_SCENARIO}
 FUZZ_CSV = {
     "registry": [list(TestCsvInputs.ROW), list(TestCsvInputs.ROW.values())],
     "events": [["pothole_id", "vehicle_id", "timestamp_ms"], ["1", "v1", "1000"]],

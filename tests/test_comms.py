@@ -357,7 +357,7 @@ class TestSimulation:
         assert rec.arc == "h1" and rec.depth_mm == 30.0
         assert world.server.stats.envelopes_accepted == 1
         assert len(registry.events) == 1
-        assert world.server.wnet.weight("h1") == 30.0 * 200.0
+        assert world.server.wnet.arc_weights["h1"] == 30.0 * 200.0
 
     def test_determinism_bit_identical(self):
         sim1, w1 = run_minimal()

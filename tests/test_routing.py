@@ -9,8 +9,8 @@ from helpers import (build_net, close, dijkstra_all_arcs, enumerate_best_route,
                      random_registry)
 from potholesim.network import UnknownNodeError
 from potholesim.registry import PotholeRegistry
-from potholesim.routing import (RoutingSession, UnreachableError, fmt_num,
-                                format_route_trace, modify_destination, route)
+from potholesim.routing import UnreachableError, fmt_num, format_route_trace, route
+from potholesim.server import ErrorResponse, RoutingSession, Server, modify_destination
 from potholesim.weighting import apply_update, preprocess
 
 
@@ -37,7 +37,7 @@ class TestGda:
     def test_parallel_arcs_use_pair_minimum(self, parallel_net):
         wnet, _ = weighted(parallel_net, [("a1", 1.0, 0.6), ("a2", 1.0, 1.0)])
         # weights: a1 = 0.6*5 = 3, a2 = 1.0*7 = 7
-        assert wnet.weight("a1") == 3.0
+        assert wnet.arc_weights["a1"] == 3.0
         rt = route(wnet, "u", "v")
         assert rt.arcs == ("a1",) and rt.total_weight == 3.0
 
@@ -96,8 +96,8 @@ class TestRoute:
         # direct arc weighs 1*10=10; the two-hop alternative weighs 0.5*8*2=8
         wnet, _ = weighted(triangle_net, [("sd", 5.0, 1.0),
                                           ("sm", 4.0, 0.5), ("md", 4.0, 0.5)])
-        assert wnet.weight("sd") == 10.0
-        assert wnet.weight("sm") == wnet.weight("md") == 4.0
+        assert wnet.arc_weights["sd"] == 10.0
+        assert wnet.arc_weights["sm"] == wnet.arc_weights["md"] == 4.0
         rt = route(wnet, "s", "d")
         assert rt.arcs == ("sm", "md")
         assert rt.total_weight == 8.0
@@ -200,60 +200,83 @@ class TestRoute:
             assert rt.total_length_m == l
 
 
+def session_on(net, arc, reports=()):
+    """A session on `arc` whose server holds `reports`."""
+    wnet, reg = weighted(net, reports)
+    return RoutingSession(Server(net, reg, wnet, bytes(32)), arc)
+
+
+def session_state(session):
+    return session.current_arc, session.destination, session.route, list(session.pending_arcs)
+
+
 class TestCurrentArcWeight:
-    """With no destination the session displays its current arc's weight."""
+    """With no destination the session displays its current arc's weight,
+    which it asks the server for."""
 
     def test_clean_arc(self, line_net):
-        wnet, _ = weighted(line_net)
-        assert RoutingSession(wnet, "a1").display() == 0.0
+        session = session_on(line_net, "a1")
+        shown = session.display()
+        assert type(shown) is float and shown == 0.0
+        assert session.server.stats.queries_answered == 1
 
     def test_matches_weighting(self, line_net):
-        wnet, _ = weighted(line_net, [("a1", 2.0, 3.0)])
-        assert RoutingSession(wnet, "a1").display() == 30.0
+        assert session_on(line_net, "a1", [("a1", 2.0, 3.0)]).display() == 30.0
 
     def test_reflects_mid_drive_ingest(self, line_net):
-        wnet, reg = weighted(line_net)
-        session = RoutingSession(wnet, "a1")
+        session = session_on(line_net, "a1")
+        server = session.server
         assert session.display() == 0.0
-        ingest(reg, "a1", 2.0, 3.0)
-        apply_update(wnet, "a1", reg)
+        ingest(server.registry, "a1", 2.0, 3.0)
+        apply_update(server.wnet, "a1", server.registry)
         assert session.display() == 30.0
 
 
 class TestModifyDestination:
     def test_clearing_reverts_to_weight_display(self, triangle_net):
-        wnet, _ = weighted(triangle_net, [("sd", 5.0, 1.0)])
-        session = RoutingSession(wnet, "sd")
+        session = session_on(triangle_net, "sd", [("sd", 5.0, 1.0)])
+        wnet = session.server.wnet
         modify_destination(session, "d")
         out = modify_destination(session, None)
-        assert out == wnet.weight("sd")
-        assert session.display() == wnet.weight("sd")
+        assert out == wnet.arc_weights["sd"]
+        assert session.display() == wnet.arc_weights["sd"]
 
     def test_change_at_node_equals_fresh_query(self, triangle_net):
-        wnet, _ = weighted(triangle_net, [("sd", 5.0, 1.0)])
         # vehicle on sm, so its next upcoming node (the anchor) is m
-        session = RoutingSession(wnet, "sm")
+        session = session_on(triangle_net, "sm", [("sd", 5.0, 1.0)])
         out = modify_destination(session, "d")
-        assert out == route(wnet, "m", "d")
+        assert out == route(session.server.wnet, "m", "d")
+        assert session.pending_arcs == list(out.arcs)
+        assert session.server.stats.queries_answered == 1
 
     def test_dest_equal_to_anchor_gives_empty_route(self, triangle_net):
-        wnet, _ = weighted(triangle_net)
-        session = RoutingSession(wnet, "sm")
+        session = session_on(triangle_net, "sm")
         out = modify_destination(session, "m")
         assert out.arcs == () and out.total_weight == 0.0
 
     def test_unchanged_destination_is_noop(self, triangle_net):
-        wnet, _ = weighted(triangle_net)
-        session = RoutingSession(wnet, "sm")
+        session = session_on(triangle_net, "sm")
         first = modify_destination(session, "d")
         again = modify_destination(session, "d")
         assert again == first
+        assert session.server.stats.queries_answered == 1
 
     def test_unknown_destination(self, triangle_net):
-        wnet, _ = weighted(triangle_net)
-        session = RoutingSession(wnet, "sm")
-        with pytest.raises(UnknownNodeError):
-            modify_destination(session, "ghost")
+        session = session_on(triangle_net, "sm")
+        before = session_state(session)
+        out = modify_destination(session, "ghost")
+        assert isinstance(out, ErrorResponse) and out.message.startswith("UnknownNodeError")
+        assert session_state(session) == before
+        assert session.server.stats.queries_failed == 1
+
+    def test_unreachable_destination_keeps_the_route(self, triangle_net):
+        # from md's head d no arc leaves, so s cannot be reached
+        session = session_on(triangle_net, "md")
+        modify_destination(session, "d")
+        before = session_state(session)
+        out = modify_destination(session, "s")
+        assert isinstance(out, ErrorResponse) and out.message.startswith("UnreachableError")
+        assert session_state(session) == before and before[1] == "d"
 
 
 class TestTraceFormat:

@@ -49,13 +49,13 @@ def sealed_report(arc, offset, depth, vid="v1", ts=100, key=KEY, rng=None,
 
 class TestReceiveEnvelope:
     def test_new_pothole_raises_arc_weight(self, server):
-        before = server.wnet.weight("ab")
+        before = server.wnet.arc_weights["ab"]
         env, loc = sealed_report("ab", 20.0, 30.0)
         outcome = server.receive_envelope(env, loc, "v1", 100)
         assert outcome == ("1", True)
         # Arc damage by hand: one pothole, avg 30 mm, length 100 m
         assert before == 0.0
-        assert server.wnet.weight("ab") == 30.0 * 100.0
+        assert server.wnet.arc_weights["ab"] == 30.0 * 100.0
         assert server.stats.envelopes_accepted == 1
         assert server.snapshot_seq == 1
 
@@ -586,14 +586,14 @@ def test_raw_payloads_match_the_reference_after_every_envelope(seed):
 # -- condition answers ----------------------------------------------------------
 
 def condition_by_lookups(server, arc):
-    """The condition answer built from `WeightedNetwork.weight`, which checks
-    the arc, and a scan of every record, in minting order."""
+    """The condition answer built from `StreetNetwork.arc`, which checks the
+    arc, the arc's weight and a scan of every record, in minting order."""
     try:
-        weight = server.wnet.weight(arc)
+        server.net.arc(arc)
     except (UnknownArcError, TypeError) as exc:
         return ErrorResponse(f"{type(exc).__name__}: {exc}", server.snapshot_seq)
     ids = tuple(rec.id for rec in server.registry.records.values() if rec.arc == arc)
-    return ConditionResponse(arc, weight, ids, server.snapshot_seq)
+    return ConditionResponse(arc, server.wnet.arc_weights[arc], ids, server.snapshot_seq)
 
 
 @settings(max_examples=40, deadline=None)

@@ -42,20 +42,20 @@ class TestPreprocess:
         ingest(reg, "a1", 1.0, 2.0)
         ingest(reg, "a1", 6.0, 4.0)
         wnet = preprocess(line_net, reg)
-        assert wnet.weight("a1") == 3.0 * 10.0
+        assert wnet.arc_weights["a1"] == 3.0 * 10.0
 
     def test_clean_arc_weighs_zero(self, parallel_net):
         wnet = preprocess(parallel_net, PotholeRegistry(parallel_net))
-        assert wnet.weight("a1") == 0.0
-        assert wnet.weight("a2") == 0.0
+        assert wnet.arc_weights["a1"] == 0.0
+        assert wnet.arc_weights["a2"] == 0.0
 
     def test_parallel_arcs_min_selects_smaller_product(self, parallel_net):
         reg = PotholeRegistry(parallel_net)
         ingest(reg, "a1", 1.0, 4.0)   # 4 mm on the 5 m arc  -> 20
         ingest(reg, "a2", 1.0, 2.0)   # 2 mm on the 7 m arc  -> 14
         wnet = preprocess(parallel_net, reg)
-        assert wnet.weight("a1") == 20.0
-        assert wnet.weight("a2") == 14.0
+        assert wnet.arc_weights["a1"] == 20.0
+        assert wnet.arc_weights["a2"] == 14.0
         assert wnet.min_weights[("u", "v")] == (14.0, 7.0, "a2")
 
     def test_pair_minimum_tie_broken_by_arc_id(self):
@@ -74,11 +74,11 @@ class TestApplyUpdate:
     def test_clean_arc_transitions_to_weighted(self, line_net):
         reg = PotholeRegistry(line_net)
         wnet = preprocess(line_net, reg)
-        assert wnet.weight("a1") == 0.0
+        assert wnet.arc_weights["a1"] == 0.0
         ingest(reg, "a1", 2.0, 30.0)
         apply_update(wnet, "a1", reg)
         full = preprocess(line_net, reg)
-        assert wnet.weight("a1") == full.weight("a1") == 300.0
+        assert wnet.arc_weights["a1"] == full.arc_weights["a1"] == 300.0
 
     def test_idempotent_without_registry_change(self, parallel_net):
         reg = PotholeRegistry(parallel_net)
@@ -93,10 +93,10 @@ class TestApplyUpdate:
         wnet = preprocess(line_net, reg)
         ingest(reg, "a1", 2.0, 30.0, now=0)
         apply_update(wnet, "a1", reg)
-        w1 = wnet.weight("a1")
+        w1 = wnet.arc_weights["a1"]
         ingest(reg, "a1", 2.3, 45.0, now=1)   # deeper duplicate merges
         apply_update(wnet, "a1", reg)
-        w2 = wnet.weight("a1")
+        w2 = wnet.arc_weights["a1"]
         assert w2 >= w1
         assert wnet.arc_weights == preprocess(line_net, reg).arc_weights
 
@@ -171,7 +171,7 @@ def test_units_are_exact_products():
     reg = PotholeRegistry(net)
     ingest(reg, "a1", 3.0, 7.25)
     wnet = preprocess(net, reg)
-    assert wnet.weight("a1") == 7.25 * 12.5  # mm * m, no hidden normalization
+    assert wnet.arc_weights["a1"] == 7.25 * 12.5  # mm * m, no hidden normalization
 
 
 def test_algorithm_oracle_random_instances():
@@ -185,9 +185,9 @@ def test_algorithm_oracle_random_instances():
             depths = [r.depth_mm for r in reg.records.values() if r.arc == arc_id]
             if depths:
                 expected = (sum(depths) / len(depths)) * net.arcs[arc_id].length_m
-                assert close(wnet.weight(arc_id), expected)
+                assert close(wnet.arc_weights[arc_id], expected)
             else:
-                assert wnet.weight(arc_id) == 0.0
+                assert wnet.arc_weights[arc_id] == 0.0
             checked += 1
 
 
