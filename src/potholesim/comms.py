@@ -127,8 +127,8 @@ margin: it holds nothing and rejects no vehicle by box.
 
 Trace format: one line per processed event, `t=<ms> <EVENT_KIND> <details>`
 with a fixed field order per kind, which each handler writes.  A DEST_CHANGE
-whose route request the server refuses (in a run, only an unreachable
-destination can be) ends in ` unreachable` and clears the destination.
+whose route request the server refuses (in a run, that happens only for an
+unreachable destination) ends in ` unreachable` and clears the destination.
 """
 
 from __future__ import annotations
