@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tempfile
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ingest
+from helpers import build_net, ingest
 from potholesim.maintenance import priority_report, window_counts
 from potholesim.registry import PotholeRecord, PotholeRegistry, UpdateEvent
 
@@ -170,3 +171,48 @@ def test_report_matches_a_pairwise_ranking(inputs, rnd):
         again = PotholeRegistry.read_csv(path)
     assert list(again.records) == [line.split(",")[0] for line in body]
     assert entry_fields(priority_report(again, events, at)) == want
+
+
+def ranking_registry():
+    """A seeded registry of 400+ potholes on three 500 m arcs, built from
+    2 000 reports 50 ms apart: ids run past 100, so string order is not id
+    order, and three depths make depth ties common."""
+    rng = random.Random(23)
+    net = build_net([("u", 0.0, 0.0), ("v", 500.0, 0.0)],
+                    [("a1", "u", "v", 500.0), ("a2", "v", "u", 500.0),
+                     ("a3", "u", "v", 500.0)])
+    reg = PotholeRegistry(net)
+    for i in range(2_000):
+        slot = rng.randrange(600)  # 200 slots 2.5 m apart per arc
+        offset = round(1.0 + slot % 200 * 2.5 + rng.uniform(-0.3, 0.3), 3)
+        ingest(reg, f"a{slot // 200 + 1}", offset, rng.choice([10.0, 22.5, 40.0]),
+               vid=f"v{i % 7}", now=50 * i)
+    return reg
+
+
+# recorded before the ranking was rebuilt for speed; a changed rank, field or
+# float for any one entry at any one instant changes it
+RANKING_DIGEST = "c3aedf1fa8cd304f281518a4082cfda570c4c722399a0a646a98eb348de9d551"
+
+
+def test_ranking_keeps_every_entry_field(tmp_path):
+    reg = ranking_registry()
+    events = reg.events
+    assert len(reg.records) >= 400 and len(events) == 2_000
+    path = tmp_path / "registry.csv"
+    reg.write_csv(path)
+    header, *body = path.read_text().splitlines()
+    random.Random(5).shuffle(body)
+    path.write_text("\n".join([header, *body]) + "\n")
+    again = PotholeRegistry.read_csv(path)
+    assert list(again.records) != sorted(again.records, key=int)
+    digest = hashlib.sha256()
+    count = 0
+    # 61 250 lies exactly 60 000 ms after the event at 1 250
+    for at in (20_000, 61_250, 99_950, 120_000, 200_000):
+        for name, registry in (("ingested", reg), ("read back", again)):
+            for entry in priority_report(registry, events, at):
+                digest.update(f"{name} {at} {tuple(entry)!r}\n".encode())
+                count += 1
+    assert count == 10 * len(reg.records)
+    assert digest.hexdigest() == RANKING_DIGEST
