@@ -7,8 +7,9 @@ twice across back-to-back evaluations.  `window_counts` counts every
 pothole in one pass over the update log.  The priority report ranks every
 registered pothole by intensity descending, ties by depth descending, then
 by pothole id ascending as an integer (a registry read back from a CSV
-keeps file order), with three stable sorts on one key each, least
-significant first.
+keeps file order).  After that pass it reads each record's fields and
+count into one row, sorts the rows three times, stably and on one column
+each (integer id, then depth, then count), and builds one entry per row.
 
 Report format (CSV): rank, pothole_id, arc_id, offset_m, depth_mm,
 intensity_per_min.
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,12 +47,21 @@ class PriorityEntry(NamedTuple):
 def priority_report(registry: PotholeRegistry, events: list[UpdateEvent],
                     at_ms: int) -> list[PriorityEntry]:
     """All registered potholes, ranked for repair."""
-    count = window_counts(events, at_ms).get
-    ranked = sorted(registry.records.values(), key=lambda rec: int(rec.id))
-    ranked.sort(key=attrgetter("depth_mm"), reverse=True)
-    ranked.sort(key=lambda rec: count(rec.id, 0), reverse=True)
-    return [PriorityEntry(rank, rec.id, rec.arc, rec.offset_m, rec.depth_mm, count(rec.id, 0))
-            for rank, rec in enumerate(ranked, start=1)]
+    records = registry.records.values()
+    ids = list(map(attrgetter("id"), records))
+    # rows of (integer id, id, arc, offset, depth, count), each column read
+    # by C-level calls and each record's count looked up once
+    rows = list(zip(map(int, ids), ids, map(attrgetter("arc"), records),
+                    map(attrgetter("offset_m"), records), map(attrgetter("depth_mm"), records),
+                    map(window_counts(events, at_ms).get, ids, repeat(0))))
+    rows.sort(key=itemgetter(0))
+    rows.sort(key=itemgetter(4), reverse=True)
+    rows.sort(key=itemgetter(5), reverse=True)
+    # an entry is built as the tuple it is, without the NamedTuple's
+    # Python-level __new__
+    new = tuple.__new__
+    return [new(PriorityEntry, (rank, pid, arc, offset_m, depth_mm, count))
+            for rank, (_, pid, arc, offset_m, depth_mm, count) in enumerate(rows, start=1)]
 
 
 CSV_FIELDS = ["rank", "pothole_id", "arc_id", "offset_m", "depth_mm", "intensity_per_min"]
