@@ -18,12 +18,13 @@ traced and report the event loop's own time (`comms.loop.self_s`), the
 traced pass (`trace.pass_s`) and the calls and busy time of each traced
 function of the event loop and the scanner it drives (`comms.*` and
 `detection.*`), of the server's intake and query path (`server.*`,
-`registry.*`, `geocrypto.*` and `weighting.*`) and of the loaders that
-set-up runs (`network.*` and `scenario.*`), so a change in an end-to-end
-metric can be attributed to the layer it came from.  They also report the
-median `Server.query` call (`server.query.us_p50`): most queries ask for a
-road condition, and the few route queries, which the sessions' routes nest
-inside, outweigh them in `server.query.busy_s`.
+`registry.*`, `geocrypto.*` and `weighting.*`), of the repair ranking
+(`maintenance.*`) and of the loaders that set-up runs (`network.*` and
+`scenario.*`), so a change in an end-to-end metric can be attributed to
+the layer it came from.  They also report the median `Server.query` call
+(`server.query.us_p50`): most queries ask for a road condition, and the
+few route queries, which the sessions' routes nest inside, outweigh them
+in `server.query.busy_s`.
 
     python3 scripts/bench_pairs.py --parent REV --workload query_mix --seed 5 --pairs 10
     python3 scripts/bench_pairs.py --parent REV --workload query_mix --seed 5 --seed 7 --pairs 10
@@ -45,7 +46,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 # the layers whose calls and busy time a traced comparison reports
 TRACED_LAYERS = ("comms.", "detection.", "server.", "registry.", "geocrypto.", "weighting.",
-                 "network.", "scenario.")
+                 "maintenance.", "network.", "scenario.")
 
 
 def git(root: Path, *args: str) -> str:

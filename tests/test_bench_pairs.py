@@ -32,7 +32,8 @@ def test_traced_metrics_cover_the_loop_and_the_server_layers():
     for layer in ("comms.uplink", "detection.sweep", "detection.extract_potholes",
                   "server.receive_envelope", "server.query", "geocrypto.decrypt",
                   "registry.ingest_report", "weighting.preprocess", "weighting.apply_update",
-                  "network.load_network", "scenario.load_scenario"):
+                  "maintenance.priority_report", "network.load_network",
+                  "scenario.load_scenario"):
         assert {f"{layer}.calls", f"{layer}.busy_s"} <= names
     assert {"comms.loop.self_s", "trace.pass_s", "server.query.us_p50"} <= names
     assert not [n for n in names if n.endswith(".us_p50") and n != "server.query.us_p50"
