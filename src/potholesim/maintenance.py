@@ -47,8 +47,9 @@ class PriorityEntry(NamedTuple):
 def priority_report(registry: PotholeRegistry, events: list[UpdateEvent],
                     at_ms: int) -> list[PriorityEntry]:
     """All registered potholes, ranked for repair."""
+    # the registry keys each record by its id
+    ids = list(registry.records)
     records = registry.records.values()
-    ids = list(map(attrgetter("id"), records))
     # rows of (integer id, id, arc, offset, depth, count), each column read
     # by C-level calls and each record's count looked up once
     rows = list(zip(map(int, ids), ids, map(attrgetter("arc"), records),
