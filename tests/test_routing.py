@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (build_net, close, dijkstra_all_arcs, enumerate_best_route,
-                     enumerate_min_weight, exact_weight, ingest, random_network,
+                     enumerate_min_weight, exact_weight, grid_inputs, ingest, random_network,
                      random_registry)
-from potholesim.network import UnknownNodeError
+from potholesim.network import UnknownNodeError, network_from_dict
 from potholesim.registry import PotholeRegistry
 from potholesim.routing import UnreachableError, fmt_num, format_route_trace, route
 from potholesim.server import ErrorResponse, RoutingSession, Server, modify_destination
@@ -84,6 +85,45 @@ def test_pair_collapse_equals_all_arc_relaxation():
                         route(wnet, source, dest)
                     continue
                 assert exact_weight(wnet, route(wnet, source, dest).arcs) == exact[dest]
+
+
+# recorded before any change to `route`'s search; a changed arc, tie-break,
+# float total or reachability for any one pair changes it
+ROUTES_DIGEST = "3b2b08cb02220b37b0eb31f745ab9d7fb87f7f6595016ad9f9e5c0485a72bdd9"
+
+
+def test_routes_keep_every_field():
+    """One SHA-256 over every route of 300 seeded random multigraphs (every
+    ordered node pair) and of 30 seeded pairs on a 20 x 20 grid, each
+    weighted by a seeded registry."""
+    digest = hashlib.sha256()
+    counts = {"found": 0, "unreachable": 0}
+
+    def add(wnet, source, dest):
+        try:
+            rt = route(wnet, source, dest)
+        except UnreachableError:
+            line = f"{source} {dest} unreachable"
+            counts["unreachable"] += 1
+        else:
+            line = f"{source} {dest} {rt.arcs!r} {rt.total_weight!r} {rt.total_length_m!r}"
+            counts["found"] += 1
+        digest.update(f"{line}\n".encode())
+
+    rng = random.Random(31)
+    for _ in range(300):
+        net = random_network(rng)
+        wnet = preprocess(net, random_registry(rng, net))
+        for source in sorted(net.nodes):
+            for dest in sorted(net.nodes):
+                add(wnet, source, dest)
+    net = network_from_dict(grid_inputs(size=20)[0])
+    wnet = preprocess(net, random_registry(rng, net, max_potholes=300))
+    nodes = sorted(net.nodes)
+    for _ in range(30):
+        add(wnet, rng.choice(nodes), rng.choice(nodes))
+    assert counts["found"] > 5_000 and counts["unreachable"] > 1_000
+    assert digest.hexdigest() == ROUTES_DIGEST
 
 
 class TestRoute:
