@@ -78,7 +78,8 @@ class PotholeRegistry:
         self.records: dict[str, PotholeRecord] = {}
         self.events: list[UpdateEvent] = []
         # arc id -> its pothole ids in minting order, a tuple that a mint
-        # replaces rather than changes; weighting and the server read it too
+        # replaces rather than changes; an arc without potholes has no entry.
+        # Weighting and the server's condition replies read it too
         self.by_arc: dict[str, tuple[str, ...]] = {}
         self._next_id = 1
 
@@ -132,10 +133,6 @@ class PotholeRegistry:
         self.by_arc[report.arc] = self.by_arc.get(report.arc, ()) + (pid,)
         self.events.append(UpdateEvent(pid, vehicle_id, now_ms))
         return pid, True
-
-    def pothole_ids(self, arc_id: str) -> tuple[str, ...]:
-        """The arc's pothole ids in minting order: the registry's own tuple, arc unchecked."""
-        return self.by_arc.get(arc_id, ())
 
     def lookup(self, pothole_id: str) -> PotholeRecord:
         try:

@@ -14,9 +14,11 @@ handler mapping; there is no cost-based planning.  A condition query is
 answered straight from the indexes the intake keeps: the weight from
 `wnet.arc_weights`, which holds every arc of the network and so is the one
 unknown-arc check, and the pothole ids, in minting order, as the
-registry's own per-arc tuple, which a mint replaces rather than changes,
-so a reply keeps its snapshot's ids.  Requests and replies are NamedTuples
-and so compare equal to plain tuples of their fields.  A vehicle's
+registry's own per-arc tuple from `registry.by_arc`, which a mint replaces
+rather than changes, so a reply keeps its snapshot's ids.  That reply is
+built as the tuple it is (`tuple.__new__`), so a condition query runs no
+Python frame besides `query`.  Requests and replies are NamedTuples and
+so compare equal to plain tuples of their fields.  A vehicle's
 `RoutingSession` gets its routes and arc weights through `query` alone.
 """
 
@@ -51,6 +53,10 @@ class ServerStats:
 
 _REJECTED = {EnvelopeFormatError: "rejected_format", LocationMismatchError: "rejected_location",
              IntegrityError: "rejected_integrity"}
+
+# builds a reply as the tuple it is, without the NamedTuple's Python-level
+# __new__ (for the most frequent reply, the road condition)
+_new = tuple.__new__
 
 
 class RouteRequest(NamedTuple):
@@ -127,9 +133,9 @@ class Server:
                 weight = self.wnet.arc_weights.get(arc)  # every arc has a weight
                 if weight is None:
                     raise UnknownArcError(arc)
-                pids = self.registry.pothole_ids(arc)
                 self.stats.queries_answered += 1
-                return ConditionResponse(arc, weight, pids, self.snapshot_seq)
+                return _new(ConditionResponse, (arc, weight, self.registry.by_arc.get(arc, ()),
+                                                self.snapshot_seq))
             if isinstance(request, RouteRequest):
                 rt = routing.route(self.wnet, request.source, request.dest)
                 self.stats.queries_answered += 1
@@ -150,7 +156,9 @@ class RoutingSession:
     of its current arc): a vehicle mid-arc always completes the arc before
     a new route takes effect.  With no destination set the session is in
     weight-display mode and reports the current arc's weight; node-crossing
-    events re-evaluate the mode instead of any polling loop.
+    events re-evaluate the mode instead of any polling loop.  A session on
+    an arc the network lacks is refused where it is made, with
+    UnknownArcError.
     """
 
     server: Server
@@ -158,6 +166,9 @@ class RoutingSession:
     destination: str | None = None
     route: Route | None = None
     pending_arcs: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.server.net.arc(self.current_arc)  # raises UnknownArcError
 
     @property
     def next_node(self) -> str:

@@ -75,18 +75,18 @@ class TestIngest:
 
 class TestQueries:
     def test_potholes_on_empty_arc(self, reg):
-        assert reg.pothole_ids("a1") == ()
+        assert "a1" not in reg.by_arc
 
     def test_potholes_on_arc_counts(self, reg):
         ingest(reg, "a1", 0.0, 10.0)
         ingest(reg, "a1", 5.0, 10.0)
-        assert len(reg.pothole_ids("a1")) == 2
+        assert len(reg.by_arc["a1"]) == 2
 
     def test_three_reports_merge_to_one(self, reg):
         # replay through ingest and count: all offsets fall in one cluster
         for offset, now in [(4.0, 0), (4.4, 1), (3.8, 2)]:
             ingest(reg, "a1", offset, 12.0, now=now)
-        assert len(reg.pothole_ids("a1")) == 1
+        assert len(reg.by_arc["a1"]) == 1
 
     def test_lookup_round_trips_fields(self, reg):
         pid, _ = ingest(reg, "a1", 2.0, 20.0, vid="v9", now=7, intensity=0.3)

@@ -8,10 +8,11 @@ import pytest
 from helpers import (build_net, close, dijkstra_all_arcs, enumerate_best_route,
                      enumerate_min_weight, exact_weight, grid_inputs, ingest, random_network,
                      random_registry)
-from potholesim.network import UnknownNodeError, network_from_dict
+from potholesim.network import UnknownArcError, UnknownNodeError, network_from_dict
 from potholesim.registry import PotholeRegistry
 from potholesim.routing import UnreachableError, fmt_num, format_route_trace, route
-from potholesim.server import ErrorResponse, RoutingSession, Server, modify_destination
+from potholesim.server import (ErrorResponse, RoutingSession, Server, ServerStats,
+                               modify_destination)
 from potholesim.weighting import apply_update, preprocess
 
 
@@ -248,6 +249,14 @@ def session_on(net, arc, reports=()):
 
 def session_state(session):
     return session.current_arc, session.destination, session.route, list(session.pending_arcs)
+
+
+def test_session_on_an_unknown_arc_is_refused_where_it_is_made(line_net):
+    # refused here, not later in `display`, which reads a weight off the reply
+    session = session_on(line_net, "a1")
+    with pytest.raises(UnknownArcError, match="^zz$"):
+        RoutingSession(session.server, "zz")
+    assert session.server.stats == ServerStats()
 
 
 class TestCurrentArcWeight:

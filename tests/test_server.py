@@ -345,6 +345,16 @@ class TestQuery:
         assert resp.weight == 3000.0 and resp.potholes == ("1",)
         assert resp.snapshot_seq == 1
 
+    @pytest.mark.parametrize("arc", ["ab", "cd"])  # pitted, clean
+    def test_condition_reply_holds_the_registrys_own_tuple(self, server, arc):
+        rng = random.Random(6)
+        for offset in (20.0, 70.0):
+            server.receive_envelope(*sealed_report("ab", offset, 30.0, rng=rng), "v1", 100)
+        resp = server.query(ConditionRequest(arc))
+        assert type(resp) is ConditionResponse
+        assert resp.potholes is server.registry.by_arc.get(arc, ())
+        assert resp.potholes == {"ab": ("1", "2"), "cd": ()}[arc]
+
     def test_route_reflects_ingest(self, server):
         first = server.query(RouteRequest("A", "D"))
         assert isinstance(first, RouteResponse)
@@ -424,7 +434,6 @@ def test_registry_read_from_shuffled_rows_keeps_minting_order(diamond_net, tmp_p
     again = PotholeRegistry.read_csv(tmp_path / "shuffled.csv", diamond_net)
     assert again.by_arc == {"cd": ("1", "3", "5", "7", "9", "11"),
                             "ab": ("2", "4", "6", "8", "10", "12")}
-    assert again.pothole_ids("ab") == ("2", "4", "6", "8", "10", "12")
 
 
 # -- against the reference intake --------------------------------------------
