@@ -92,13 +92,13 @@ def cmd_simulate(args) -> int:
     weighting.write_csv(world.server.wnet, registry, out / "weighted_network.csv")
     entries = maintenance.priority_report(registry, registry.events, scenario.duration_ms)
     maintenance.write_csv(entries, out / "maintenance_report.csv")
-    for vid in sorted(world.vehicles):
-        display = world.vehicles[vid].session.display()
+    for vid, v in sorted(world.vehicles.items()):
+        display = v.session.display()
         # named in UTF-8 whatever the locale, like the files' contents
         name = os.path.join(os.fsencode(out), f"route_{vid}.txt".encode("utf-8"))
         with open(name, "w", encoding="utf-8") as fh:
             if isinstance(display, float):
-                fh.write(f"DISPLAY {world.vehicles[vid].arc} {fmt_num(display)}\n")
+                fh.write(f"DISPLAY {v.session.current_arc} {fmt_num(display)}\n")
             else:
                 fh.write(format_route_trace(world.server.wnet, display))
     return 0

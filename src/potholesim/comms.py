@@ -17,6 +17,9 @@ scenario and seed give a bit-identical trace.
     arguments after the time, the first the event's `VehicleState`: set-up
     looks each scenario event's vehicle up once, and the events carry it.
 
+Every handler, `p2p_broadcast`, `uplink` and `World.visible_ap` take the
+`VehicleState` itself, so no id is looked up again after set-up.
+
 The loop runs the first tick while it sorts before the top of the heap and
 pops the heap otherwise.  Seqs are unique, so the comparison never reaches
 the third field, and events run in exactly the (t_ms, seq) order of one
@@ -69,15 +72,16 @@ below 1, so no square overflows, and an overflow anywhere else keeps the
 access point.  Closed access points are never candidates.
 
 `World.set_arc` puts a vehicle on an arc, at set-up and on every arc entry
-(a MOVE, or a DEST_CHANGE that restarts a stopped vehicle).  It copies the
-arc's `ArcGeometry` -- its line (tail x, tail y, dx, dy, length), its
-segment's bounding box and its candidates, built together from one lookup
-of the arc's tail and head on the arc's first use and kept in one per-arc
-table -- into the `VehicleState`, so a tick reads its position and its
-access points, and a broadcast its box, from the vehicle alone.
+(a MOVE, or a DEST_CHANGE that restarts a stopped vehicle): it sets the
+session's `current_arc`, the vehicle's one arc field, and copies the arc's
+`ArcGeometry` -- its line (tail x, tail y, dx, dy, length), its segment's
+bounding box and its candidates, built together from one lookup of the
+arc's tail and head on the arc's first use and kept in one per-arc table --
+into the `VehicleState`, so a tick reads its position and its access
+points, and a broadcast its box, from the vehicle alone.
 
 A scan's answer is *held* for the ticks at which a bound on the vehicle's
-motion says it cannot change.  `World._scan` notes the answer's slack:
+motion says it cannot change.  `World.visible_ap` notes the answer's slack:
 range - distance when it finds the connection's peer still in range, the
 least distance - range over the candidates when it finds no access point in
 range; another answer (a new nearest access point) holds nothing.  On its
@@ -155,10 +159,6 @@ from .scenario import AccessPointSpec, Scenario
 from .server import ErrorResponse, RoutingSession, Server, modify_destination
 
 
-class UnknownVehicleError(LookupError):
-    pass
-
-
 class Phase:
     """Connection phases; each is also the word its trace lines print."""
 
@@ -221,7 +221,6 @@ class ArcGeometry(NamedTuple):
 @dataclass(slots=True)
 class VehicleState:
     id: str
-    arc: str
     offset_m: float
     at_ms: int
     speed_mps: float
@@ -231,12 +230,13 @@ class VehicleState:
     warning_cache: set[str] = field(default_factory=set)
     conn: ConnectionState = field(default_factory=ConnectionState)
     stopped: bool = False
-    # the current arc's `ArcGeometry`, set with `arc` by `World.set_arc`
+    # the current arc's `ArcGeometry`, set with `session.current_arc` by
+    # `World.set_arc`
     line: tuple[float, float, float, float, float] = (0.0, 0.0, 0.0, 0.0, 0.0)
     box: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     candidates: tuple[APEntry, ...] = ()
     # the last scan's answer, which ticks before `hold_ms` reuse (see
-    # `World._scan`); `World.set_arc` and a MOVE clear the hold
+    # `World.visible_ap`); `World.set_arc` and a MOVE clear the hold
     held: str | None = None
     hold_ms: int = 0
 
@@ -309,26 +309,17 @@ class World:
         for spec in scenario.vehicles:
             session = RoutingSession(self.server, spec.start_arc)
             v = self.vehicles[spec.id] = VehicleState(
-                id=spec.id, arc=spec.start_arc, offset_m=spec.start_offset_m,
+                id=spec.id, offset_m=spec.start_offset_m,
                 at_ms=0, speed_mps=spec.speed_mps, waypoints=list(spec.waypoints),
                 session=session)
             self.set_arc(v, spec.start_arc)
-        # vehicles are fixed after set-up: broadcasts walk this order
-        self.vehicle_ids: tuple[str, ...] = tuple(sorted(self.vehicles))
-
-    def vehicle(self, vid: str) -> VehicleState:
-        try:
-            return self.vehicles[vid]
-        except KeyError:
-            raise UnknownVehicleError(vid) from None
-
-    def vehicle_position(self, vid: str, now_ms: int) -> tuple[float, float]:
-        """Planar position, interpolated linearly along the current arc."""
-        return self._position(self.vehicle(vid), now_ms)
+        # vehicles are fixed after set-up: broadcasts walk them in id order
+        self.fleet: tuple[VehicleState, ...] = tuple(
+            v for _, v in sorted(self.vehicles.items()))
 
     def set_arc(self, v: VehicleState, arc_id: str) -> None:
         """Put the vehicle on the arc, with the arc's geometry."""
-        v.arc = arc_id
+        v.session.current_arc = arc_id
         v.line, v.box, v.candidates = self.arc_geometry(arc_id)
         # clear the hold; an arc with no candidate answers no access point
         v.held, v.hold_ms = None, 0 if v.candidates else self.end_ms
@@ -348,7 +339,8 @@ class World:
                 _arc_candidates(self._open_aps, x0, y0, x1, y1))
         return geometry
 
-    def _position(self, v: VehicleState, now_ms: int) -> tuple[float, float]:
+    def position(self, v: VehicleState, now_ms: int) -> tuple[float, float]:
+        """Planar position, interpolated linearly along the current arc."""
         x, y, dx, dy, length = v.line
         speed = 0.0 if v.stopped else v.speed_mps
         offset = v.offset_m + speed * (now_ms - v.at_ms) / 1000.0
@@ -356,17 +348,13 @@ class World:
         frac = (length if length < offset else offset) / length
         return (x + dx * frac, y + dy * frac)
 
-    def visible_ap(self, vid: str, now_ms: int) -> str | None:
+    def visible_ap(self, v: VehicleState, now_ms: int) -> str | None:
         """Open access point in radio range; the current handshake peer wins
         while still visible, otherwise the nearest (ties by ap id).  Reads
-        only the candidates of the vehicle's arc."""
-        return self._scan(self.vehicle(vid), now_ms)
-
-    def _scan(self, v: VehicleState, now_ms: int) -> str | None:
-        """`visible_ap` of the vehicle; also holds the answer for the ticks
-        before the first time at which it could change (see the module
-        docstring)."""
-        # `_position`, inlined: most scans run this
+        only the candidates of the vehicle's arc, and holds the answer for
+        the ticks before the first time at which it could change (see the
+        module docstring)."""
+        # `position`, inlined: most scans run this
         x, y, dx, dy, length = v.line
         speed = 0.0 if v.stopped else v.speed_mps
         offset = v.offset_m + speed * (now_ms - v.at_ms) / 1000.0
@@ -430,35 +418,35 @@ class World:
         return found
 
 
-def p2p_broadcast(world: World, sender: str, pothole_key: str, now_ms: int) -> list[str]:
+def p2p_broadcast(world: World, sender: VehicleState, pothole_key: str,
+                  now_ms: int) -> list[str]:
     """Warn every other vehicle within the broadcast radius (closed bound).
 
     Receivers add the warning to their cache; nobody re-broadcasts.
     Returns the receiving vehicle ids, sorted.
     """
-    sx, sy = world.vehicle_position(sender, now_ms)
-    vehicles, position = world.vehicles, world._position
+    position = world.position
+    sx, sy = position(sender, now_ms)
     radius = world.config.p2p_range_m
     # a vehicle whose segment's box lies past `reach` on an axis is out of
     # range (see the module docstring)
     reach = radius + world.margin
     lo_x, hi_x, lo_y, hi_y = sx - reach, sx + reach, sy - reach, sy + reach
     receivers = []
-    for vid in world.vehicle_ids:
-        if vid == sender:
+    for v in world.fleet:
+        if v is sender:
             continue
-        v = vehicles[vid]
         x0, x1, y0, y1 = v.box
         if x1 < lo_x or x0 > hi_x or y1 < lo_y or y0 > hi_y:
             continue
         x, y = position(v, now_ms)
         if hypot(x - sx, y - sy) <= radius:
             v.warning_cache.add(pothole_key)
-            receivers.append(vid)
+            receivers.append(v.id)
     return receivers
 
 
-def uplink(world: World, vid: str, now_ms: int) -> int:
+def uplink(world: World, v: VehicleState, now_ms: int) -> int:
     """Drain up to one transfer budget of queued envelopes to the server.
 
     Returns the number delivered; zero (not an error) when the vehicle is
@@ -468,15 +456,14 @@ def uplink(world: World, vid: str, now_ms: int) -> int:
     Queue entries are removed as they are handed over, so an envelope
     reaches the server at most once.
     """
-    v = world.vehicle(vid)
     if v.conn.phase != Phase.CONNECTED:
         return 0
-    if world.visible_ap(vid, now_ms) != v.conn.peer:
+    if world.visible_ap(v, now_ms) != v.conn.peer:
         return 0
     delivered = 0
     while v.queue and delivered < world.config.transfer_budget:
         env, location = v.queue.popleft()
-        world.server.receive_envelope(env, location, vid, now_ms)
+        world.server.receive_envelope(env, location, v.id, now_ms)
         delivered += 1
     if delivered:
         v.conn.last_activity_ms = now_ms
@@ -489,8 +476,6 @@ class Simulation:
     def __init__(self, net: StreetNetwork, scenario: Scenario,
                  config: SimConfig = SimConfig()):
         self.world = World(net, scenario, config)
-        self.config = config
-        self.duration_ms = scenario.duration_ms
         self.trace: list[str] = []
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._ticks: deque[tuple[int, int, VehicleState]] = deque()
@@ -508,27 +493,28 @@ class Simulation:
         for v in self.world.vehicles.values():
             if v.speed_mps > 0:
                 self._schedule_arrival(v, 0)
-            if first_tick_ms < self.duration_ms:
+            if first_tick_ms < self.world.end_ms:
                 self._ticks.append((first_tick_ms, next(self._seq), v))
 
     def _schedule(self, t_ms: int, handler: Callable[..., None], *payload) -> None:
         """Queue `handler` to run at `t_ms` with `payload` as its arguments
         after the time."""
-        if t_ms >= self.duration_ms:
+        if t_ms >= self.world.end_ms:
             return
         heapq.heappush(self._heap, (t_ms, next(self._seq), handler, payload))
 
     def _schedule_arrival(self, v: VehicleState, now_ms: int) -> None:
-        ms = (self.world.net.arcs[v.arc].length_m - v.offset_m) / v.speed_mps * 1000.0
-        if ms < self.duration_ms:  # a later arrival, inf included, never runs
+        length_m = self.world.net.arcs[v.session.current_arc].length_m
+        ms = (length_m - v.offset_m) / v.speed_mps * 1000.0
+        if ms < self.world.end_ms:  # a later arrival, inf included, never runs
             self._schedule(now_ms + int(round(ms)), self._on_move, v)
 
     def run(self) -> World:
         heap, pop = self._heap, heapq.heappop
         ticks, seq, emit = self._ticks, self._seq, self.trace.append
-        scan, schedule, on_uplink = self.world._scan, self._schedule, self._on_uplink
-        latency, loss_timeout_ms = self.config.phase_latency_ms, self.config.loss_timeout_ms
-        end_ms = self.duration_ms
+        world, schedule, on_uplink = self.world, self._schedule, self._on_uplink
+        scan, config, end_ms = world.visible_ap, world.config, world.end_ms
+        latency, loss_timeout_ms = config.phase_latency_ms, config.loss_timeout_ms
         scanning, connected = Phase.SCANNING, Phase.CONNECTED
         while ticks or heap:
             if not ticks or (heap and heap[0] < ticks[0]):
@@ -564,12 +550,11 @@ class Simulation:
         v.offset_m = 0.0
         v.at_ms = now_ms
         v.stopped = False
-        v.session.current_arc = arc_id
         self._schedule_arrival(v, now_ms)
 
     def _on_move(self, now_ms: int, v: VehicleState) -> None:
-        net = self.world.net
-        arc = net.arcs[v.arc]
+        net, s = self.world.net, v.session
+        arc = net.arcs[s.current_arc]
         node = arc.head
         v.offset_m = arc.length_m
         v.at_ms = now_ms
@@ -577,7 +562,6 @@ class Simulation:
         if v.waypoints and v.waypoints[0] == node:
             v.waypoints.pop(0)
 
-        s = v.session
         next_arc: str | None = None
         if s.destination is not None:
             if node == s.destination:
@@ -596,33 +580,35 @@ class Simulation:
         self.trace.append(f"t={now_ms} MOVE vehicle={v.id} node={node} arc={next_arc or '-'}")
 
     def _on_detect(self, now_ms: int, v: VehicleState) -> None:
-        detections = self.world.sense(v.arc)
+        world, arc = self.world, v.session.current_arc
+        config = world.config
+        detections = world.sense(arc)
         fresh = 0
         for det in detections:
             report = PlainReport(
-                depth_map=DepthMap(1, len(det.cells_depth), self.config.cell_m,
+                depth_map=DepthMap(1, len(det.cells_depth), config.cell_m,
                                    list(det.cells_depth)),
                 intensity_image=IntensityImage(1, len(det.cells_intensity),
                                                list(det.cells_intensity)),
                 arc=det.arc, offset_m=det.offset_m,
                 vehicle_id=v.id, timestamp_ms=now_ms)
-            env = encrypt(report, self.config.shared_key, self.world.rng)
+            env = encrypt(report, config.shared_key, world.rng)
             v.queue.append((env, (det.arc, det.offset_m)))
             key = f"{det.arc}:{fmt_num(det.offset_m)}"
             if key not in v.warning_cache:
                 v.warning_cache.add(key)
                 fresh += 1
                 self._schedule(now_ms, self._on_broadcast, v, key)
-        self.trace.append(f"t={now_ms} DETECT vehicle={v.id} arc={v.arc} "
+        self.trace.append(f"t={now_ms} DETECT vehicle={v.id} arc={arc} "
                           f"reports={len(detections)} new={fresh}")
 
     def _on_broadcast(self, now_ms: int, v: VehicleState, pothole: str) -> None:
-        receivers = p2p_broadcast(self.world, v.id, pothole, now_ms)
+        receivers = p2p_broadcast(self.world, v, pothole, now_ms)
         self.trace.append(f"t={now_ms} P2P_BROADCAST vehicle={v.id} pothole={pothole} "
                           f"receivers={','.join(receivers) or '-'}")
 
     def _on_uplink(self, now_ms: int, v: VehicleState) -> None:
-        delivered = uplink(self.world, v.id, now_ms)
+        delivered = uplink(self.world, v, now_ms)
         self.trace.append(f"t={now_ms} UPLINK vehicle={v.id} delivered={delivered} "
                           f"queued={len(v.queue)}")
 
@@ -634,7 +620,7 @@ class Simulation:
             return
         if dest is not None and v.stopped and v.speed_mps > 0:
             arcs = self.world.net.arcs
-            resting = arcs[v.arc].head
+            resting = arcs[s.current_arc].head
             if s.destination == resting:
                 s.clear()
             elif s.pending_arcs and arcs[s.pending_arcs[0]].tail == resting:

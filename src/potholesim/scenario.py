@@ -28,8 +28,10 @@ ranges are finite numbers (not strings or booleans); `half_length_m` is
 arc (`center_m` at least `half_length_m` from both ends); the depths of an
 arc's pits sum to a total that, doubled and then multiplied by the arc's
 `length_m`, stays finite, so that no arc weight overflows; vehicle and
-access point ids and event vehicles are non-empty strings, ids of arcs and
-nodes are strings that the network knows, and `open` is a boolean.  Every
+access point ids and event vehicles are non-empty strings, a vehicle id
+names its output file `route_<id>.txt`, so it holds no `/` and that name is
+at most 255 UTF-8 bytes, ids of arcs and nodes are strings that the network
+knows, and `open` is a boolean.  Every
 rejection raises InputError naming the field, e.g. `pits[0].arc: unknown
 arc 'zz'`.  This reader alone holds the pit rules: the sensor trusts them.
 """
@@ -111,6 +113,8 @@ def scenario_from_dict(raw, net: StreetNetwork) -> Scenario:
         where = ("vehicles", i)
         keys(item, VEHICLE_KEYS, NO_KEYS, where)
         vid = string(item, "id", where)
+        if "/" in vid or len(f"route_{vid}.txt".encode("utf-8")) > 255:
+            fail(item, "id", where, "free of '/', with route_<id>.txt at most 255 UTF-8 bytes")
         if vid in vehicles:
             raise InputError(f"vehicles[{i}].id: duplicate vehicle id {vid!r}")
         arc = lookup(net.arc, item, "start_arc", where, "arc")

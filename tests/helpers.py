@@ -490,13 +490,13 @@ def write_handover(tmp_path):
     return write_inputs(tmp_path, *handover_inputs())
 
 
-def visible_ap_by_scan(world, vid: str, now_ms: int) -> str | None:
+def visible_ap_by_scan(world, v, now_ms: int) -> str | None:
     """Reference for `World.visible_ap`: a scan over every access point.
 
     The nearest open access point within its range (closed bound), ties by
     id, except that the vehicle's current peer wins while it is in range.
     """
-    x, y = world.vehicle_position(vid, now_ms)
+    x, y = vehicle_position_by_formula(world, v, now_ms)
     in_range = []
     for ap in world.aps.values():
         if not ap.open:
@@ -506,16 +506,15 @@ def visible_ap_by_scan(world, vid: str, now_ms: int) -> str | None:
             in_range.append((dist, ap.id))
     if not in_range:
         return None
-    peer = world.vehicle(vid).conn.peer
+    peer = v.conn.peer
     if peer is not None and any(ap_id == peer for _, ap_id in in_range):
         return peer
     return min(in_range)[1]
 
 
-def vehicle_position_by_formula(world, vid: str, now_ms: int) -> tuple[float, float]:
-    """Reference for `World.vehicle_position`: looks every node up afresh."""
-    v = world.vehicle(vid)
-    arc = world.net.arcs[v.arc]
+def vehicle_position_by_formula(world, v, now_ms: int) -> tuple[float, float]:
+    """Reference for `World.position`: looks every node up afresh."""
+    arc = world.net.arcs[v.session.current_arc]
     speed = 0.0 if v.stopped else v.speed_mps
     offset = min(v.offset_m + speed * (now_ms - v.at_ms) / 1000.0, arc.length_m)
     tail = world.net.nodes[arc.tail]
@@ -525,16 +524,17 @@ def vehicle_position_by_formula(world, vid: str, now_ms: int) -> tuple[float, fl
             tail.y + (head.y - tail.y) * frac)
 
 
-def p2p_broadcast_by_scan(world, sender: str, pothole_key: str, now_ms: int) -> list[str]:
+def p2p_broadcast_by_scan(world, sender, pothole_key: str, now_ms: int) -> list[str]:
     """Reference for `p2p_broadcast`: every other vehicle, in id order, whose
     position by `vehicle_position_by_formula` lies within the broadcast
     radius of the sender's (closed bound) caches the warning."""
     sx, sy = vehicle_position_by_formula(world, sender, now_ms)
     receivers = []
     for vid in sorted(world.vehicles):
-        x, y = vehicle_position_by_formula(world, vid, now_ms)
-        if vid != sender and math.hypot(x - sx, y - sy) <= world.config.p2p_range_m:
-            world.vehicles[vid].warning_cache.add(pothole_key)
+        v = world.vehicles[vid]
+        x, y = vehicle_position_by_formula(world, v, now_ms)
+        if v is not sender and math.hypot(x - sx, y - sy) <= world.config.p2p_range_m:
+            v.warning_cache.add(pothole_key)
             receivers.append(vid)
     return receivers
 
@@ -553,8 +553,6 @@ class SingleHeapSimulation:
 
     def __init__(self, net, scenario, config=SimConfig()):
         self.world = World(net, scenario, config)
-        self.world.vehicle_position = functools.partial(vehicle_position_by_formula,
-                                                        self.world)
         self.world.visible_ap = functools.partial(visible_ap_by_scan, self.world)
         self.config = config
         self.duration_ms = scenario.duration_ms
@@ -579,8 +577,8 @@ class SingleHeapSimulation:
         self._seq += 1
 
     def _schedule_arrival(self, vid, now_ms):
-        v = self.world.vehicle(vid)
-        remaining = self.world.net.arcs[v.arc].length_m - v.offset_m
+        v = self.world.vehicles[vid]
+        remaining = self.world.net.arcs[v.session.current_arc].length_m - v.offset_m
         ms = remaining / v.speed_mps * 1000.0
         if ms < self.duration_ms:  # past the run: a subnormal speed makes it inf
             self._schedule(now_ms + int(round(ms)), "MOVE", vid)
@@ -603,18 +601,17 @@ class SingleHeapSimulation:
         return self.world
 
     def _enter_arc(self, v, arc_id, now_ms):
-        v.arc = arc_id
+        v.session.current_arc = arc_id
         v.offset_m = 0.0
         v.at_ms = now_ms
         v.stopped = False
-        v.session.current_arc = arc_id
         self._schedule_arrival(v.id, now_ms)
 
     def _on_move(self, now_ms, vehicle):
         net = self.world.net
-        v = self.world.vehicle(vehicle)
-        node = net.arc(v.arc).head
-        v.offset_m = net.arc(v.arc).length_m
+        v = self.world.vehicles[vehicle]
+        node = net.arc(v.session.current_arc).head
+        v.offset_m = net.arc(v.session.current_arc).length_m
         v.at_ms = now_ms
         if v.waypoints and v.waypoints[0] == node:
             v.waypoints.pop(0)
@@ -636,14 +633,14 @@ class SingleHeapSimulation:
         self._emit(now_ms, "MOVE", f"vehicle={vehicle} node={node} arc={next_arc or '-'}")
 
     def _on_detect(self, now_ms, vehicle):
-        v = self.world.vehicle(vehicle)
-        arc = self.world.net.arc(v.arc)
+        v = self.world.vehicles[vehicle]
+        arc = self.world.net.arc(v.session.current_arc)
         detections = []
         if cell_count(arc.length_m, self.config.cell_m) >= 1:
             surface = self.world.surfaces.get(
-                v.arc, GroundTruthSurface(v.arc, arc.length_m, []))
+                arc.id, GroundTruthSurface(arc.id, arc.length_m, []))
             dm, ii = sweep(surface, (0.0, arc.length_m), self.config.cell_m)
-            detections = extract_potholes(dm, ii, self.config.threshold_mm, v.arc, 0.0)
+            detections = extract_potholes(dm, ii, self.config.threshold_mm, arc.id, 0.0)
         fresh = 0
         for det in detections:
             report = PlainReport(
@@ -661,17 +658,18 @@ class SingleHeapSimulation:
                 fresh += 1
                 self._schedule(now_ms, "P2P_BROADCAST", vehicle, key)
         self._emit(now_ms, "DETECT",
-                   f"vehicle={vehicle} arc={v.arc} reports={len(detections)} new={fresh}")
+                   f"vehicle={vehicle} arc={arc.id} reports={len(detections)} new={fresh}")
 
     def _on_broadcast(self, now_ms, vehicle, pothole):
-        receivers = p2p_broadcast_by_scan(self.world, vehicle, pothole, now_ms)
+        receivers = p2p_broadcast_by_scan(self.world, self.world.vehicles[vehicle], pothole,
+                                          now_ms)
         self._emit(now_ms, "P2P_BROADCAST",
                    f"vehicle={vehicle} pothole={pothole} "
                    f"receivers={','.join(receivers) or '-'}")
 
     def _on_phase_timeout(self, now_ms, vehicle):
-        v = self.world.vehicle(vehicle)
-        visible = self.world.visible_ap(vehicle, now_ms)
+        v = self.world.vehicles[vehicle]
+        visible = self.world.visible_ap(v, now_ms)
         v.conn = step_connection(v.conn, visible, now_ms, self.config.loss_timeout_ms)
         self._emit(now_ms, "PHASE_TIMEOUT",
                    f"vehicle={vehicle} phase={v.conn.phase} ap={v.conn.peer or '-'}")
@@ -680,19 +678,20 @@ class SingleHeapSimulation:
         self._schedule(now_ms + self.config.phase_latency_ms, "PHASE_TIMEOUT", vehicle)
 
     def _on_uplink(self, now_ms, vehicle):
-        delivered = uplink(self.world, vehicle, now_ms)
-        queued = len(self.world.vehicle(vehicle).queue)
+        v = self.world.vehicles[vehicle]
+        delivered = uplink(self.world, v, now_ms)
+        queued = len(v.queue)
         self._emit(now_ms, "UPLINK", f"vehicle={vehicle} delivered={delivered} queued={queued}")
 
     def _on_dest_change(self, now_ms, vehicle, dest):
-        v = self.world.vehicle(vehicle)
+        v = self.world.vehicles[vehicle]
         s = v.session
         if isinstance(modify_destination(s, dest), ErrorResponse):
             s.clear()
             self._emit(now_ms, "DEST_CHANGE", f"vehicle={vehicle} dest={dest} unreachable")
             return
         if dest is not None and v.stopped and v.speed_mps > 0:
-            resting = self.world.net.arc(v.arc).head
+            resting = self.world.net.arc(s.current_arc).head
             if s.destination == resting:
                 s.clear()
             elif s.pending_arcs and self.world.net.arc(s.pending_arcs[0]).tail == resting:

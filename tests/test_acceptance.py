@@ -146,7 +146,7 @@ def test_criterion_5_comms_constants():
     with criterion(5, "20 m warning radius and 500 ms loss timeout"):
         world = _range_world([("vs", 10.0), ("v15", 25.0),
                               ("v20", 30.0), ("v21", 30.1), ("v40", 50.0)])
-        got = p2p_broadcast(world, "vs", "h1:99", 0)
+        got = p2p_broadcast(world, world.vehicles["vs"], "h1:99", 0)
         assert got == ["v15", "v20"]  # <= 20 m delivered, > 20 m not
 
         timeout = SimConfig().loss_timeout_ms  # what the simulation passes

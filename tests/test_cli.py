@@ -180,13 +180,18 @@ class TestSimulate:
         ("pits", [SCENARIO["pits"][0], dict(SCENARIO["pits"][0], center_m=99.5)],
          "pits[1].center_m must be at least half_length_m (1.0) from both ends of arc 'ab' "
          "of length_m 100.0, got 99.5"),
+        *(("vehicles", [dict(SCENARIO["vehicles"][0], id=vid)],
+           "vehicles[0].id must be free of '/', with route_<id>.txt at most 255 UTF-8 "
+           f"bytes, got {vid!r}") for vid in ("a/b", "/", "v" * 246, "\u00e9" * 123)),
     ], ids=["nan-ap-range", "inf-ap-x", "nan-speed", "non-object-vehicle", "null-events",
             "string-duration", "bool-seed", "null-t-ms", "null-start-offset", "number-waypoints",
             "nan-depth", "negative-half-length", "unknown-pit-arc", "unknown-start-arc",
             "unknown-waypoint", "list-waypoint", "object-waypoint", "nan-waypoint",
             "true-waypoint", "unknown-dest", "list-vehicle-id", "list-ap-id",
             "list-event-vehicle", "string-open", "huge-speed", "empty-vehicle-id",
-            "empty-ap-id", "negative-depth", "reflectivity-above-one", "pit-past-arc-end"])
+            "empty-ap-id", "negative-depth", "reflectivity-above-one", "pit-past-arc-end",
+            "slash-in-vehicle-id", "slash-only-vehicle-id", "256-byte-route-file-name",
+            "256-utf8-byte-route-file-name"])
     def test_malformed_scenario_exits_one_naming_the_field(self, files, capsys,
                                                             section, value, named):
         net, _, tmp = files
@@ -197,6 +202,18 @@ class TestSimulate:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {named}\n"
         assert not (tmp / "nope").exists()
+
+    @pytest.mark.parametrize("vid", ["v" * 245, "\u00e9" * 122 + "v"],
+                             ids=["255-byte-name", "255-utf8-byte-name"])
+    def test_longest_vehicle_id_names_its_route_file(self, files, vid):
+        net, _, tmp = files
+        scenario = tmp / "long.json"
+        scenario.write_text(json.dumps(dict(SCENARIO, events=[],
+                                            vehicles=[dict(SCENARIO["vehicles"][0], id=vid)])))
+        out = tmp / "out"
+        assert main(["simulate", "--network", str(net), "--scenario", str(scenario),
+                     "--out-dir", str(out)]) == 0
+        assert (out / f"route_{vid}.txt").read_text(encoding="utf-8").startswith("DISPLAY ")
 
     @pytest.mark.parametrize("edits, named", [
         ([("nodes", None, {"id": "A", "x": 1.0, "y": 1.0})],

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from helpers import (SingleHeapSimulation, ap_grid_inputs, build_net, grid_inputs,
                      handover_inputs, vehicle_position_by_formula, visible_ap_by_scan)
 from potholesim import comms
-from potholesim.comms import (ConnectionState, Phase, Simulation, UnknownVehicleError,
-                              World, p2p_broadcast, step_connection, uplink)
+from potholesim.comms import (ConnectionState, Phase, Simulation, World, p2p_broadcast,
+                              step_connection, uplink)
 from potholesim.config import SimConfig
 from potholesim.detection import DepthMap, IntensityImage, sweep
 from potholesim.geocrypto import PlainReport, decrypt, encrypt
@@ -87,22 +87,17 @@ class TestBroadcast:
     def test_range_thresholds(self):
         world = make_world([parked("vs", 10.0), parked("va", 25.0),
                             parked("vb", 30.0), parked("vc", 35.5)])
-        got = p2p_broadcast(world, "vs", "h1:50", 0)
+        got = p2p_broadcast(world, world.vehicles["vs"], "h1:50", 0)
         # 15 m and exactly 20 m receive; 25.5 m does not
         assert got == ["va", "vb"]
         assert "h1:50" in world.vehicles["va"].warning_cache
         assert "h1:50" not in world.vehicles["vc"].warning_cache
 
-    def test_unknown_sender(self):
-        world = make_world([parked("vs", 10.0)])
-        with pytest.raises(UnknownVehicleError):
-            p2p_broadcast(world, "ghost", "h1:50", 0)
-
     def test_duplicate_warning_idempotent(self):
         world = make_world([parked("vs", 10.0), parked("va", 25.0)])
-        p2p_broadcast(world, "vs", "h1:50", 0)
+        p2p_broadcast(world, world.vehicles["vs"], "h1:50", 0)
         before = set(world.vehicles["va"].warning_cache)
-        p2p_broadcast(world, "vs", "h1:50", 5)
+        p2p_broadcast(world, world.vehicles["vs"], "h1:50", 5)
         assert world.vehicles["va"].warning_cache == before
 
 
@@ -124,7 +119,7 @@ class TestUplink:
                                  "range_m": 50.0, "open": True}])
         world.vehicles["v1"].conn = ConnectionState(Phase.CONNECTED, 0, "ap1")
         queue_envelopes(world, "v1", 3, world.config.shared_key)
-        assert uplink(world, "v1", 100) == 3
+        assert uplink(world, world.vehicles["v1"], 100) == 3
         assert not world.vehicles["v1"].queue
         assert len(world.server.registry) == 3
         # a delivery is activity
@@ -133,7 +128,7 @@ class TestUplink:
     def test_not_connected_delivers_zero(self):
         world = make_world([parked("v1", 0.0)])
         queue_envelopes(world, "v1", 2, world.config.shared_key)
-        assert uplink(world, "v1", 100) == 0
+        assert uplink(world, world.vehicles["v1"], 100) == 0
         assert len(world.vehicles["v1"].queue) == 2
 
     def test_budget_limits_each_exchange(self):
@@ -142,7 +137,7 @@ class TestUplink:
                                  "range_m": 50.0, "open": True}])
         world.vehicles["v1"].conn = ConnectionState(Phase.CONNECTED, 0, "ap1")
         queue_envelopes(world, "v1", 6, world.config.shared_key)
-        assert uplink(world, "v1", 100) == 4
+        assert uplink(world, world.vehicles["v1"], 100) == 4
         assert len(world.vehicles["v1"].queue) == 2
 
     def test_peer_out_of_range_delivers_nothing(self):
@@ -151,7 +146,7 @@ class TestUplink:
                                  "range_m": 5.0, "open": True}])
         world.vehicles["v1"].conn = ConnectionState(Phase.CONNECTED, 0, "ap1")
         queue_envelopes(world, "v1", 2, world.config.shared_key)
-        assert uplink(world, "v1", 100) == 0
+        assert uplink(world, world.vehicles["v1"], 100) == 0
         assert world.vehicles["v1"].conn == ConnectionState(Phase.CONNECTED, 0, "ap1")
 
 
@@ -171,7 +166,7 @@ def oracle_world(p, q, aps, length_m=1.0):
 
 def in_range(world, now_ms):
     """Ids of the open access points that the range test accepts."""
-    x, y = world.vehicle_position("v", now_ms)
+    x, y = world.position(world.vehicles["v"], now_ms)
     return {ap.id for ap in world.aps.values()
             if ap.open and math.hypot(ap.x - x, ap.y - y) <= ap.range_m}
 
@@ -187,7 +182,7 @@ def boundary_aps(draw, p, q, frac, scale):
     """Open access points whose range ends at, or one ulp either side of, the
     vehicle's position at `frac` on P -> Q: straight out from an endpoint or
     off the segment's side, where the range is tangent to the segment."""
-    x = p[0] + (q[0] - p[0]) * frac  # the position, as `World._position` computes it
+    x = p[0] + (q[0] - p[0]) * frac  # the position, as `World.position` computes it
     y = p[1] + (q[1] - p[1]) * frac
     ux, uy = q[0] - p[0], q[1] - p[1]
     length = math.hypot(ux, uy)
@@ -265,9 +260,10 @@ class TestVisibleAp:
     def test_matches_full_scan(self, case):
         world, times = case
         candidates = {ap[3] for ap in world.arc_geometry("pq").candidates}
+        v = world.vehicles["v"]
         for now_ms in times:
             assert in_range(world, now_ms) <= candidates
-            assert world.visible_ap("v", now_ms) == visible_ap_by_scan(world, "v", now_ms)
+            assert world.visible_ap(v, now_ms) == visible_ap_by_scan(world, v, now_ms)
 
     @pytest.mark.parametrize("p, q, frac, aps, peer, expected", [
         ((0.0, 0.0), (-10.0, 0.0), 0.0, [("a", 30.0, 40.0, 50.0, True)], None, "a"),
@@ -303,8 +299,8 @@ class TestVisibleAp:
         v = world.vehicles["v"]
         v.offset_m = frac
         v.conn = ConnectionState(Phase.ASSOCIATING, 0, peer)
-        assert visible_ap_by_scan(world, "v", 0) == expected
-        assert world.visible_ap("v", 0) == expected
+        assert visible_ap_by_scan(world, v, 0) == expected
+        assert world.visible_ap(v, 0) == expected
 
     def test_candidates_are_the_open_aps_that_reach_the_segment(self):
         world = oracle_world((0.0, 0.0), (100.0, 0.0), [
@@ -553,7 +549,7 @@ def tick_tie_cases(draw):
 
 def final_state(world):
     """Everything a run leaves behind, envelopes as their bytes."""
-    vehicles = {vid: (v.arc, v.offset_m, v.at_ms, v.speed_mps, v.stopped, v.waypoints,
+    vehicles = {vid: (v.offset_m, v.at_ms, v.speed_mps, v.stopped, v.waypoints,
                       v.conn, v.warning_cache, [(env.to_bytes(), loc) for env, loc in v.queue],
                       v.session.current_arc, v.session.destination, v.session.route,
                       v.session.pending_arcs)
@@ -575,17 +571,16 @@ class TestEventOrder:
         assert sim.trace == reference.trace
         assert got == want
         world = sim.world
-        for vid, v in world.vehicles.items():
-            assert v.candidates == world.arc_geometry(v.arc).candidates
+        for v in world.vehicles.values():
+            assert v.candidates == world.arc_geometry(v.session.current_arc).candidates
             # the box that broadcasts reject by is the segment's, from its nodes
-            arc = net.arcs[v.arc]
+            arc = net.arcs[v.session.current_arc]
             tail, head = net.nodes[arc.tail], net.nodes[arc.head]
             assert v.box == (min(tail.x, head.x), max(tail.x, head.x),
                              min(tail.y, head.y), max(tail.y, head.y))
             # the cached arc geometry, up to and past the arc's end
             for now_ms in (*probe_ms, 10 ** 7):
-                assert world.vehicle_position(vid, now_ms) \
-                    == vehicle_position_by_formula(world, vid, now_ms)
+                assert world.position(v, now_ms) == vehicle_position_by_formula(world, v, now_ms)
 
     def test_connected_vehicle_loses_the_link_on_an_arc_without_candidates(self):
         # ap1 reaches the first 55 m of ab only: the vehicle, CONNECTED there
@@ -646,7 +641,7 @@ class TestEventOrder:
         assert got == want
         v = sim.world.vehicles["v"]
         assert sim.world.arc_geometry("ab").candidates == ()
-        assert (v.arc, v.candidates) == ("bc", ((110.0, 0.0, 20.0, "ap1"),))
+        assert (v.session.current_arc, v.candidates) == ("bc", ((110.0, 0.0, 20.0, "ap1"),))
         assert "t=6000 MOVE vehicle=v node=B arc=-" in sim.trace
         assert "t=8000 DEST_CHANGE vehicle=v dest=C" in sim.trace
         # in range from x = 90 m, reached at t=11000, and CONNECTED two ticks later
@@ -889,7 +884,7 @@ class TestApCandidates:
             assert world.arc_geometry("ab").candidates == ((50.0, -10.0, 30.0, "near"),)
             assert world.arc_geometry("cd").candidates == ()
             for v in world.vehicles.values():
-                geometry = world.arc_geometry(v.arc)
+                geometry = world.arc_geometry(v.session.current_arc)
                 assert (v.line, v.box, v.candidates) == tuple(geometry)
                 assert v.line is geometry.line and v.box is geometry.box
         assert built == [{(arc, what): 1 for arc in ("ab", "bc", "cd", "da")
@@ -983,7 +978,7 @@ def motion_bound_cases(draw):
                            "dest": draw(st.sampled_from([None, *(n["id"] for n in nodes)]))})
 
     if draw(st.booleans()):
-        # the receiver drives A -> B and stops at B, where `World._position`
+        # the receiver drives A -> B and stops at B, where `World.position`
         # puts it at a + (b - a) * 1.0: on its box's edge, or an ulp off b,
         # since b - a, one binade above b, rounds by up to an ulp of b (by
         # exactly one for an integer a and an odd number of ulps b)
@@ -1046,8 +1041,8 @@ class TestMotionBounds:
                                "open": True}],
         }, net)
         scans = []
-        scan = World._scan
-        monkeypatch.setattr(World, "_scan", lambda world, v, now_ms: scans.append(v.id)
+        scan = World.visible_ap
+        monkeypatch.setattr(World, "visible_ap", lambda world, v, now_ms: scans.append(v.id)
                             or scan(world, v, now_ms))
         sim = Simulation(net, scenario)
         sim.run()
